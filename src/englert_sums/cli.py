@@ -5,8 +5,8 @@ Subcommands: eval, table, coeffs, polylog, oracle, verify.  Exit codes:
 (singular points, unsupported orders, capacity and tolerance failures).
 Error messages go to stderr as "E<code>: <detail>".  All numeric output
 uses 17 significant digits and reruns are byte identical; set
-ENGLERT_SUMS_THREADS to parallelize verify over a thread pool without
-changing the output.
+ENGLERT_SUMS_THREADS (clamped to the core count) to parallelize verify
+over a thread pool without changing the output.
 """
 
 from __future__ import annotations
@@ -212,9 +212,11 @@ def _thread_count():
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         raise UsageError(f"ENGLERT_SUMS_THREADS must be an integer, got {raw!r}") from None
+    # more threads than cores only adds contention; the output is the same
+    return min(max(1, threads), os.cpu_count() or 1)
 
 
 def _run_grid(tasks, tol):

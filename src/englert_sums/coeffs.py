@@ -14,8 +14,10 @@ Every row satisfies the closure constraint
 
 which is exactly the condition for the odd antiderivative to stay
 periodic (no staircase component survives the integration).  All
-generation is exact in fractions.Fraction; floats appear only inside
-eval_poly.
+generation is exact in fractions.Fraction.  Exact evaluation runs Horner
+in plain integers over the common denominator of the coefficients and
+builds one Fraction at the end; floats appear only in the float branch
+of eval_poly.
 """
 
 from __future__ import annotations
@@ -59,6 +61,23 @@ def _check_order(n, minimum, what="order"):
         raise CapacityError(f"{what} {n} exceeds the supported cap {MAX_ORDER}")
 
 
+def _integer_form(coeffs):
+    """(den, numerators, odd, squared): coeffs over their common denominator.
+
+    ``numerators`` run from the top power down.  Even polynomials keep
+    only the even powers and are read in w**2 (squared); odd ones keep
+    the odd powers, read as w * q(w**2) (odd and squared); mixed ones
+    keep every power and are read in w.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    if not any(nums[1::2]):
+        return den, tuple(reversed(nums[0::2])), False, True
+    if not any(nums[0::2]):
+        return den, tuple(reversed(nums[1::2])), True, True
+    return den, tuple(reversed(nums)), False, False
+
+
 @dataclass(frozen=True)
 class BracketPoly:
     """Polynomial in the bracket variable w = <z - shift>.
@@ -85,6 +104,7 @@ class BracketPoly:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "_float_coeffs", tuple(float(c) for c in coeffs))
+        object.__setattr__(self, "_int_form", _integer_form(coeffs))
 
     @property
     def degree(self):
@@ -269,19 +289,37 @@ def integrate_bracket_poly(p):
 def eval_poly(p, z):
     """Horner evaluation of p at the bracket value centered(z - shift).
 
-    Rational z keeps everything exact and returns a Fraction; floats use
-    the cached float coefficients.  The float path's error is a few ulps
-    because every coefficient is below one and the bracket variable
-    stays inside [-1/2, 1/2).
+    Rational z stays exact and returns a Fraction: with z = m/q, the
+    shift and the centering are done on the integer m, Horner runs in
+    integers over the common denominator with no gcd inside the loop,
+    and a single Fraction is normalised at the end.  Its float() is the
+    correctly rounded value.  Floats use the cached float coefficients;
+    that path's error is a few ulps because every coefficient is below
+    one and the bracket variable stays inside [-1/2, 1/2).
     """
     if not isinstance(p, BracketPoly):
         raise DomainError(f"expected a BracketPoly, got {type(p).__name__}")
     if isinstance(z, Rational):
-        w = centered(Fraction(z) - p.shift)
-        acc = ZERO
-        for c in reversed(p.coefficients):
-            acc = acc * w + c
-        return acc
+        m, q = int(z.numerator), int(z.denominator)
+        if p.shift:
+            if q % 2:
+                m, q = 2 * m - q, 2 * q
+            else:
+                m -= q // 2
+        m -= (2 * m + q) // (2 * q) * q
+        den, nums, odd, squared = p._int_form
+        x, y = (m * m, q * q) if squared else (m, q)
+        # invariant: acc / (den * ypow) is the Horner value so far at x / y
+        acc = nums[0]
+        ypow = 1
+        for c in nums[1:]:
+            ypow *= y
+            acc = acc * x + c * ypow
+        den *= ypow
+        if odd:
+            acc *= m
+            den *= q
+        return Fraction(acc, den)
     zf = float(z)
     if not math.isfinite(zf):
         raise DomainError(f"polynomial argument must be finite, got {z!r}")

@@ -285,13 +285,19 @@ def _exact_poly(poly, zq):
     return v, _EPS * (1.0 + abs(v))
 
 
-def _poly_difference(poly, za, zb, half=True):
-    # (poly(za) - poly(zb)) / 2, all exact until the final float conversion
-    d = eval_poly(poly, za) - eval_poly(poly, zb)
-    if half:
-        d = d / 2
-    v = float(d)
+def _poly_difference(poly, za, zb):
+    # (poly(za) - poly(zb)) / 2, exact until one correctly rounded division
+    a, b = eval_poly(poly, za), eval_poly(poly, zb)
+    v = (a.numerator * b.denominator - b.numerator * a.denominator) / (
+        2 * a.denominator * b.denominator
+    )
     return v, _EPS * (1.0 + abs(v))
+
+
+def _plus_quarters(zf, k):
+    """zf + k/4 as an exact Fraction, built from the float's integer ratio."""
+    m, q = zf.as_integer_ratio()
+    return Fraction(4 * m + k * q, 4 * q)
 
 
 def _li_at(a, t):
@@ -386,16 +392,16 @@ def _tbcp0(zf):
 
 
 def _qp0(zf):
-    # the log denominator must be 1 + sin(pi z): with 1 - sin the whole
-    # log term flips sign and the series oracle rejects the value
+    # log|cos(pi z) / (1 + sin(pi z))| read as log|tan(pi (1/4 - z/2))|: the
+    # quotient cancels near z = 3/2 (mod 2), the tangent does not.  The
+    # sign matters: with 1 - sin (tan(pi (1/4 + z/2))) the log term flips
+    # sign and the series oracle rejects the value.
     s, c = _sin_pi(zf), _cos_pi(zf)
     step = 0.25 * (-1.0) ** math.floor(zf + 0.5)
-    log_term = math.log(abs(c / (1.0 + s)))
+    u = 0.25 - 0.5 * zf
+    log_term = math.log(abs(_sin_pi(u))) - math.log(abs(_cos_pi(u)))
     v = step * c - s * log_term / (2.0 * math.pi)
-    slope = (
-        math.pi / 4.0
-        + 0.5 * abs(c * log_term - s * s / c - s * c / (1.0 + s))
-    )
+    slope = math.pi / 4.0 + 0.5 * abs(c * log_term - s / c)
     return v, slope * _EPS * (1.0 + abs(zf)) + 2.0 * _EPS * (1.0 + abs(v))
 
 
@@ -420,38 +426,43 @@ def _tqp0(zf):
 
 _BOLD0 = {"bS": _bs0, "bCp": _bcp0, "tbS": _tbs0, "tbCp": _tbcp0}
 
+# 2k+1 family at order n >= 1 -> (part, a, b, sign): sign times half the
+# difference of one k-family part read at z + a/4 and at z + b/4.  The
+# parts "C" and "S" are the bracket polynomials of order n, "re" is
+# Re Li_{2n+1} and "im" is Im Li_{2n}, both scaled by pi^-p.
+_BOLD_PARTS = {
+    "bS": ("re", 1, -1, -1.0),
+    "bC": ("im", 1, -1, 1.0),
+    "bSp": ("C", 1, -1, 1.0),
+    "bCp": ("S", -1, 1, 1.0),
+    "tbS": ("S", -2, 0, 1.0),
+    "tbC": ("C", 2, 0, 1.0),
+    "tbSp": ("im", 0, -2, 1.0),
+    "tbCp": ("re", 0, 2, 1.0),
+}
+
 
 def _bold_part(code, n, zf):
     """(value, error_bound, path) of a 2k+1 family used inside a reduction."""
     if n == 0:
         v, eb = _BOLD0[code](zf)
         return v, eb, "elementary"
-    zq = Fraction(zf)
-    if code == "bS":
-        v, eb = _li_re_diff(2 * n + 1, zq + ONE_QUARTER, zq - ONE_QUARTER)
-        return -v, eb, "polylog"
-    if code == "bC":
-        v, eb = _li_im_diff(2 * n, zq + ONE_QUARTER, zq - ONE_QUARTER)
-        return v, eb, "polylog"
-    if code == "bSp":
-        v, eb = _poly_difference(poly_C(n), zq + ONE_QUARTER, zq - ONE_QUARTER)
+    entry = _BOLD_PARTS.get(code)
+    if entry is None:
+        raise DomainError(f"no reduction part named {code!r}")
+    part, a, b, sign = entry
+    za, zb = _plus_quarters(zf, a), _plus_quarters(zf, b)
+    if part == "C":
+        v, eb = _poly_difference(poly_C(n), za, zb)
         return v, eb, "polynomial"
-    if code == "bCp":
-        v, eb = _poly_difference(poly_S(n), zq - ONE_QUARTER, zq + ONE_QUARTER)
+    if part == "S":
+        v, eb = _poly_difference(poly_S(n), za, zb)
         return v, eb, "polynomial"
-    if code == "tbS":
-        v, eb = _poly_difference(poly_S(n), zq - ONE_HALF, zq)
-        return v, eb, "polynomial"
-    if code == "tbC":
-        v, eb = _poly_difference(poly_C(n), zq + ONE_HALF, zq)
-        return v, eb, "polynomial"
-    if code == "tbSp":
-        v, eb = _li_im_diff(2 * n, zq, zq - ONE_HALF)
-        return v, eb, "polylog"
-    if code == "tbCp":
-        v, eb = _li_re_diff(2 * n + 1, zq, zq + ONE_HALF)
-        return v, eb, "polylog"
-    raise DomainError(f"no reduction part named {code!r}")
+    if part == "re":
+        v, eb = _li_re_diff(2 * n + 1, za, zb)
+    else:
+        v, eb = _li_im_diff(2 * n, za, zb)
+    return sign * v, eb, "polylog"
 
 
 # modified family -> (sin-part code, cos-part code, sign in front of the
@@ -553,13 +564,13 @@ def _dispatch_family(f, zf):
         if n == 0:
             v, eb = _sp0(zf)
             return v, "elementary", eb
-        v, eb = _li_im_scaled(2 * n, Fraction(zf) + ONE_HALF)
+        v, eb = _li_im_scaled(2 * n, _plus_quarters(zf, 2))
         return v, "polylog", eb
     if code == "Cp":
         if n == 0:
             v, eb = _cp0(zf)
             return v, "elementary", eb
-        v, eb = _li_re_scaled(2 * n + 1, Fraction(zf) + ONE_HALF)
+        v, eb = _li_re_scaled(2 * n + 1, _plus_quarters(zf, 2))
         return v, "polylog", eb
     if code == "tSp":
         if n == 0:
@@ -613,6 +624,28 @@ def eval(f, z):
 eval_family = eval
 
 
+# code -> (partner code, shift of z): alternating k families and their
+# non-alternating twins trade half shifts, the 2k+1 families quarter shifts
+_RELATION_PARTNERS = {
+    "S": ("tS", 0.5),
+    "C": ("tC", 0.5),
+    "Sp": ("tSp", 0.5),
+    "Cp": ("tCp", 0.5),
+    "tS": ("S", -0.5),
+    "tC": ("C", -0.5),
+    "tSp": ("Sp", -0.5),
+    "tCp": ("Cp", -0.5),
+    "bS": ("tbCp", -0.25),
+    "bC": ("tbSp", 0.25),
+    "bSp": ("tbC", -0.25),
+    "bCp": ("tbS", 0.25),
+    "tbS": ("bCp", -0.25),
+    "tbC": ("bSp", 0.25),
+    "tbSp": ("bC", -0.25),
+    "tbCp": ("bS", 0.25),
+}
+
+
 def eval_via_relation(f, z):
     """Value of f at z through its interrelation rather than its own form.
 
@@ -636,28 +669,7 @@ def eval_via_relation(f, z):
         v, path, eb = _pq_reduction(code, n, zf)
         return EvalResult(v, path, eb)
 
-    plain_tilde = {
-        "S": ("tS", 0.5),
-        "C": ("tC", 0.5),
-        "Sp": ("tSp", 0.5),
-        "Cp": ("tCp", 0.5),
-        "tS": ("S", -0.5),
-        "tC": ("C", -0.5),
-        "tSp": ("Sp", -0.5),
-        "tCp": ("Cp", -0.5),
-    }
-    quarter = {
-        "bS": ("tbCp", -0.25),
-        "bC": ("tbSp", 0.25),
-        "bSp": ("tbC", -0.25),
-        "bCp": ("tbS", 0.25),
-        "tbS": ("bCp", -0.25),
-        "tbC": ("bSp", 0.25),
-        "tbSp": ("bC", -0.25),
-        "tbCp": ("bS", 0.25),
-    }
-    table = plain_tilde if code in plain_tilde else quarter
-    target_code, shift = table[code]
+    target_code, shift = _RELATION_PARTNERS[code]
     target = SumFamily.from_code(target_code, n)
     try:
         _check_supported(target)

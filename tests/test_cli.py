@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -213,3 +214,11 @@ def test_verify_arbitrate_suites(capsys, tmp_path):
         assert "candidate A 16/16, candidate B 0/16" in line
         assert "winner=a expected=a" in line
     assert text.count("winner=both expected=both") == 3
+
+
+def test_thread_count_is_clamped_to_the_core_count(monkeypatch):
+    # only the parsed count is checked; no pool and no thread is started
+    monkeypatch.setenv("ENGLERT_SUMS_THREADS", "100000")
+    assert cli._thread_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("ENGLERT_SUMS_THREADS", "-3")
+    assert cli._thread_count() == 1

@@ -361,3 +361,17 @@ def test_evaluation_errors():
         eval_family("S", 0.3)
     with pytest.raises(DomainError):
         eval_via_relation("S", 0.3)
+
+
+@pytest.mark.parametrize("z", [1.4999999, 1.49999999, -0.5000001])
+def test_qp0_holds_its_bound_next_to_the_cancelling_lattice(z):
+    # cos(pi z) / (1 + sin(pi z)) cancels near z = 3/2 (mod 2); the same
+    # closed form in 40-digit arithmetic is the reference
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        step = mpmath.mpf(1) / 4 * (-1) ** int(mpmath.floor(zm + mpmath.mpf(1) / 2))
+        tan = mpmath.tan(mpmath.pi * (mpmath.mpf(1) / 4 - zm / 2))
+        ref = step * mpmath.cospi(zm) - mpmath.sinpi(zm) * mpmath.log(abs(tan)) / (2 * mpmath.pi)
+        r = eval_family(SumFamily.from_code("Qp", 0), z)
+        assert abs(r.value - ref) <= r.error_bound

@@ -43,10 +43,7 @@ from .oracle import (
 from .polylog import (
     LiValue,
     UnitCirclePoint,
-    im_li_odd_as_poly,
     li_on_circle,
-    li_quarter_shift,
-    re_li_even_as_poly,
 )
 from .sums import (
     FAMILY_CODES,
@@ -92,16 +89,13 @@ __all__ = [
     "eval_poly",
     "eval_via_relation",
     "frac",
-    "im_li_odd_as_poly",
     "integrate_bracket_poly",
     "is_supported",
     "li_on_circle",
-    "li_quarter_shift",
     "oracle_eval",
     "partial_sum",
     "poly_C",
     "poly_S",
-    "re_li_even_as_poly",
     "singular_points",
     "sin_poly_variant",
     "__version__",

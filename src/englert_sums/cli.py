@@ -62,6 +62,47 @@ def _family(code, n):
 
 
 # ---------------------------------------------------------------------------
+# rendering, shared by table, verify and verify --arbitrate
+
+# columns printed with 17 significant digits and with 4; others print as str
+_LONG_CELLS = frozenset(
+    ("z", "value", "closed_value", "oracle_value", "value_a", "value_b")
+)
+_SHORT_CELLS = frozenset(("error_bound", "diff", "tol", "diff_a", "diff_b"))
+
+
+def _cell(key, value):
+    if key in _LONG_CELLS:
+        return f"{value:.16e}"
+    if key in _SHORT_CELLS:
+        return f"{value:.3e}"
+    return str(value)
+
+
+def _excluded_line(item):
+    return "excluded " + " ".join(f"{k}={_cell(k, v)}" for k, v in item.items())
+
+
+def _render(fmt, columns, rows, notes_key, notes, note_line=_excluded_line):
+    """Rows as csv, tsv or json.
+
+    In json the notes go under notes_key next to the rows; in csv and tsv
+    each note becomes a "# " line after them.
+    """
+    if fmt == "json":
+        return json.dumps(
+            {"rows": rows, notes_key: notes},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+    sep = "\t" if fmt == "tsv" else ","
+    lines = [sep.join(columns)]
+    lines.extend(sep.join(_cell(k, row[k]) for k in columns) for row in rows)
+    lines.extend(f"# {note_line(note)}" for note in notes)
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
 # simple subcommands
 
 
@@ -72,6 +113,9 @@ def _cmd_eval(args):
     return 0
 
 
+_TABLE_COLUMNS = ("z", "value", "path", "error_bound")
+
+
 def _cmd_table(args):
     f = _family(args.family, args.n)
     eps = args.exclusion_eps
@@ -80,27 +124,14 @@ def _cmd_table(args):
     lattice = singular_points(f)
     rows, excluded = [], []
     for z in _linspace(args.z0, args.z1, args.steps):
-        if lattice.kind != "none" and lattice.distance(z) < eps:
-            excluded.append((z, lattice.kind))
+        if lattice.contains(z, eps):
+            excluded.append({"z": z, "reason": lattice.kind})
             continue
         r = eval_family(f, z)
-        rows.append((z, r.value, r.path, r.error_bound))
-    if args.format == "json":
-        doc = {
-            "rows": [
-                {"z": z, "value": v, "path": p, "error_bound": e}
-                for z, v, p, e in rows
-            ],
-            "excluded": [{"z": z, "reason": k} for z, k in excluded],
-        }
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        return 0
-    sep = "\t" if args.format == "tsv" else ","
-    print(sep.join(("z", "value", "path", "error_bound")))
-    for z, v, p, e in rows:
-        print(sep.join((f"{z:.16e}", f"{v:.16e}", p, f"{e:.3e}")))
-    for z, kind in excluded:
-        print(f"# excluded z={z:.16e} reason={kind}")
+        rows.append(
+            {"z": z, "value": r.value, "path": r.path, "error_bound": r.error_bound}
+        )
+    print(_render(args.format, _TABLE_COLUMNS, rows, "excluded", excluded))
     return 0
 
 
@@ -239,34 +270,6 @@ _VERIFY_COLUMNS = (
 )
 
 
-def _format_cell(key, value):
-    if key in ("z", "closed_value", "oracle_value"):
-        return f"{value:.16e}"
-    if key in ("diff", "tol"):
-        return f"{value:.3e}"
-    return str(value)
-
-
-def _render_rows(rows, excluded, columns, fmt):
-    if fmt == "json":
-        return json.dumps(
-            {"rows": rows, "excluded": excluded},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    sep = "\t" if fmt == "tsv" else ","
-    lines = [sep.join(columns)]
-    for row in rows:
-        lines.append(sep.join(_format_cell(k, row[k]) for k in columns))
-    for item in excluded:
-        lines.append(
-            "# excluded family={family} order={order} z={z:.16e} reason={reason}".format(
-                **item
-            )
-        )
-    return "\n".join(lines)
-
-
 def _emit_report(text, summary, report_path):
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -298,7 +301,7 @@ def _cmd_verify(args):
                 continue
             lattice = singular_points(f)
             for z in grid:
-                if lattice.kind != "none" and lattice.distance(z) < args.exclusion_eps:
+                if lattice.contains(z, args.exclusion_eps):
                     excluded.append(
                         {"family": code, "order": n, "z": z, "reason": lattice.kind}
                     )
@@ -308,7 +311,7 @@ def _cmd_verify(args):
     failed = sum(1 for r in rows if r["verdict"] == "FAIL")
     total = len(rows)
     summary = f"PASS {total}/{total}" if failed == 0 else f"FAIL {failed}/{total}"
-    text = _render_rows(rows, excluded, _VERIFY_COLUMNS, args.format)
+    text = _render(args.format, _VERIFY_COLUMNS, rows, "excluded", excluded)
     _emit_report(text, summary, args.report)
     return 0 if failed == 0 else 2
 
@@ -392,14 +395,6 @@ _ARBITRATE_COLUMNS = (
 )
 
 
-def _format_arb_cell(key, value):
-    if key in ("z", "value_a", "value_b", "oracle_value"):
-        return f"{value:.16e}"
-    if key in ("diff_a", "diff_b"):
-        return f"{value:.3e}"
-    return str(value)
-
-
 def _cmd_arbitrate(args):
     suites = (
         _suite_sine_display()
@@ -433,17 +428,7 @@ def _cmd_arbitrate(args):
             f"candidate A {report.a_pass}/{total}, candidate B {report.b_pass}/{total}, "
             f"winner={report.winner} expected={expected}"
         )
-    if args.format == "json":
-        text = json.dumps(
-            {"rows": rows, "suites": lines}, sort_keys=True, separators=(",", ":")
-        )
-    else:
-        sep = "\t" if args.format == "tsv" else ","
-        out = [sep.join(_ARBITRATE_COLUMNS)]
-        for row in rows:
-            out.append(sep.join(_format_arb_cell(k, row[k]) for k in _ARBITRATE_COLUMNS))
-        out.extend(f"# {line}" for line in lines)
-        text = "\n".join(out)
+    text = _render(args.format, _ARBITRATE_COLUMNS, rows, "suites", lines, note_line=str)
     n_suites = len(suites)
     summary = (
         f"PASS {n_suites}/{n_suites}"

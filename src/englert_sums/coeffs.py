@@ -29,7 +29,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .bernoulli import abs_bernoulli_term
-from .bracket import centered
+from .bracket import ONE_HALF, centered
 from .errors import CapacityError, DomainError, InternalConsistencyError
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE_HALF = Fraction(1, 2)
 
 # c_table(n) consumes |B_{2n}|, so the order cap tracks bernoulli.MAX_INDEX.
 MAX_ORDER = 120

@@ -33,7 +33,13 @@ import numpy as np
 
 from .bracket import frac
 from .errors import CapacityError, DomainError, ToleranceNotReachedError
-from .sums import SumFamily, _check_singular, _check_supported, singular_points
+from .sums import (
+    SumFamily,
+    _check_singular,
+    _check_supported,
+    _finite_z,
+    _require_family,
+)
 
 __all__ = [
     "ArbitrationReport",
@@ -84,18 +90,6 @@ class ArbitrationReport:
     a_pass: int
     b_pass: int
     winner: str  # a | b | both | neither
-
-
-def _require_family(f):
-    if not isinstance(f, SumFamily):
-        raise DomainError(f"expected a SumFamily, got {type(f).__name__}")
-
-
-def _finite_z(z):
-    zf = float(z)
-    if not math.isfinite(zf):
-        raise DomainError(f"z must be finite, got {z!r}")
-    return zf
 
 
 def _phase_split(zf):
@@ -237,8 +231,7 @@ def oracle_eval(f, z, tol, strict=True):
     # here too; the power-zero families that remain, the constant cosine
     # and the two tangent/cotangent forms, average to their Abel values
     _check_supported(f)
-    if singular_points(f).kind != "none":
-        _check_singular(f, zf)
+    _check_singular(f, zf)
 
     if p >= 2:
         cap = _CAP_P2 if p == 2 else _CAP_P3

@@ -20,22 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from .bernoulli import bernoulli
-from .bracket import frac
-from .coeffs import ONE_HALF, eval_poly, poly_C, poly_S
+from .bracket import ONE_HALF, frac
+from .coeffs import eval_poly, poly_C, poly_S
 from .errors import DomainError, SingularPointError
 
 __all__ = [
     "LiValue",
     "UnitCirclePoint",
-    "im_li_odd_as_poly",
     "li_on_circle",
-    "li_quarter_shift",
-    "re_li_even_as_poly",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -102,12 +98,16 @@ class LiValue:
 
 
 def _sin_pi(t):
-    """sin(pi*t) reduced over the full period 2, exact at lattice zeros."""
-    r = 2.0 * frac(0.5 * t)
-    sign = 1.0
+    """sin(pi*t) reduced over the full period 2, exact at lattice zeros.
+
+    fmod reduces |t| exactly and sin is odd, so every later subtraction
+    is exact (Sterbenz) for negative t too.
+    """
+    r = math.fmod(abs(t), 2.0)
+    sign = math.copysign(1.0, t)
     if r >= 1.0:
         r -= 1.0
-        sign = -1.0
+        sign = -sign
     if r < 0.25:
         return sign * math.sin(math.pi * r)
     if r < 0.75:
@@ -116,8 +116,11 @@ def _sin_pi(t):
 
 
 def _cos_pi(t):
-    """cos(pi*t) reduced over the full period 2; exact zeros at t in Z+1/2."""
-    r = 2.0 * frac(0.5 * t)
+    """cos(pi*t) reduced over the full period 2; exact zeros at t in Z+1/2.
+
+    cos is even, so |t| reduced exactly by fmod carries the whole value.
+    """
+    r = math.fmod(abs(t), 2.0)
     sign = 1.0
     if r >= 1.0:
         r -= 1.0
@@ -200,8 +203,18 @@ def _direct_series(a, theta, want_sin):
 
 
 def _reduce_turns(t):
-    """Map turns to [0, 1/2] using the reflection symmetry; returns sign of sin."""
-    tf = frac(float(t))
+    """Map turns to [0, 1/2] using the reflection symmetry; returns sign of sin.
+
+    Exact turns (a Fraction in [0, 1)) are reflected before they are
+    rounded: rounding first would cost a point just below a whole turn
+    most of its small angle.
+    """
+    if isinstance(t, Fraction):
+        num, den = t.numerator, t.denominator
+        if 2 * num <= den:
+            return num / den, 1.0
+        return (den - num) / den, -1.0
+    tf = frac(t)
     if tf <= 0.5:
         return tf, 1.0
     return 1.0 - tf, -1.0
@@ -238,11 +251,11 @@ def _poly_half(kind, n):
     return p
 
 
-def _check_li_order(a, minimum=1):
+def _check_li_order(a):
     if isinstance(a, bool) or not isinstance(a, int):
         raise DomainError(f"polylogarithm order must be a plain integer, got {a!r}")
-    if a < minimum:
-        raise DomainError(f"polylogarithm order must be >= {minimum}, got {a}")
+    if a < 1:
+        raise DomainError(f"polylogarithm order must be >= 1, got {a}")
 
 
 def li_on_circle(a, p):
@@ -259,68 +272,26 @@ def li_on_circle(a, p):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
     turns = p.turns
     t = float(turns) if turns is not None else p.theta / TWO_PI
+    arg = turns if turns is not None else t
     if a == 1:
-        s = _sin_pi(t)
+        s = _sin_pi(_reduce_turns(arg)[0])
         if s <= 0.0 or (turns is not None and turns == 0) or p.theta == 0.0:
             raise SingularPointError("Li_1 diverges at the point 1 of the circle")
         re = -math.log(2.0 * s)
         im = math.pi * (0.5 - t)
         return LiValue(re, im, 1, 7e-16 * (3.0 + abs(re)))
-    arg = turns if turns is not None else t
     if a % 2 == 0:
         n = a // 2
         scale = math.pi**a
         poly_val = eval_poly(_poly_half("C", n), arg)
         re = scale * float(poly_val)
         poly_err = 2.3e-16 * abs(re) if turns is not None else 5e-15 * scale
-        im, num_err = _clausen_sin(a, t)
+        im, num_err = _clausen_sin(a, arg)
         return LiValue(re, im, a, poly_err + num_err + 2.3e-16 * abs(im))
     n = (a - 1) // 2
     scale = math.pi**a
     poly_val = eval_poly(_poly_half("S", n), arg)
     im = scale * float(poly_val)
     poly_err = 2.3e-16 * abs(im) if turns is not None else 5e-15 * scale
-    re, num_err = _clausen_cos(a, t)
+    re, num_err = _clausen_cos(a, arg)
     return LiValue(re, im, a, poly_err + num_err + 2.3e-16 * abs(re))
-
-
-def re_li_even_as_poly(n, z):
-    """Re[Li_{2n}(e^{2 pi i z})] / pi^{2n} rescaled back: the polynomial fast path.
-
-    Returns pi^{2n} times the shift-1/2 even polynomial at z, exactly the
-    real part of the polylogarithm of even order 2n on the circle.
-    """
-    v = eval_poly(_poly_half("C", n), z)
-    return math.pi ** (2 * n) * float(v)
-
-
-def im_li_odd_as_poly(n, z, sign=1):
-    """Imaginary part of Li_{2n+1}(-e^{sign * 2 pi i z}) via the sine table.
-
-    The reflected point (sign = -1) conjugates the polylogarithm, so the
-    imaginary part flips sign while the polynomial magnitude is shared.
-    """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    v = eval_poly(poly_S(n), z)
-    return sign * math.pi ** (2 * n + 1) * float(v)
-
-
-def li_quarter_shift(a, z, sign):
-    """Li_a at the exactly constructed point e^{2 pi i (z + sign/4)}.
-
-    The quarter shift is carried in rational turns so the polynomial
-    component stays exact; a must be at least 2 because the shifted
-    order-1 value is served by the elementary forms elsewhere.
-    """
-    _check_li_order(a, minimum=2)
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    if isinstance(z, Rational):
-        t = Fraction(z)
-    else:
-        zf = float(z)
-        if not math.isfinite(zf):
-            raise DomainError(f"z must be finite, got {z!r}")
-        t = Fraction(zf)
-    return li_on_circle(a, UnitCirclePoint.from_turns(t + Fraction(sign, 4)))

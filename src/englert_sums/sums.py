@@ -20,11 +20,15 @@ through polylogarithms on the unit circle; the 2k+1 families are exact
 half-turn or quarter-turn combinations of the k families; the modified
 families reduce to 2k+1 families at z/2 with sin/cos prefactors.
 
-Families whose denominator power would be zero have no finite value and
-raise UnsupportedOrderError: C, Q, Pp and their non-alternating twins at
-order 0, and the odd-summand 2k+1 families bC/bSp/tbC/tbSp at order 0.
-The one exception is the non-alternating cosine family tC at order 0,
-which is the constant -1/2 away from integers.
+Twelve families have denominator power zero at order 0.  Nine of them
+have no value there and raise UnsupportedOrderError: C, bC, bSp, tbC,
+tbSp, Q, Pp, tQ and tPp.  The other three carry Abel values: tC is the
+constant -1/2 away from integers, Sp is -tan(pi z)/2 and tSp is
+cot(pi z)/2.
+
+Each code has one row in the family table _FAMILIES: its structural
+fields, its route for orders n >= 1, its order-0 form, its order-0
+singular lattice and its eval_via_relation partner.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from .bracket import ONE_HALF
 from .coeffs import eval_poly, poly_C, poly_S
 from .errors import (
     DomainError,
@@ -43,7 +49,6 @@ from .errors import (
 from .polylog import (
     UnitCirclePoint,
     _cos_pi,
-    _poly_half,
     _sin_pi,
     li_on_circle,
 )
@@ -63,63 +68,6 @@ __all__ = [
 _EPS = 2.3e-16
 
 ONE_QUARTER = Fraction(1, 4)
-ONE_HALF = Fraction(1, 2)
-
-# code -> (index_kind, alternating, trig, power_parity, modified)
-_FAMILY_FIELDS = {
-    "S": ("k", True, "sin", "even", "none"),
-    "C": ("k", True, "cos", "even", "none"),
-    "Sp": ("k", True, "sin", "odd", "none"),
-    "Cp": ("k", True, "cos", "odd", "none"),
-    "tS": ("k", False, "sin", "even", "none"),
-    "tC": ("k", False, "cos", "even", "none"),
-    "tSp": ("k", False, "sin", "odd", "none"),
-    "tCp": ("k", False, "cos", "odd", "none"),
-    "bS": ("2k+1", True, "sin", "even", "none"),
-    "bC": ("2k+1", True, "cos", "even", "none"),
-    "bSp": ("2k+1", True, "sin", "odd", "none"),
-    "bCp": ("2k+1", True, "cos", "odd", "none"),
-    "tbS": ("2k+1", False, "sin", "even", "none"),
-    "tbC": ("2k+1", False, "cos", "even", "none"),
-    "tbSp": ("2k+1", False, "sin", "odd", "none"),
-    "tbCp": ("2k+1", False, "cos", "odd", "none"),
-    "P": ("2k+1", True, "sin", "even", "PQ"),
-    "Q": ("2k+1", True, "cos", "even", "PQ"),
-    "Pp": ("2k+1", True, "sin", "odd", "PQ"),
-    "Qp": ("2k+1", True, "cos", "odd", "PQ"),
-    "tP": ("2k+1", False, "sin", "even", "PQ"),
-    "tQ": ("2k+1", False, "cos", "even", "PQ"),
-    "tPp": ("2k+1", False, "sin", "odd", "PQ"),
-    "tQp": ("2k+1", False, "cos", "odd", "PQ"),
-}
-
-FAMILY_CODES = tuple(_FAMILY_FIELDS)
-
-_CODE_BY_FIELDS = {v: k for k, v in _FAMILY_FIELDS.items()}
-
-# Families whose order-0 series has denominator power zero and no value.
-_UNSUPPORTED_AT_0 = frozenset(
-    {"C", "bC", "bSp", "tbC", "tbSp", "Q", "Pp", "tQ", "tPp"}
-)
-
-# Singular lattices of the order-0 evaluators: (kind, offset, period).
-_SINGULAR_AT_0 = {
-    "S": ("jump", ONE_HALF, Fraction(1)),
-    "Sp": ("pole", ONE_HALF, Fraction(1)),
-    "Cp": ("log", ONE_HALF, Fraction(1)),
-    "tS": ("jump", Fraction(0), Fraction(1)),
-    "tC": ("divergent", Fraction(0), Fraction(1)),
-    "tSp": ("pole", Fraction(0), Fraction(1)),
-    "tCp": ("log", Fraction(0), Fraction(1)),
-    "bS": ("log", ONE_QUARTER, ONE_HALF),
-    "bCp": ("jump", ONE_QUARTER, ONE_HALF),
-    "tbS": ("jump", Fraction(0), ONE_HALF),
-    "tbCp": ("log", Fraction(0), ONE_HALF),
-    "P": ("jump", ONE_HALF, Fraction(1)),
-    "Qp": ("log", ONE_HALF, Fraction(1)),
-    "tP": ("jump", Fraction(0), Fraction(1)),
-    "tQp": ("log", Fraction(0), Fraction(1)),
-}
 
 
 @dataclass(frozen=True)
@@ -134,15 +82,8 @@ class SumFamily:
     order: int
 
     def __post_init__(self):
-        key = (
-            self.index_kind,
-            self.alternating,
-            self.trig,
-            self.power_parity,
-            self.modified,
-        )
-        if key not in _CODE_BY_FIELDS:
-            raise DomainError(f"field combination {key!r} names no family")
+        if self._fields not in _CODE_BY_FIELDS:
+            raise DomainError(f"field combination {self._fields!r} names no family")
         if isinstance(self.order, bool) or not isinstance(self.order, int):
             raise DomainError(f"order must be a plain integer, got {self.order!r}")
         if self.order < 0:
@@ -150,23 +91,22 @@ class SumFamily:
 
     @classmethod
     def from_code(cls, code, order):
-        fields = _FAMILY_FIELDS.get(code)
-        if fields is None:
+        row = _FAMILIES.get(code)
+        if row is None:
             raise DomainError(
                 f"unknown family code {code!r}; expected one of {', '.join(FAMILY_CODES)}"
             )
-        return cls(*fields, order)
+        return cls(*row.fields, order)
+
+    @property
+    def _fields(self):
+        return (
+            self.index_kind, self.alternating, self.trig, self.power_parity, self.modified
+        )
 
     @property
     def code(self):
-        key = (
-            self.index_kind,
-            self.alternating,
-            self.trig,
-            self.power_parity,
-            self.modified,
-        )
-        return _CODE_BY_FIELDS[key]
+        return _CODE_BY_FIELDS[self._fields]
 
     @property
     def power(self):
@@ -180,14 +120,7 @@ class SumFamily:
         return 0 if self.index_kind == "2k+1" else 1
 
     def with_order(self, order):
-        return SumFamily(
-            self.index_kind,
-            self.alternating,
-            self.trig,
-            self.power_parity,
-            self.modified,
-            order,
-        )
+        return SumFamily(*self._fields, order)
 
 
 @dataclass(frozen=True)
@@ -205,12 +138,25 @@ class SingularSet:
     offset: Fraction = None
     period: Fraction = None
 
+    def __post_init__(self):
+        if self.kind != "none":
+            per = float(self.period)
+            off = float(self.offset % self.period)
+            # the lattice points next to any r in (-per, per)
+            near = (off - 2.0 * per, off - per, off, off + per)
+            object.__setattr__(self, "_near", near)
+
     def distance(self, z):
+        """Distance from z to the lattice, exact wherever it is small.
+
+        fmod reduces z exactly, and for the dyadic offsets and periods of
+        the families the difference from the nearest lattice point is
+        then exact too (Sterbenz), however large |z| is.
+        """
         if self.kind == "none":
             return math.inf
-        per = float(self.period)
-        u = (float(z) - float(self.offset)) / per
-        return abs(u - round(u)) * per
+        r = math.fmod(float(z), float(self.period))
+        return min(abs(r - c) for c in self._near)
 
     def contains(self, z, eps):
         return self.distance(z) < eps
@@ -224,8 +170,15 @@ def _require_family(f):
         raise DomainError(f"expected a SumFamily, got {type(f).__name__}")
 
 
+def _finite_z(z):
+    zf = float(z)
+    if not math.isfinite(zf):
+        raise DomainError(f"z must be finite, got {z!r}")
+    return zf
+
+
 def _check_supported(f):
-    if f.order == 0 and f.code in _UNSUPPORTED_AT_0:
+    if f.order == 0 and _FAMILIES[f.code].at0 is None:
         raise UnsupportedOrderError(
             f"family {f.code} has denominator power 0 at order 0; "
             "the defining series has no value"
@@ -252,21 +205,17 @@ def singular_points(f):
     """
     _require_family(f)
     if f.order == 0:
-        entry = _SINGULAR_AT_0.get(f.code)
-        if entry is not None:
-            return SingularSet(*entry)
+        return _FAMILIES[f.code].lattice
     return _EMPTY_SET
 
 
-def _exact_eps(zf):
-    return 1e-12 + 1e-15 * abs(zf)
+# z is singular iff its exact distance to the order-0 lattice is below this
+_EXACT_EPS = 1e-12
 
 
 def _check_singular(f, zf):
     s = singular_points(f)
-    if s.kind == "none":
-        return
-    if s.distance(zf) < _exact_eps(zf):
+    if s.contains(zf, _EXACT_EPS):
         msg = (
             f"family {f.code} order {f.order} is singular on the lattice "
             f"{s.offset} + {s.period}*Z ({s.kind}); got z={zf!r}"
@@ -280,61 +229,57 @@ def _check_singular(f, zf):
 # building blocks
 
 
-def _exact_poly(poly, zq):
-    v = float(eval_poly(poly, zq))
-    return v, _EPS * (1.0 + abs(v))
-
-
-def _poly_difference(poly, za, zb):
-    # (poly(za) - poly(zb)) / 2, exact until one correctly rounded division
-    a, b = eval_poly(poly, za), eval_poly(poly, zb)
-    v = (a.numerator * b.denominator - b.numerator * a.denominator) / (
-        2 * a.denominator * b.denominator
-    )
-    return v, _EPS * (1.0 + abs(v))
-
-
 def _plus_quarters(zf, k):
     """zf + k/4 as an exact Fraction, built from the float's integer ratio."""
     m, q = zf.as_integer_ratio()
     return Fraction(4 * m + k * q, 4 * q)
 
 
-def _li_at(a, t):
-    return li_on_circle(a, UnitCirclePoint.from_turns(t))
+def _part(n, zf, kind, a, b=None, sign=1.0):
+    """(value, path, error_bound) of one k-family part of order n.
 
-
-def _li_im_scaled(a, t):
-    li = _li_at(a, t)
-    s = math.pi**a
-    v = li.imag_part / s
-    return v, li.error_bound / s + _EPS * (1.0 + abs(v))
-
-
-def _li_re_scaled(a, t):
-    li = _li_at(a, t)
-    s = math.pi**a
-    v = li.real_part / s
-    return v, li.error_bound / s + _EPS * (1.0 + abs(v))
-
-
-def _li_im_diff(a, ta, tb):
-    la, lb = _li_at(a, ta), _li_at(a, tb)
-    s = 2.0 * math.pi**a
-    v = (la.imag_part - lb.imag_part) / s
-    return v, (la.error_bound + lb.error_bound) / s + _EPS * (1.0 + abs(v))
-
-
-def _li_re_diff(a, ta, tb):
-    la, lb = _li_at(a, ta), _li_at(a, tb)
-    s = 2.0 * math.pi**a
-    v = (la.real_part - lb.real_part) / s
-    return v, (la.error_bound + lb.error_bound) / s + _EPS * (1.0 + abs(v))
+    The part is read at z + a/4, or, when b is given, as sign times half
+    the difference of its reads at z + a/4 and at z + b/4.  The parts "C"
+    and "S" are the bracket polynomials of order n; "re" is Re Li_{2n+1}
+    and "im" is Im Li_{2n}, both scaled by pi^-p.
+    """
+    za = _plus_quarters(zf, a)
+    if kind in ("C", "S"):
+        poly = poly_C(n) if kind == "C" else poly_S(n)
+        x = eval_poly(poly, za)
+        if b is None:
+            v = float(x)
+        else:
+            # (x - y) / 2, exact until one correctly rounded division
+            y = eval_poly(poly, _plus_quarters(zf, b))
+            v = (x.numerator * y.denominator - y.numerator * x.denominator) / (
+                2 * x.denominator * y.denominator
+            )
+        return sign * v, "polynomial", _EPS * (1.0 + abs(v))
+    order = 2 * n if kind == "im" else 2 * n + 1
+    la = li_on_circle(order, UnitCirclePoint.from_turns(za))
+    if b is None:
+        s = math.pi**order
+        v = (la.imag_part if kind == "im" else la.real_part) / s
+        raw = la.error_bound
+    else:
+        lb = li_on_circle(order, UnitCirclePoint.from_turns(_plus_quarters(zf, b)))
+        s = 2.0 * math.pi**order
+        if kind == "im":
+            v = (la.imag_part - lb.imag_part) / s
+        else:
+            v = (la.real_part - lb.real_part) / s
+        raw = la.error_bound + lb.error_bound
+    return sign * v, "polylog", raw / s + _EPS * (1.0 + abs(v))
 
 
 def _drift(zf):
     # first-order input uncertainty of pi*z style arguments
     return _EPS * (1.0 + abs(zf)) * math.pi
+
+
+# ---------------------------------------------------------------------------
+# order-0 elementary forms: zf -> (value, error_bound)
 
 
 def _sp0(zf):
@@ -349,6 +294,10 @@ def _cp0(zf):
     v = -math.log(2.0 * abs(c)) / math.pi
     slope = abs(_sin_pi(zf) / c)
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
+
+
+def _tc0(zf):
+    return -0.5, 0.0
 
 
 def _tsp0(zf):
@@ -366,16 +315,18 @@ def _tcp0(zf):
 
 
 def _bs0(zf):
-    # log|tan(pi z + pi/4)| / (2 pi); derivative is 1/cos(2 pi z)
-    s = _sin_pi(zf + 0.25)
-    c = _cos_pi(zf + 0.25)
+    # log|tan(pi z + pi/4)| / (2 pi); derivative is 1/cos(2 pi z).  The
+    # quarter is added to z reduced mod 2, where no bit of it is lost.
+    u = math.fmod(zf, 2.0) + 0.25
+    s = _sin_pi(u)
+    c = _cos_pi(u)
     v = (math.log(abs(s)) - math.log(abs(c))) / (2.0 * math.pi)
     slope = abs(1.0 / _cos_pi(2.0 * zf))
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
 
 
 def _bcp0(zf):
-    return 0.25 * (-1.0) ** math.floor(2.0 * zf + 0.5), 0.0
+    return 0.25 * (-1.0) ** math.floor(2.0 * math.fmod(zf, 1.0) + 0.5), 0.0
 
 
 def _tbs0(zf):
@@ -395,10 +346,12 @@ def _qp0(zf):
     # log|cos(pi z) / (1 + sin(pi z))| read as log|tan(pi (1/4 - z/2))|: the
     # quotient cancels near z = 3/2 (mod 2), the tangent does not.  The
     # sign matters: with 1 - sin (tan(pi (1/4 + z/2))) the log term flips
-    # sign and the series oracle rejects the value.
+    # sign and the series oracle rejects the value.  The step and u read
+    # z reduced mod 2, where adding 1/2 or 1/4 loses no bit.
     s, c = _sin_pi(zf), _cos_pi(zf)
-    step = 0.25 * (-1.0) ** math.floor(zf + 0.5)
-    u = 0.25 - 0.5 * zf
+    r = math.fmod(zf, 2.0)
+    step = 0.25 * (-1.0) ** math.floor(r + 0.5)
+    u = 0.25 - 0.5 * r
     log_term = math.log(abs(_sin_pi(u))) - math.log(abs(_cos_pi(u)))
     v = step * c - s * log_term / (2.0 * math.pi)
     slope = math.pi / 4.0 + 0.5 * abs(c * log_term - s / c)
@@ -424,72 +377,112 @@ def _tqp0(zf):
     return v, slope * _EPS * (1.0 + abs(zf)) + 2.0 * _EPS * (1.0 + abs(v))
 
 
-_BOLD0 = {"bS": _bs0, "bCp": _bcp0, "tbS": _tbs0, "tbCp": _tbcp0}
+# ---------------------------------------------------------------------------
+# the family table
 
-# 2k+1 family at order n >= 1 -> (part, a, b, sign): sign times half the
-# difference of one k-family part read at z + a/4 and at z + b/4.  The
-# parts "C" and "S" are the bracket polynomials of order n, "re" is
-# Re Li_{2n+1} and "im" is Im Li_{2n}, both scaled by pi^-p.
-_BOLD_PARTS = {
-    "bS": ("re", 1, -1, -1.0),
-    "bC": ("im", 1, -1, 1.0),
-    "bSp": ("C", 1, -1, 1.0),
-    "bCp": ("S", -1, 1, 1.0),
-    "tbS": ("S", -2, 0, 1.0),
-    "tbC": ("C", 2, 0, 1.0),
-    "tbSp": ("im", 0, -2, 1.0),
-    "tbCp": ("re", 0, 2, 1.0),
+
+class _Family(NamedTuple):
+    fields: tuple  # index_kind, alternating, trig, power_parity, modified
+    route: tuple  # order n >= 1, see _route
+    at0: object  # order 0: None (no value), an elementary form, or _SAME
+    lattice: SingularSet  # order-0 singular lattice
+    partner: tuple  # eval_via_relation: (code, shift of z), None for P/Q
+
+
+_SAME = "same route"  # order 0 takes the route of the higher orders
+
+
+def _lat(kind, offset, period):
+    return SingularSet(kind, Fraction(offset), Fraction(period))
+
+
+# Routes: the k families read one part (see _part) at z + q/4, the 2k+1
+# families take half the difference of two reads of one part, and the
+# modified families pair two 2k+1 families at z/2 (see _pq_reduction).
+# Alternating k families and their non-alternating twins trade half
+# shifts in eval_via_relation, the 2k+1 families quarter shifts.
+_FAMILIES = {
+    "S": _Family(("k", True, "sin", "even", "none"), ("S", 0), _SAME,
+                 _lat("jump", ONE_HALF, 1), ("tS", 0.5)),
+    "C": _Family(("k", True, "cos", "even", "none"), ("C", 0), None,
+                 _EMPTY_SET, ("tC", 0.5)),
+    "Sp": _Family(("k", True, "sin", "odd", "none"), ("im", 2), _sp0,
+                  _lat("pole", ONE_HALF, 1), ("tSp", 0.5)),
+    "Cp": _Family(("k", True, "cos", "odd", "none"), ("re", 2), _cp0,
+                  _lat("log", ONE_HALF, 1), ("tCp", 0.5)),
+    "tS": _Family(("k", False, "sin", "even", "none"), ("S", 2), _SAME,
+                  _lat("jump", 0, 1), ("S", -0.5)),
+    "tC": _Family(("k", False, "cos", "even", "none"), ("C", 2), _tc0,
+                  _lat("divergent", 0, 1), ("C", -0.5)),
+    "tSp": _Family(("k", False, "sin", "odd", "none"), ("im", 0), _tsp0,
+                   _lat("pole", 0, 1), ("Sp", -0.5)),
+    "tCp": _Family(("k", False, "cos", "odd", "none"), ("re", 0), _tcp0,
+                   _lat("log", 0, 1), ("Cp", -0.5)),
+    "bS": _Family(("2k+1", True, "sin", "even", "none"), ("re", 1, -1, -1.0), _bs0,
+                  _lat("log", ONE_QUARTER, ONE_HALF), ("tbCp", -0.25)),
+    "bC": _Family(("2k+1", True, "cos", "even", "none"), ("im", 1, -1), None,
+                  _EMPTY_SET, ("tbSp", 0.25)),
+    "bSp": _Family(("2k+1", True, "sin", "odd", "none"), ("C", 1, -1), None,
+                   _EMPTY_SET, ("tbC", -0.25)),
+    "bCp": _Family(("2k+1", True, "cos", "odd", "none"), ("S", -1, 1), _bcp0,
+                   _lat("jump", ONE_QUARTER, ONE_HALF), ("tbS", 0.25)),
+    "tbS": _Family(("2k+1", False, "sin", "even", "none"), ("S", -2, 0), _tbs0,
+                   _lat("jump", 0, ONE_HALF), ("bCp", -0.25)),
+    "tbC": _Family(("2k+1", False, "cos", "even", "none"), ("C", 2, 0), None,
+                   _EMPTY_SET, ("bSp", 0.25)),
+    "tbSp": _Family(("2k+1", False, "sin", "odd", "none"), ("im", 0, -2), None,
+                    _EMPTY_SET, ("bC", -0.25)),
+    "tbCp": _Family(("2k+1", False, "cos", "odd", "none"), ("re", 0, 2), _tbcp0,
+                    _lat("log", 0, ONE_HALF), ("bS", 0.25)),
+    "P": _Family(("2k+1", True, "sin", "even", "PQ"), ("bS", "bCp", -1.0), _SAME,
+                 _lat("jump", ONE_HALF, 1), None),
+    "Q": _Family(("2k+1", True, "cos", "even", "PQ"), ("bSp", "bC", 1.0), None,
+                 _EMPTY_SET, None),
+    "Pp": _Family(("2k+1", True, "sin", "odd", "PQ"), ("bSp", "bC", -1.0), None,
+                  _EMPTY_SET, None),
+    "Qp": _Family(("2k+1", True, "cos", "odd", "PQ"), ("bS", "bCp", 1.0), _qp0,
+                  _lat("log", ONE_HALF, 1), None),
+    "tP": _Family(("2k+1", False, "sin", "even", "PQ"), ("tbS", "tbCp", -1.0), _tp0,
+                  _lat("jump", 0, 1), None),
+    "tQ": _Family(("2k+1", False, "cos", "even", "PQ"), ("tbSp", "tbC", 1.0), None,
+                  _EMPTY_SET, None),
+    "tPp": _Family(("2k+1", False, "sin", "odd", "PQ"), ("tbSp", "tbC", -1.0), None,
+                   _EMPTY_SET, None),
+    "tQp": _Family(("2k+1", False, "cos", "odd", "PQ"), ("tbS", "tbCp", 1.0), _tqp0,
+                   _lat("log", 0, 1), None),
 }
 
+FAMILY_CODES = tuple(_FAMILIES)
 
-def _bold_part(code, n, zf):
-    """(value, error_bound, path) of a 2k+1 family used inside a reduction."""
-    if n == 0:
-        v, eb = _BOLD0[code](zf)
-        return v, eb, "elementary"
-    entry = _BOLD_PARTS.get(code)
-    if entry is None:
-        raise DomainError(f"no reduction part named {code!r}")
-    part, a, b, sign = entry
-    za, zb = _plus_quarters(zf, a), _plus_quarters(zf, b)
-    if part == "C":
-        v, eb = _poly_difference(poly_C(n), za, zb)
-        return v, eb, "polynomial"
-    if part == "S":
-        v, eb = _poly_difference(poly_S(n), za, zb)
-        return v, eb, "polynomial"
-    if part == "re":
-        v, eb = _li_re_diff(2 * n + 1, za, zb)
-    else:
-        v, eb = _li_im_diff(2 * n, za, zb)
-    return sign * v, eb, "polylog"
+_CODE_BY_FIELDS = {row.fields: code for code, row in _FAMILIES.items()}
 
 
-# modified family -> (sin-part code, cos-part code, sign in front of the
-# sin(pi z) prefactor term); the sin(pi z) prefactor multiplies the first
-# entry only for Q-type families, see _pq_reduction.
-_PQ_PARTS = {
-    "P": ("bS", "bCp", -1.0),
-    "Q": ("bSp", "bC", 1.0),
-    "Pp": ("bSp", "bC", -1.0),
-    "Qp": ("bS", "bCp", 1.0),
-    "tP": ("tbS", "tbCp", -1.0),
-    "tQ": ("tbSp", "tbC", 1.0),
-    "tPp": ("tbSp", "tbC", -1.0),
-    "tQp": ("tbS", "tbCp", 1.0),
-}
+# ---------------------------------------------------------------------------
+# dispatch
 
 
-def _pq_reduction(code, n, zf):
+def _route(code, n, zf):
+    """(value, path, error_bound) of the family `code` at order n."""
+    row = _FAMILIES[code]
+    if n == 0 and row.at0 is not _SAME:
+        v, eb = row.at0(zf)
+        return v, "elementary", eb
+    if row.fields[4] == "PQ":  # modified
+        return _pq_reduction(row.route, n, zf)
+    return _part(n, zf, *row.route)
+
+
+def _pq_reduction(route, n, zf):
     """Modified families as sin/cos prefactor combinations at z/2.
 
+    route = (first, second, sign); sign < 0 is P-type, sign > 0 Q-type:
     P-type:  cos(pi z) * first(z/2) - sin(pi z) * second(z/2)
     Q-type:  sin(pi z) * first(z/2) + cos(pi z) * second(z/2)
     """
-    first, second, sign = _PQ_PARTS[code]
+    first, second, sign = route
     half = 0.5 * zf
-    v1, e1, path1 = _bold_part(first, n, half)
-    v2, e2, path2 = _bold_part(second, n, half)
+    v1, path1, e1 = _route(first, n, half)
+    v2, path2, e2 = _route(second, n, half)
     s, c = _sin_pi(zf), _cos_pi(zf)
     if sign > 0:
         v = s * v1 + c * v2
@@ -505,145 +498,31 @@ def _pq_reduction(code, n, zf):
     return v, path, eb
 
 
-def _pq_printed_li(code, n, zf):
-    """The order-1 modified forms printed as Li_2 combinations."""
-    zq = Fraction(zf)
-    s, c = _sin_pi(zf), _cos_pi(zf)
-    scale = 2.0 * math.pi**2
-    if code == "Q":
-        a = _li_at(2, ONE_QUARTER - zq / 2)
-        b = _li_at(2, ONE_QUARTER + zq / 2)
-        v = (c * (a.imag_part + b.imag_part) + s * (a.real_part - b.real_part)) / scale
-        raw = a.error_bound + b.error_bound
-    elif code == "Pp":
-        a = _li_at(2, ONE_QUARTER + zq / 2)
-        b = _li_at(2, zq / 2 - ONE_QUARTER)
-        v = -(c * (a.real_part - b.real_part) + s * (a.imag_part - b.imag_part)) / scale
-        raw = a.error_bound + b.error_bound
-    elif code == "tQ":
-        a = _li_at(2, zq / 2)
-        b = _li_at(2, zq / 2 + ONE_HALF)
-        v = (c * (a.real_part - b.real_part) + s * (a.imag_part - b.imag_part)) / scale
-        raw = a.error_bound + b.error_bound
-    elif code == "tPp":
-        a = _li_at(2, zq / 2)
-        b = _li_at(2, zq / 2 + ONE_HALF)
-        v = (c * (a.imag_part - b.imag_part) - s * (a.real_part - b.real_part)) / scale
-        raw = a.error_bound + b.error_bound
-    else:
-        raise DomainError(f"no printed polylog form for {code!r} at order {n}")
-    eb = raw / scale + _drift(zf) * abs(v) + 2.0 * _EPS * (1.0 + abs(v))
-    return v, eb
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def _polyres(poly, zf):
-    v, eb = _exact_poly(poly, Fraction(zf))
-    return v, "polynomial", eb
-
-
-def _dispatch_family(f, zf):
-    code = f.code
-    n = f.order
-
-    if code == "S":
-        return _polyres(poly_S(n), zf)
-    if code == "C":
-        return _polyres(poly_C(n), zf)
-    if code == "tS":
-        return _polyres(_poly_half("S", n), zf)
-    if code == "tC":
-        if n == 0:
-            return -0.5, "elementary", 0.0
-        return _polyres(_poly_half("C", n), zf)
-
-    if code == "Sp":
-        if n == 0:
-            v, eb = _sp0(zf)
-            return v, "elementary", eb
-        v, eb = _li_im_scaled(2 * n, _plus_quarters(zf, 2))
-        return v, "polylog", eb
-    if code == "Cp":
-        if n == 0:
-            v, eb = _cp0(zf)
-            return v, "elementary", eb
-        v, eb = _li_re_scaled(2 * n + 1, _plus_quarters(zf, 2))
-        return v, "polylog", eb
-    if code == "tSp":
-        if n == 0:
-            v, eb = _tsp0(zf)
-            return v, "elementary", eb
-        v, eb = _li_im_scaled(2 * n, Fraction(zf))
-        return v, "polylog", eb
-    if code == "tCp":
-        if n == 0:
-            v, eb = _tcp0(zf)
-            return v, "elementary", eb
-        v, eb = _li_re_scaled(2 * n + 1, Fraction(zf))
-        return v, "polylog", eb
-
-    if code in _BOLD0 or code in ("bC", "bSp", "tbC", "tbSp"):
-        v, eb, path = _bold_part(code, n, zf)
-        return v, path, eb
-
-    # modified families: printed forms where they exist, reductions otherwise
-    if code in ("Qp", "tP", "tQp") and n == 0:
-        fn = {"Qp": _qp0, "tP": _tp0, "tQp": _tqp0}[code]
-        v, eb = fn(zf)
-        return v, "elementary", eb
-    if code in ("Q", "Pp", "tQ", "tPp") and n == 1:
-        v, eb = _pq_printed_li(code, n, zf)
-        return v, "polylog", eb
-    return _pq_reduction(code, n, zf)
+def _checked_z(f, z):
+    _require_family(f)
+    zf = _finite_z(z)
+    _check_supported(f)
+    _check_singular(f, zf)
+    return zf
 
 
 def eval(f, z):
     """Value of the family f at z through its direct closed form.
 
     Raises UnsupportedOrderError where the series has no value,
-    JumpPointError exactly on a step discontinuity, and
-    SingularPointError exactly on a pole, log point, or divergence
-    lattice.  The returned error_bound is a rigorous first-order bound on
-    the floating-point error of the reported value.
+    JumpPointError on a step discontinuity, and SingularPointError on a
+    pole, log point, or divergence lattice.  z counts as on the lattice
+    of singular_points(f) iff its exact distance to it is below 1e-12,
+    whatever |z| is.  The returned error_bound is a rigorous first-order
+    bound on the floating-point error of the reported value.
     """
-    _require_family(f)
-    zf = float(z)
-    if not math.isfinite(zf):
-        raise DomainError(f"z must be finite, got {z!r}")
-    _check_supported(f)
-    _check_singular(f, zf)
-    value, path, eb = _dispatch_family(f, zf)
-    return EvalResult(value, path, eb)
+    zf = _checked_z(f, z)
+    return EvalResult(*_route(f.code, f.order, zf))
 
 
 # the module intentionally names its entry point `eval`; keep an alias so
 # callers can avoid shadowing the builtin
 eval_family = eval
-
-
-# code -> (partner code, shift of z): alternating k families and their
-# non-alternating twins trade half shifts, the 2k+1 families quarter shifts
-_RELATION_PARTNERS = {
-    "S": ("tS", 0.5),
-    "C": ("tC", 0.5),
-    "Sp": ("tSp", 0.5),
-    "Cp": ("tCp", 0.5),
-    "tS": ("S", -0.5),
-    "tC": ("C", -0.5),
-    "tSp": ("Sp", -0.5),
-    "tCp": ("Cp", -0.5),
-    "bS": ("tbCp", -0.25),
-    "bC": ("tbSp", 0.25),
-    "bSp": ("tbC", -0.25),
-    "bCp": ("tbS", 0.25),
-    "tbS": ("bCp", -0.25),
-    "tbC": ("bSp", 0.25),
-    "tbSp": ("bC", -0.25),
-    "tbCp": ("bS", 0.25),
-}
 
 
 def eval_via_relation(f, z):
@@ -656,27 +535,17 @@ def eval_via_relation(f, z):
     needs the unsupported order-0 alternating cosine) raise
     UnsupportedOrderError.
     """
-    _require_family(f)
-    zf = float(z)
-    if not math.isfinite(zf):
-        raise DomainError(f"z must be finite, got {z!r}")
-    _check_supported(f)
-    _check_singular(f, zf)
-    code = f.code
-    n = f.order
-
+    zf = _checked_z(f, z)
+    code, n = f.code, f.order
+    row = _FAMILIES[code]
     if f.modified == "PQ":
-        v, path, eb = _pq_reduction(code, n, zf)
-        return EvalResult(v, path, eb)
-
-    target_code, shift = _RELATION_PARTNERS[code]
+        return EvalResult(*_pq_reduction(row.route, n, zf))
+    target_code, shift = row.partner
     target = SumFamily.from_code(target_code, n)
-    try:
-        _check_supported(target)
-    except UnsupportedOrderError:
+    if not is_supported(target):
         raise UnsupportedOrderError(
             f"family {code} order {n} has no relation route: its partner "
             f"{target_code} is unsupported at order {n}"
-        ) from None
+        )
     result = eval(target, zf + shift)
     return EvalResult(result.value, result.path, result.error_bound + _drift(zf))

@@ -113,6 +113,101 @@ def test_table_tsv_format(capsys):
     assert out.splitlines()[0] == "z\tvalue\tpath\terror_bound"
 
 
+TABLE_S0_ROWS = (
+    ("0.0000000000000000e+00", "0.0000000000000000e+00", "polynomial", "2.300e-16"),
+    ("2.5000000000000000e-01", "-2.5000000000000000e-01", "polynomial", "2.875e-16"),
+    ("7.5000000000000000e-01", "2.5000000000000000e-01", "polynomial", "2.875e-16"),
+    ("1.0000000000000000e+00", "0.0000000000000000e+00", "polynomial", "2.300e-16"),
+)
+TABLE_S0_JSON = (
+    '{"excluded":[{"reason":"jump","z":0.5}],"rows":['
+    '{"error_bound":2.3e-16,"path":"polynomial","value":0.0,"z":0.0},'
+    '{"error_bound":2.875e-16,"path":"polynomial","value":-0.25,"z":0.25},'
+    '{"error_bound":2.875e-16,"path":"polynomial","value":0.25,"z":0.75},'
+    '{"error_bound":2.3e-16,"path":"polynomial","value":0.0,"z":1.0}]}\n'
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+def test_table_output_bytes(capsys, fmt):
+    # exact values and one jump exclusion, byte for byte in each format
+    code, out, err = run(capsys, "table", "S", "0", "0", "1", "5", "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert out == TABLE_S0_JSON
+        return
+    sep = "\t" if fmt == "tsv" else ","
+    lines = [sep.join(("z", "value", "path", "error_bound"))]
+    lines += [sep.join(row) for row in TABLE_S0_ROWS]
+    lines.append("# excluded z=5.0000000000000000e-01 reason=jump")
+    assert out == "\n".join(lines) + "\n"
+
+
+VERIFY_COLUMNS = ("family", "order", "z", "closed_value", "oracle_value", "diff", "tol", "verdict")
+ARBITRATE_COLUMNS = (
+    "suite", "family", "order", "z", "value_a", "value_b", "oracle_value",
+    "diff_a", "diff_b", "a_ok", "b_ok",
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+def test_verify_layout_in_every_format(capsys, fmt):
+    code, out, err = run(
+        capsys,
+        "verify", "--families", "S,tC", "--orders", "0..1",
+        "--grid", "-0.5", "0.5", "5", "--format", fmt,
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "PASS 17/17"
+    if fmt == "json":
+        assert len(lines) == 2
+        doc = json.loads(lines[0])
+        assert set(doc) == {"rows", "excluded"}
+        assert len(doc["rows"]) == 17
+        assert all(set(r) == set(VERIFY_COLUMNS) for r in doc["rows"])
+        assert doc["excluded"] == [
+            {"family": "S", "order": 0, "reason": "jump", "z": -0.5},
+            {"family": "S", "order": 0, "reason": "jump", "z": 0.5},
+            {"family": "tC", "order": 0, "reason": "divergent", "z": 0.0},
+        ]
+        return
+    sep = "\t" if fmt == "tsv" else ","
+    assert lines[0] == sep.join(VERIFY_COLUMNS)
+    assert all(len(l.split(sep)) == 8 and l.endswith("PASS") for l in lines[1:18])
+    assert lines[18:-1] == [
+        "# excluded family=S order=0 z=-5.0000000000000000e-01 reason=jump",
+        "# excluded family=S order=0 z=5.0000000000000000e-01 reason=jump",
+        "# excluded family=tC order=0 z=0.0000000000000000e+00 reason=divergent",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_verify_arbitrate_layout(capsys, fmt):
+    # csv is checked by test_verify_arbitrate_suites
+    code, out, err = run(capsys, "verify", "--arbitrate", "--format", fmt)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "PASS 7/7"
+    if fmt == "json":
+        assert len(lines) == 2
+        doc = json.loads(lines[0])
+        assert set(doc) == {"rows", "suites"}
+        assert len(doc["rows"]) == 7 * 16
+        assert all(set(r) == set(ARBITRATE_COLUMNS) for r in doc["rows"])
+        suites = doc["suites"]
+    else:
+        assert lines[0] == "\t".join(ARBITRATE_COLUMNS)
+        assert all(len(l.split("\t")) == 11 for l in lines[1:113])
+        assert all(l.startswith("# ") for l in lines[113:-1])
+        suites = [l[2:] for l in lines[113:-1]]
+    assert suites[0] == (
+        "arbitrate sine-polynomial-display S n=1: "
+        "candidate A 16/16, candidate B 0/16, winner=a expected=a"
+    )
+    assert len(suites) == 7
+
+
 def test_polylog_at_quarter_circle(capsys):
     code, out, _ = run(capsys, "polylog", "2", str(math.pi / 2.0))
     assert code == 0
@@ -205,6 +300,8 @@ def test_verify_arbitrate_suites(capsys, tmp_path):
     assert code == 0
     assert out == "PASS 7/7\n"
     text = report.read_text()
+    assert text.splitlines()[0] == ",".join(ARBITRATE_COLUMNS)
+    assert text.splitlines()[-1] == "PASS 7/7"
     display_lines = [
         l for l in text.splitlines()
         if l.startswith("# arbitrate sine-polynomial-display")

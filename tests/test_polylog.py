@@ -7,15 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from englert_sums import (
-    LiValue,
-    UnitCirclePoint,
-    im_li_odd_as_poly,
-    li_on_circle,
-    li_quarter_shift,
-    re_li_even_as_poly,
-)
+from englert_sums import LiValue, UnitCirclePoint, li_on_circle
 from englert_sums.errors import DomainError, SingularPointError
+from englert_sums.polylog import _cos_pi, _sin_pi
 
 PI = math.pi
 
@@ -146,26 +140,26 @@ def test_clausen_derivative_matches_log():
         assert fd == pytest.approx(want, abs=1e-6)
 
 
-def test_polynomial_component_helpers():
-    for n in (1, 2):
-        for z in (0.13, 0.47, -0.29):
-            direct = li_on_circle(2 * n, UnitCirclePoint.from_theta(2.0 * PI * (z % 1.0)))
-            assert re_li_even_as_poly(n, z) == pytest.approx(
-                direct.real_part, abs=1e-12
-            )
-    # the sign argument mirrors conjugation of the odd family
-    assert im_li_odd_as_poly(1, 0.3, sign=1) == -im_li_odd_as_poly(1, 0.3, sign=-1)
-    v = im_li_odd_as_poly(0, 0.3)
-    assert v == pytest.approx(-0.3 * PI, abs=1e-15)
+@pytest.mark.parametrize("t", [0.49999995, -0.49999995, 1.2345678901, -1.2345678901, -3.75000001])
+def test_sin_cos_pi_reduce_exactly_for_either_sign(t):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for fn, ref in ((_sin_pi, mpmath.sinpi), (_cos_pi, mpmath.cospi)):
+            want = ref(mpmath.mpf(t))
+            assert abs(fn(t) - want) <= 1e-16 * abs(want), (fn.__name__, t)
 
 
-def test_quarter_shift_matches_direct_construction():
-    got = li_quarter_shift(2, Fraction(1, 10), 1)
-    want = li_on_circle(2, UnitCirclePoint.from_turns(Fraction(7, 20)))
-    assert got == want
-    got = li_quarter_shift(3, 0.5, -1)
-    want = li_on_circle(3, UnitCirclePoint.from_turns(Fraction(1, 4)))
-    assert got == want
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("below", [Fraction(0.499999999) + Fraction(1, 2), 1 - Fraction(1, 3 * 10**7)])
+def test_turns_just_below_a_whole_turn_keep_their_angle(a, below):
+    # float(turns) would round away most of the small angle 1 - turns
+    mpmath = pytest.importorskip("mpmath")
+    v = li_on_circle(a, UnitCirclePoint.from_turns(below))
+    with mpmath.workdps(40):
+        t = mpmath.mpf(below.numerator) / below.denominator
+        ref = mpmath.polylog(a, mpmath.expjpi(2 * t))
+        assert abs(v.real_part - ref.real) <= v.error_bound
+        assert abs(v.imag_part - ref.imag) <= v.error_bound
 
 
 def test_unit_circle_point_construction():
@@ -193,12 +187,6 @@ def test_domain_errors():
         UnitCirclePoint(7.0)
     with pytest.raises(DomainError):
         UnitCirclePoint.from_theta(math.inf)
-    with pytest.raises(DomainError):
-        im_li_odd_as_poly(1, 0.3, sign=2)
-    with pytest.raises(DomainError):
-        li_quarter_shift(1, 0.3, 1)
-    with pytest.raises(DomainError):
-        li_quarter_shift(2, math.nan, 1)
 
 
 def test_livalue_fields():

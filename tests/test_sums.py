@@ -13,9 +13,11 @@ import pytest
 from englert_sums import (
     FAMILY_CODES,
     SumFamily,
+    UnitCirclePoint,
     eval_family,
     eval_via_relation,
     is_supported,
+    li_on_circle,
     singular_points,
 )
 from englert_sums.errors import (
@@ -231,6 +233,26 @@ def test_near_lattice_guard(code):
     assert math.isfinite(eval_family(f, 0.5 + 1e-9).value)
 
 
+def test_singular_rule_reads_the_exact_distance_at_any_size():
+    # z is singular iff its exact distance to the lattice is below 1e-12;
+    # z = 2^53 lies 1/4 from the bS lattice 1/4 + Z/2 and 1e15 + 1/4 lies
+    # 1/4 from the S lattice 1/2 + Z, while 2^60 is on the tCp lattice Z
+    assert ev("S", 0, 1e15 + 0.25).value == -0.25
+    with pytest.raises(SingularPointError):
+        ev("tCp", 0, 2.0**60)
+
+
+@pytest.mark.parametrize(
+    "code,big,small",
+    [("bS", 2.0**53, 0.0), ("bCp", 2.0**51 + 0.5, 0.5), ("Qp", 2.0**52 + 1.0, 1.0), ("P", 2.0**53, 0.0)],
+)
+def test_order_zero_forms_read_huge_z_by_its_period(code, big, small):
+    # adding 1/4 or 1/2 to such z in floats would round it onto the lattice
+    r = ev(code, 0, big)
+    assert r.value == ev(code, 0, small).value
+    assert math.isfinite(r.error_bound)
+
+
 def test_higher_orders_clear_the_lattice():
     # only the lowest order is singular; order >= 1 evaluates on it
     assert ev("S", 1, 0.5) == ev("S", 1, 0.5)
@@ -278,6 +300,37 @@ def test_modified_families_match_their_reduction(code, order):
         a = eval_family(f, z).value
         b = eval_via_relation(f, z).value
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def _li2(turns):
+    return li_on_circle(2, UnitCirclePoint.from_turns(turns))
+
+
+def printed_li2_form(code, z):
+    """The order-1 modified families as printed, Li_2 pairs at z/2 + const."""
+    h = F(z) / 2
+    s, c = math.sin(PI * z), math.cos(PI * z)
+    if code == "Q":
+        a, b = _li2(F(1, 4) - h), _li2(F(1, 4) + h)
+        v = c * (a.imag_part + b.imag_part) + s * (a.real_part - b.real_part)
+    elif code == "Pp":
+        a, b = _li2(F(1, 4) + h), _li2(h - F(1, 4))
+        v = -(c * (a.real_part - b.real_part) + s * (a.imag_part - b.imag_part))
+    else:
+        a, b = _li2(h), _li2(h + F(1, 2))
+        if code == "tQ":
+            v = c * (a.real_part - b.real_part) + s * (a.imag_part - b.imag_part)
+        else:
+            v = c * (a.imag_part - b.imag_part) - s * (a.real_part - b.real_part)
+    return v / (2.0 * PI**2)
+
+
+@pytest.mark.parametrize("code", ["Q", "Pp", "tQ", "tPp"])
+def test_order_one_modified_families_match_their_printed_li2_forms(code):
+    f = SumFamily.from_code(code, 1)
+    for i in range(41):
+        z = -1.3 + i * 0.1
+        assert abs(eval_family(f, z).value - printed_li2_form(code, z)) <= 1e-12, (code, z)
 
 
 PATH_TAGS = [

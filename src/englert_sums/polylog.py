@@ -2,29 +2,29 @@
 
 Li_a(e^{i theta}) splits into a cosine series (real part) and a sine
 series (imaginary part).  For each integer order one component is an
-exact bracket polynomial scaled by a power of pi, and this module serves
-that component through the tables in ``coeffs``.  The other component is
-Clausen-type with no elementary form; it is summed numerically:
+exact bracket polynomial scaled by a power of pi, served through the
+tables in ``coeffs``.  The other, Im Li_a for even a and Re Li_a for odd
+a, is Clausen-type.  Every order a >= 2 sums it from one expansion,
+valid for |theta| < 2 pi and read on [0, pi] after reflection:
 
-  * order 2 and 3 use Bernoulli-coefficient expansions around theta = 0,
-    accurate to a few ulps on [0, pi] after reflection,
-  * order >= 4 uses the defining series directly, where the integral
-    tail bound already beats 1e-13 at a few thousand terms.
+  Li_a(e^{i theta}) = sum_{m != a-1} zeta(a-m) (i theta)^m / m!
+                      + (i theta)^(a-1) / (a-1)! (H_{a-1} - log(-i theta)).
 
-Everything reports an explicit error bound so callers can propagate
-honest tolerances.
+Only the terms with m = a-1 (mod 2) reach the Clausen component, all with
+odd zeta arguments: zeta(3), zeta(5), ... below m = a-1 and
+zeta(-n) = -B_{n+1}/(n+1) above.  Order 1 is the elementary logarithm
+pair.  Every value carries an explicit error bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bernoulli import bernoulli
-from .bracket import ONE_HALF, frac
+from .bracket import ONE_HALF
 from .coeffs import eval_poly, poly_C, poly_S
 from .errors import DomainError, SingularPointError
 
@@ -36,9 +36,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Series tail target for the Clausen-type components; the reported
-# LiValue.error_bound stays comfortably under 1e-12.
-_SERIES_TARGET = 1e-13
+_EPS = 2.0**-52  # = 2u; the error comments count in u = 2^-53
+_TAIL_CUT = 1e-20  # an expansion's tail starts at its first term below this
+# underflow anywhere leaves a few hundred 2^-1074 times |log v| < 745
+_UNDERFLOW = 1e-300
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ class UnitCirclePoint:
     """Point e^{i theta} with theta reduced to [0, 2*pi).
 
     ``turns`` optionally carries the exact angle as a fraction of a full
-    revolution; when present, polynomial components are evaluated in
-    exact rational arithmetic.
+    revolution; without it the angle is read from theta.
     """
 
     theta: float
@@ -132,110 +132,94 @@ def _cos_pi(t):
     return -sign * math.cos(math.pi * (r - 1.0))
 
 
-def _zeta3_fraction(terms=44):
-    # central-binomial acceleration; terms shrink like 4^-k
-    total = Fraction(0)
-    for k in range(1, terms + 1):
-        total += Fraction((-1) ** (k - 1), k**3 * math.comb(2 * k, k))
-    return Fraction(5, 2) * total
+_zeta_cache = {}
 
 
-_ZETA3 = float(_zeta3_fraction())
-
-# Taylor coefficients |B_{2m}| / (2m (2m+1)!) of the Clausen expansion;
-# the term ratio is (theta/2pi)^2 <= 1/4 on [0, pi], so 26 terms leave a
-# tail far below the series target.
-_CLAUSEN_TERMS = 26
-_CLAUSEN_COEFFS = tuple(
-    float(abs(bernoulli(2 * m)) / (2 * m * math.factorial(2 * m + 1)))
-    for m in range(1, _CLAUSEN_TERMS + 1)
-)
-_CLAUSEN_NEXT = float(
-    abs(bernoulli(2 * _CLAUSEN_TERMS + 2))
-    / ((2 * _CLAUSEN_TERMS + 2) * math.factorial(2 * _CLAUSEN_TERMS + 3))
-)
-
-
-def _cl2_series(theta):
-    """Sum of sin(k theta)/k^2 for theta in [0, pi]."""
-    if theta == 0.0:
-        return 0.0, 0.0
-    x2 = theta * theta
-    acc = 0.0
-    power = theta * x2
-    for a in _CLAUSEN_COEFFS:
-        acc += a * power
-        power *= x2
-    tail = _CLAUSEN_NEXT * power * (4.0 / 3.0)
-    value = theta * (1.0 - math.log(theta)) + acc
-    return value, tail + 5e-16 * (abs(value) + theta)
+def _zeta_odd(s):
+    """zeta(s) for odd s >= 3 within 1.5u, once per s: Euler-Maclaurin
+    after nine terms, whose first dropped correction is below 1e-19."""
+    z = _zeta_cache.get(s)
+    if z is None:
+        terms = [k**-s for k in range(1, 10)] + [10.0 ** (1 - s) / (s - 1), 0.5 * 10.0**-s]
+        rising = s  # s (s+1) ... (s+2j-2)
+        for j in range(1, 11):
+            b = float(bernoulli(2 * j) / math.factorial(2 * j))
+            terms.append(b * rising * 10.0 ** (1 - s - 2 * j))
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+        z = _zeta_cache[s] = math.fsum(terms)  # benign race: same value
+    return z
 
 
-def _gl3_series(theta):
-    """Sum of cos(k theta)/k^3 for theta in [0, pi]."""
-    if theta == 0.0:
-        return _ZETA3, 3e-16
-    x2 = theta * theta
-    acc = 0.0
-    power = x2 * x2
-    for m, a in enumerate(_CLAUSEN_COEFFS, start=1):
-        acc += a * power / (2 * m + 2)
-        power *= x2
-    tail = _CLAUSEN_NEXT * power / (2 * _CLAUSEN_TERMS + 4) * (4.0 / 3.0)
-    value = _ZETA3 - 0.75 * x2 + 0.5 * x2 * math.log(theta) - acc
-    return value, tail + 5e-16 * (abs(value) + x2 + 1.0)
+_expansions = {}
 
 
-def _direct_series(a, theta, want_sin):
-    """Defining series for order >= 4, theta in [0, pi].
+def _expansion(a):
+    """(H highest first, p, w0, w1, tail, m_cut, k, g) of order a, once.
 
-    The phase k*theta is bounded by N*pi and the 1/k^a weight decays
-    faster than the float product error grows, so plain fmod reduction
-    keeps the phase contribution to the error negligible.
+    In v = theta/pi the component is v^p H(v^2) + k v^(a-1) (g - log v)
+    plus a tail, with p = (a-1) mod 2, H's coefficients
+    (-1)^floor(m/2) zeta(a-m) pi^m/m! at m = p, p+2, ... (0 at m = a-1),
+    k = (-1)^floor((a-1)/2) pi^(a-1)/(a-1)! and g = H_{a-1} - log pi.
+    pi^m/m! takes m float steps of at most 1.4u (math.pi is off by
+    0.35u), so a coefficient, zeta included, is within (1.4m + 2)u.  Past
+    m = a-1 each term is below v^2/4 times the last, so the tail from
+    m_cut on is at most 4/3 of its first term.  w0 and w1 are H's
+    rounding weights (see _clausen) at v = 0 and v = 1.
     """
-    n_terms = max(4, math.ceil((1.0 / ((a - 1) * _SERIES_TARGET)) ** (1.0 / (a - 1))))
-    k = np.arange(1, n_terms + 1, dtype=np.float64)
-    ph = np.fmod(k * theta, TWO_PI)
-    num = np.sin(ph) if want_sin else np.cos(ph)
-    value = float(np.sum(num / k**a))
-    tail = n_terms ** (1.0 - a) / (a - 1.0)
-    return value, tail + 1e-15 * math.log(n_terms + 2.0) + 5e-15
+    e = _expansions.get(a)
+    if e is not None:
+        return e
+    p = (a - 1) % 2
+    coeffs, k = [], 0.0
+    scaled = math.pi if p else 1.0  # pi^m / m!
+    for m in itertools.count(p, 2):
+        if m > p:
+            scaled *= math.pi / (m - 1) * math.pi / m
+        sign = -1.0 if m % 4 >= 2 else 1.0
+        if m < a - 1:
+            c = sign * _zeta_odd(a - m) * scaled
+        elif m == a - 1:
+            c, k = 0.0, sign * scaled
+        else:
+            c = sign * float(-bernoulli(m - a + 1) / (m - a + 1)) * scaled
+            if abs(c) < _TAIL_CUT:
+                break
+        coeffs.append(c)
+    w = [(2 * j + 2) * abs(cj) for j, cj in zip(range(p, m, 2), coeffs)]
+    g = math.fsum(1.0 / j for j in range(1, a)) - math.log(math.pi)
+    e = _expansions[a] = (tuple(reversed(coeffs)), p, w[0], sum(w), 4.0 / 3.0 * abs(c), m, k, g)
+    return e  # benign race: same value
 
 
-def _reduce_turns(t):
-    """Map turns to [0, 1/2] using the reflection symmetry; returns sign of sin.
+def _clausen(a, tr):
+    """(value, error_bound) of the Clausen component of Li_a at turns tr.
 
-    Exact turns (a Fraction in [0, 1)) are reflected before they are
-    rounded: rounding first would cost a point just below a whole turn
-    most of its small angle.
+    tr in [0, 1/2] is within 0.5u, and so is v = theta/pi = 2 tr.  Each
+    term m of H is charged (2m+2) EPS = (4m+4)u of its size, more than
+    its coefficient (1.4m + 2)u, its power of v (0.75m + 1)u and Horner's
+    (m + 1)u.  These charges are convex in y = v^2 on [0, 1], so the chord
+    (1 - y) w0 + y w1 bounds them.
     """
-    if isinstance(t, Fraction):
-        num, den = t.numerator, t.denominator
-        if 2 * num <= den:
-            return num / den, 1.0
-        return (den - num) / den, -1.0
-    tf = frac(t)
-    if tf <= 0.5:
-        return tf, 1.0
-    return 1.0 - tf, -1.0
-
-
-def _clausen_sin(a, t):
-    tr, flip = _reduce_turns(t)
-    theta = TWO_PI * tr
-    if a == 2:
-        value, err = _cl2_series(theta)
-    else:
-        value, err = _direct_series(a, theta, want_sin=True)
-    return flip * value, err
-
-
-def _clausen_cos(a, t):
-    tr, _ = _reduce_turns(t)
-    theta = TWO_PI * tr
-    if a == 3:
-        return _gl3_series(theta)
-    return _direct_series(a, theta, want_sin=False)
+    coeffs, p, w0, w1, tail, m_cut, k, g = _expansion(a)
+    v = 2.0 * tr
+    if p and v == 1.0:
+        return 0.0, 0.0  # Im Li_a(-1) = 0
+    y = v * v
+    h = 0.0
+    for c in coeffs:
+        h = h * y + c
+    rounding = (1.0 - y) * w0 + y * w1
+    if p:
+        h *= v
+        rounding *= v
+    if v:
+        r = k * v ** (a - 1)
+        lv = math.log(v)
+        h += r * (g - lv)
+        # r is within (1.9a + 1)u; g, log v and the two roundings of
+        # r (g - log v) add at most (2.5|g| + 1.5|log v| + 2.7)u |r|
+        rounding += abs(r) * ((a + 2) * (abs(g) + abs(lv)) + 2.0)
+    return h, _EPS * (rounding + abs(h)) + tail * v**m_cut + _UNDERFLOW
 
 
 _half_cache = {}
@@ -261,37 +245,44 @@ def _check_li_order(a):
 def li_on_circle(a, p):
     """Li_a(e^{i theta}) for integer a >= 1 at a point of the unit circle.
 
-    One component comes from the exact bracket polynomial (the even
-    cosine table for even a, the odd sine table for odd a, both read in
-    the unshifted variable theta/2pi); the Clausen-type component is
-    summed numerically.  Order 1 is the elementary logarithm pair and
-    diverges at theta = 0.
+    One component is the exact bracket polynomial (the even cosine table
+    for even a, the odd sine table for odd a, read in theta/2pi), the
+    other the Clausen expansion.  Order 1 is the elementary logarithm
+    pair and diverges at theta = 0.  A point given by theta alone is read
+    at theta/2pi rounded once, and its bound covers that rounding.
     """
     _check_li_order(a)
     if not isinstance(p, UnitCirclePoint):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
-    turns = p.turns
-    t = float(turns) if turns is not None else p.theta / TWO_PI
-    arg = turns if turns is not None else t
+    if p.turns is not None:
+        turns, drift = p.turns, 0.0
+    else:
+        # within 0.85u of theta/2pi, or half a subnormal step: the angle
+        # moves by less than drift
+        turns = Fraction(p.theta / TWO_PI) % 1
+        drift = 0.5 * _EPS * p.theta + TWO_PI * math.ulp(0.0)
+    # reflect to [0, 1/2] before rounding, which would cost a point just
+    # below a whole turn most of its small angle
+    num, den = turns.numerator, turns.denominator
+    tr, flip = (num / den, 1.0) if 2 * num <= den else ((den - num) / den, -1.0)
     if a == 1:
-        s = _sin_pi(_reduce_turns(arg)[0])
-        if s <= 0.0 or (turns is not None and turns == 0) or p.theta == 0.0:
+        s = _sin_pi(tr)
+        if s <= 0.0:
             raise SingularPointError("Li_1 diverges at the point 1 of the circle")
         re = -math.log(2.0 * s)
-        im = math.pi * (0.5 - t)
+        im = math.pi * (0.5 - float(turns))
         return LiValue(re, im, 1, 7e-16 * (3.0 + abs(re)))
-    if a % 2 == 0:
-        n = a // 2
-        scale = math.pi**a
-        poly_val = eval_poly(_poly_half("C", n), arg)
-        re = scale * float(poly_val)
-        poly_err = 2.3e-16 * abs(re) if turns is not None else 5e-15 * scale
-        im, num_err = _clausen_sin(a, arg)
-        return LiValue(re, im, a, poly_err + num_err + 2.3e-16 * abs(im))
-    n = (a - 1) // 2
-    scale = math.pi**a
-    poly_val = eval_poly(_poly_half("S", n), arg)
-    im = scale * float(poly_val)
-    poly_err = 2.3e-16 * abs(im) if turns is not None else 5e-15 * scale
-    re, num_err = _clausen_cos(a, arg)
-    return LiValue(re, im, a, poly_err + num_err + 2.3e-16 * abs(re))
+    n, odd = divmod(a, 2)
+    # float(poly) is within 0.5u, math.pi**a within (0.35a + 1)u (math.pi
+    # is off by 0.35u) and the product 0.5u more: in all < (a + 4) EPS
+    exact = math.pi**a * float(eval_poly(_poly_half("S" if odd else "C", n), turns))
+    value, err = _clausen(a, tr)
+    err += (a + 4) * _EPS * abs(exact)
+    if drift:
+        # |d/dtheta| of either component is at most zeta(2) < 1.65 for
+        # a >= 3; for a = 2 the Clausen slope -log|2 sin(theta/2)|
+        # integrates to at most drift (1.5 + |log drift|)
+        err += drift * (1.65 if a > 2 else 1.6 + abs(math.log(drift)))
+    if odd:
+        return LiValue(value, exact, a, err)
+    return LiValue(exact, flip * value, a, err)

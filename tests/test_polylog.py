@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from englert_sums import LiValue, UnitCirclePoint, li_on_circle
-from englert_sums.errors import DomainError, SingularPointError
+from englert_sums import LiValue, SumFamily, UnitCirclePoint, eval_family, li_on_circle
+from englert_sums.errors import CapacityError, DomainError, SingularPointError
 from englert_sums.polylog import _cos_pi, _sin_pi
 
 PI = math.pi
@@ -160,6 +160,32 @@ def test_turns_just_below_a_whole_turn_keep_their_angle(a, below):
         ref = mpmath.polylog(a, mpmath.expjpi(2 * t))
         assert abs(v.real_part - ref.real) <= v.error_bound
         assert abs(v.imag_part - ref.imag) <= v.error_bound
+
+
+@pytest.mark.parametrize("a", range(2, 26))
+def test_sine_component_is_exactly_zero_at_one_and_minus_one(a):
+    # Im Li_a(+-1) = 0: no rounding noise and no negative zero
+    for t in (Fraction(0), Fraction(1, 2)):
+        v = li_on_circle(a, UnitCirclePoint.from_turns(t))
+        assert v.imag_part == 0.0 and math.copysign(1.0, v.imag_part) == 1.0, (a, t)
+
+
+def test_sine_families_are_exactly_zero_at_their_zeros():
+    # Sp of order n reads Im Li_2n at turns z + 1/2, so at 1/2 for integer z
+    for n in (1, 2, 3):
+        for z in (-1.0, 0.0, 1.0, 2.0):
+            assert eval_family(SumFamily.from_code("Sp", n), z).value == 0.0, (n, z)
+
+
+def test_order_cap():
+    # the highest order the coefficient tables reach evaluates; the
+    # next ones are refused with a typed error
+    p = UnitCirclePoint.from_turns(Fraction(1, 3))
+    v = li_on_circle(241, p)
+    assert math.isfinite(v.real_part) and math.isfinite(v.imag_part)
+    for a in (242, 243):
+        with pytest.raises(CapacityError):
+            li_on_circle(a, p)
 
 
 def test_unit_circle_point_construction():

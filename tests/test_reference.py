@@ -13,11 +13,26 @@ references sum each series through mpmath alone, with w = exp(2 pi i z):
 
 taking the imaginary part for sine families and the real part for cosine
 families, divided by pi^p.
+
+Li_a itself is checked the same way on the unit circle, against
+mpmath's polylog, for orders 2..24 and three high orders up to the cap.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
-from englert_sums import FAMILY_CODES, SumFamily, eval_family, is_supported, singular_points
+from englert_sums import (
+    FAMILY_CODES,
+    SumFamily,
+    UnitCirclePoint,
+    eval_family,
+    is_supported,
+    li_on_circle,
+    singular_points,
+)
+from englert_sums.polylog import _zeta_odd
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -84,3 +99,43 @@ def test_modified_families_hold_their_bound(code):
     low = 0 if is_supported(SumFamily.from_code(code, 0)) else 1
     for order, z in zip((low, low + 1, 3), points[1::4]):
         assert_within_bound(SumFamily.from_code(code, order), z)
+
+
+LI_ORDERS = tuple(range(2, 25)) + (41, 100, 241)
+NINES = Fraction(1, 10**9)
+LI_TURNS = (
+    Fraction(0), NINES, Fraction(1, 1000), Fraction(1, 4), Fraction(1, 3),
+    Fraction(1, 2) - NINES, Fraction(1, 2), 1 - NINES,
+) + tuple(Fraction(random.Random(20).random()) for _ in range(20))
+LI_POINTS = [UnitCirclePoint.from_turns(t) for t in LI_TURNS]
+# read by theta alone: the turns theta/2pi round to 0
+LI_POINTS.append(UnitCirclePoint.from_theta(5e-324))
+
+
+def li_reference(a, p):
+    with mpmath.workdps(40):
+        if p.turns is None:
+            w = mpmath.expj(mpmath.mpf(p.theta))
+        else:
+            w = mpmath.expjpi(2 * mpmath.mpf(p.turns.numerator) / p.turns.denominator)
+        return mpmath.polylog(a, w)
+
+
+@pytest.mark.parametrize("a", LI_ORDERS)
+def test_li_on_circle_holds_its_bound(a):
+    for p in LI_POINTS:
+        v = li_on_circle(a, p)
+        ref = li_reference(a, p)
+        where = (a, p.turns, p.theta, v.error_bound)
+        assert 0.0 < v.error_bound, where
+        assert abs(v.real_part - ref.real) <= v.error_bound, where
+        assert abs(v.imag_part - ref.imag) <= v.error_bound, where
+        if a <= 24:
+            assert v.error_bound <= 5e-14, where
+
+
+def test_odd_zeta_values_are_within_one_and_a_half_unit_roundoffs():
+    with mpmath.workdps(40):
+        for s in range(3, 242, 2):
+            ref = mpmath.zeta(s)
+            assert abs(_zeta_odd(s) - ref) <= 1.5 * 2.0**-53 * ref, s

@@ -271,7 +271,15 @@ def li_on_circle(a, p):
             raise SingularPointError("Li_1 diverges at the point 1 of the circle")
         re = -math.log(2.0 * s)
         im = math.pi * (0.5 - float(turns))
-        return LiValue(re, im, 1, 7e-16 * (3.0 + abs(re)))
+        err = 7e-16 * (3.0 + abs(re))
+        if drift:
+            # -log|2 sin(theta/2)| is convex and falls on (0, pi], so an
+            # angle within drift of the reflected one moves it most at the
+            # end nearest 0, by log(sin(pi tr) / sin(pi tr - drift/2)):
+            # about drift times the slope 1/2 cot(theta/2) for small drift
+            half = math.pi * tr - 0.5 * drift
+            err += math.log(s / math.sin(half)) if half > 0.0 else math.inf
+        return LiValue(re, im, 1, err)
     n, odd = divmod(a, 2)
     # float(poly) is within 0.5u, math.pi**a within (0.35a + 1)u (math.pi
     # is off by 0.35u) and the product 0.5u more: in all < (a + 4) EPS

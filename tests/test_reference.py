@@ -18,6 +18,7 @@ Li_a itself is checked the same way on the unit circle, against
 mpmath's polylog, for orders 2..24 and three high orders up to the cap.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -139,3 +140,17 @@ def test_odd_zeta_values_are_within_one_and_a_half_unit_roundoffs():
         for s in range(3, 242, 2):
             ref = mpmath.zeta(s)
             assert abs(_zeta_odd(s) - ref) <= 1.5 * 2.0**-53 * ref, s
+
+
+@pytest.mark.parametrize(
+    "theta", [math.nextafter(2 * math.pi, 0), 2 * math.pi - 1e-12, 1e-9, 3.0, math.pi]
+)
+def test_li_1_read_by_theta_charges_the_rounding_of_its_turns(theta):
+    # next to a whole turn the reflected angle keeps only a few ulps of
+    # theta/2pi, and Re Li_1 = -log|2 sin(theta/2)| is steep there
+    p = UnitCirclePoint.from_theta(theta)
+    v = li_on_circle(1, p)
+    ref = li_reference(1, p)
+    where = (theta, v.error_bound)
+    assert abs(v.real_part - ref.real) <= v.error_bound, where
+    assert abs(v.imag_part - ref.imag) <= v.error_bound, where

@@ -4,9 +4,7 @@ Subcommands: eval, table, coeffs, polylog, oracle, verify.  Exit codes:
 0 success, 1 usage errors, 2 verification failures, 3 domain errors
 (singular points, unsupported orders, capacity and tolerance failures).
 Error messages go to stderr as "E<code>: <detail>".  All numeric output
-uses 17 significant digits and reruns are byte identical; set
-ENGLERT_SUMS_THREADS (clamped to the core count) to parallelize verify
-over a thread pool without changing the output.
+uses 17 significant digits and reruns are byte identical.
 """
 
 from __future__ import annotations
@@ -15,9 +13,7 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .bernoulli import bernoulli
@@ -238,26 +234,6 @@ def _verify_point(f, z, tol):
     }
 
 
-def _thread_count():
-    raw = os.environ.get("ENGLERT_SUMS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"ENGLERT_SUMS_THREADS must be an integer, got {raw!r}") from None
-    # more threads than cores only adds contention; the output is the same
-    return min(max(1, threads), os.cpu_count() or 1)
-
-
-def _run_grid(tasks, tol):
-    threads = _thread_count()
-    if threads == 1:
-        return [_verify_point(f, z, tol) for f, z in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: _verify_point(t[0], t[1], tol), tasks))
-
-
 _VERIFY_COLUMNS = (
     "family",
     "order",
@@ -307,7 +283,7 @@ def _cmd_verify(args):
                     )
                 else:
                     tasks.append((f, z))
-    rows = _run_grid(tasks, args.tol)
+    rows = [_verify_point(f, z, args.tol) for f, z in tasks]
     failed = sum(1 for r in rows if r["verdict"] == "FAIL")
     total = len(rows)
     summary = f"PASS {total}/{total}" if failed == 0 else f"FAIL {failed}/{total}"

@@ -14,10 +14,10 @@ Every row satisfies the closure constraint
 
 which is exactly the condition for the odd antiderivative to stay
 periodic (no staircase component survives the integration).  All
-generation is exact in fractions.Fraction.  Exact evaluation runs Horner
-in plain integers over the common denominator of the coefficients and
-builds one Fraction at the end; floats appear only in the float branch
-of eval_poly.
+generation is exact in fractions.Fraction.  Evaluation runs Horner in
+plain integers over the common denominator of the coefficients and
+builds one Fraction at the end; a float argument is read as its exact
+Fraction, so its float result is the correctly rounded value.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ class BracketPoly:
             raise DomainError(f"bracket shift must be 0 or 1/2, got {shift}")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "_float_coeffs", tuple(float(c) for c in coeffs))
         object.__setattr__(self, "_int_form", _integer_form(coeffs))
 
     @property
@@ -135,23 +134,22 @@ class IntegratedPoly:
     multiple of the staircase z - <z - shift>, which increments by one
     each time the bracket wraps.  The staircase keeps the primitive
     continuous and zero at the origin; for shift 0 it equals
-    floor(z + 1/2), for shift 1/2 it equals 1/2 + floor(z).
+    floor(z + 1/2), for shift 1/2 it equals 1/2 + floor(z).  Like
+    eval_poly it is exact for rational z and correctly rounded for a
+    float.
     """
 
     poly: BracketPoly
     nonperiodic: Fraction
 
     def __call__(self, z):
+        if not isinstance(z, Rational):
+            return float(self(_exact(z)))
         periodic = eval_poly(self.poly, z)
         if self.nonperiodic == 0:
             return periodic
-        shift = self.poly.shift
-        if isinstance(z, Rational):
-            zq = Fraction(z)
-            return periodic + self.nonperiodic * (zq - centered(zq - shift))
-        zf = float(z)
-        carrier = zf - centered(zf - float(shift))
-        return periodic + float(self.nonperiodic) * carrier
+        zq = Fraction(z)
+        return periodic + self.nonperiodic * (zq - centered(zq - self.poly.shift))
 
 
 _table_lock = threading.Lock()
@@ -285,45 +283,47 @@ def integrate_bracket_poly(p):
     return IntegratedPoly(BracketPoly(tuple(coeffs), p.shift), nonper)
 
 
+def _exact(z):
+    """The exact Fraction of a finite float argument."""
+    zf = float(z)
+    if not math.isfinite(zf):
+        raise DomainError(f"polynomial argument must be finite, got {z!r}")
+    return Fraction(zf)
+
+
 def eval_poly(p, z):
     """Horner evaluation of p at the bracket value centered(z - shift).
 
     Rational z stays exact and returns a Fraction: with z = m/q, the
     shift and the centering are done on the integer m, Horner runs in
     integers over the common denominator with no gcd inside the loop,
-    and a single Fraction is normalised at the end.  Its float() is the
-    correctly rounded value.  Floats use the cached float coefficients;
-    that path's error is a few ulps because every coefficient is below
-    one and the bracket variable stays inside [-1/2, 1/2).
+    and a single Fraction is normalised at the end.  Any other z is
+    read as the exact Fraction of float(z), which must be finite, and
+    the float of the exact value comes back: correctly rounded, so
+    eval_poly(p, x) == float(eval_poly(p, Fraction(x))) for every
+    finite float x.
     """
     if not isinstance(p, BracketPoly):
         raise DomainError(f"expected a BracketPoly, got {type(p).__name__}")
-    if isinstance(z, Rational):
-        m, q = int(z.numerator), int(z.denominator)
-        if p.shift:
-            if q % 2:
-                m, q = 2 * m - q, 2 * q
-            else:
-                m -= q // 2
-        m -= (2 * m + q) // (2 * q) * q
-        den, nums, odd, squared = p._int_form
-        x, y = (m * m, q * q) if squared else (m, q)
-        # invariant: acc / (den * ypow) is the Horner value so far at x / y
-        acc = nums[0]
-        ypow = 1
-        for c in nums[1:]:
-            ypow *= y
-            acc = acc * x + c * ypow
-        den *= ypow
-        if odd:
-            acc *= m
-            den *= q
-        return Fraction(acc, den)
-    zf = float(z)
-    if not math.isfinite(zf):
-        raise DomainError(f"polynomial argument must be finite, got {z!r}")
-    w = centered(zf - float(p.shift))
-    acc = 0.0
-    for c in reversed(p._float_coeffs):
-        acc = acc * w + c
-    return acc
+    if not isinstance(z, Rational):
+        return float(eval_poly(p, _exact(z)))
+    m, q = int(z.numerator), int(z.denominator)
+    if p.shift:
+        if q % 2:
+            m, q = 2 * m - q, 2 * q
+        else:
+            m -= q // 2
+    m -= (2 * m + q) // (2 * q) * q
+    den, nums, odd, squared = p._int_form
+    x, y = (m * m, q * q) if squared else (m, q)
+    # invariant: acc / (den * ypow) is the Horner value so far at x / y
+    acc = nums[0]
+    ypow = 1
+    for c in nums[1:]:
+        ypow *= y
+        acc = acc * x + c * ypow
+    den *= ypow
+    if odd:
+        acc *= m
+        den *= q
+    return Fraction(acc, den)

@@ -34,8 +34,8 @@ and the alternating sign as a negation, which equals the product with
 bit, and the chunk sums keep their boundaries.  Memory per call is the
 output array plus 384 KB of scratch, where the one-pass kernel held
 about ten temporaries the size of the chunk (8 MB each at 2^20 terms).
-The scratch arrays belong to the call, so threads running points side
-by side share nothing.
+The scratch arrays belong to the call, so a library caller may run
+oracle_eval on several threads at once: the calls share nothing.
 """
 
 from __future__ import annotations
@@ -161,6 +161,15 @@ def _terms(f, zf, k_lo, k_hi):
     return out
 
 
+def _chunked_sum(f, zf, k_lo, k_hi):
+    """Sum of the terms for k in [k_lo, k_hi): numpy's pairwise sum
+    inside each _CHUNK terms from k_lo on, exact fsum across them."""
+    return math.fsum(
+        float(np.sum(_terms(f, zf, lo, min(lo + _CHUNK, k_hi))))
+        for lo in range(k_lo, k_hi, _CHUNK)
+    )
+
+
 def partial_sum(f, z, n_terms):
     """Sum of the first n_terms terms of the defining series at z.
 
@@ -175,13 +184,7 @@ def partial_sum(f, z, n_terms):
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if n_terms > _MAX_TERMS:
         raise CapacityError(f"n_terms {n_terms} exceeds the cap {_MAX_TERMS}")
-    start = f.k_start
-    stop = start + n_terms
-    parts = []
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        parts.append(float(np.sum(_terms(f, zf, lo, hi))))
-    return math.fsum(parts)
+    return _chunked_sum(f, zf, f.k_start, f.k_start + n_terms)
 
 
 def _tail_bound(f, n_terms):
@@ -221,11 +224,7 @@ def _window_sums(f, zf, n_terms, width):
     start = f.k_start
     w = min(width, n_terms)
     base_count = n_terms - w
-    parts = []
-    for lo in range(start, start + base_count, _CHUNK):
-        hi = min(lo + _CHUNK, start + base_count)
-        parts.append(float(np.sum(_terms(f, zf, lo, hi))))
-    base = math.fsum(parts)
+    base = _chunked_sum(f, zf, start, start + base_count)
     window = _terms(f, zf, start + base_count, start + n_terms)
     return base + np.cumsum(window)
 

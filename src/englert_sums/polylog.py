@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# 2 pi - TWO_PI, the low word of 2 pi; the sum is 2 pi to about 1e-32
+_TWO_PI_LOW = 2.4492935982947064e-16
 
 _EPS = 2.0**-52  # = 2u; the error comments count in u = 2^-53
 _TAIL_CUT = 1e-20  # an expansion's tail starts at its first term below this
@@ -249,13 +251,24 @@ def li_on_circle(a, p):
     for even a, the odd sine table for odd a, read in theta/2pi), the
     other the Clausen expansion.  Order 1 is the elementary logarithm
     pair and diverges at theta = 0.  A point given by theta alone is read
-    at theta/2pi rounded once, and its bound covers that rounding.
+    at theta/2pi rounded once, or above pi at the reflected angle
+    2pi - theta taken in two words and then divided by 2pi, and its bound
+    covers that rounding.
     """
     _check_li_order(a)
     if not isinstance(p, UnitCirclePoint):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
     if p.turns is not None:
         turns, drift = p.turns, 0.0
+    elif p.theta > math.pi:
+        # TWO_PI - theta is exact (Sterbenz), so r keeps a small angle
+        # next to a whole turn.  Its reflected turns are within 2.6u of
+        # r/2pi, and the angle moves by less than drift: a rounding each
+        # for the sum and the quotient, 0.35u for TWO_PI and under 0.2u
+        # for the low word, as r > 1e-15.  r <= pi keeps them <= 1/2.
+        r = (TWO_PI - p.theta) + _TWO_PI_LOW
+        turns = 1 - Fraction(r / TWO_PI)
+        drift = 1.3 * _EPS * r
     else:
         # within 0.85u of theta/2pi, or half a subnormal step: the angle
         # moves by less than drift

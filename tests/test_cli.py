@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import pytest
 
@@ -241,14 +240,11 @@ def test_verify_small_grid_passes(capsys):
     assert all(l.endswith("PASS") for l in lines[1:-1])
 
 
-def test_verify_is_deterministic_and_thread_count_invisible(capsys, monkeypatch):
+def test_verify_is_deterministic(capsys):
     argv = ("verify", "--families", "bS", "--orders", "1..1", "--grid", "-0.3", "0.3", "4")
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
-    monkeypatch.setenv("ENGLERT_SUMS_THREADS", "3")
-    third = run(capsys, *argv)
-    assert third == first
 
 
 def test_verify_report_file(capsys, tmp_path):
@@ -311,11 +307,3 @@ def test_verify_arbitrate_suites(capsys, tmp_path):
         assert "candidate A 16/16, candidate B 0/16" in line
         assert "winner=a expected=a" in line
     assert text.count("winner=both expected=both") == 3
-
-
-def test_thread_count_is_clamped_to_the_core_count(monkeypatch):
-    # only the parsed count is checked; no pool and no thread is started
-    monkeypatch.setenv("ENGLERT_SUMS_THREADS", "100000")
-    assert cli._thread_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("ENGLERT_SUMS_THREADS", "-3")
-    assert cli._thread_count() == 1

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from englert_sums import (
     BracketPoly,
@@ -189,14 +189,38 @@ def test_periodicity_exact(q):
         assert eval_poly(poly_S(n), q + 1) == eval_poly(poly_S(n), q)
 
 
-@given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1e15)
+@example(-1e15)
+@example(5e-324)
+@example(0.5 - 2.0**-54)
+@example(-2.0)
 @settings(max_examples=60)
 def test_float_path_tracks_exact_path(z):
-    for n in (1, 3):
-        p = poly_S(n)
+    # a float argument returns the correctly rounded exact value, bit for bit
+    for p in (poly_S(1), poly_S(3), poly_C(2), poly_C(2).with_shift(F(1, 2))):
         exact = float(eval_poly(p, Fraction(z)))
-        approx = eval_poly(p, z)
-        assert approx == pytest.approx(exact, abs=1e-14)
+        got = eval_poly(p, z)
+        assert type(got) is float
+        assert got.hex() == exact.hex(), (p, z)
+
+
+def test_float_antiderivative_is_the_exact_one_rounded():
+    # the staircase of an even power is taken exactly too
+    for shift in (F(0), F(1, 2)):
+        anti = integrate_bracket_poly(BracketPoly((F(0), F(0), F(1)), shift))
+        for z in (2.7, -1.3, 0.5 - 2.0**-54, 1e15 + 0.25):
+            got = anti(z)
+            assert type(got) is float
+            assert got == float(anti(Fraction(z))), (shift, z)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_float_argument_must_be_finite(z):
+    with pytest.raises(DomainError):
+        eval_poly(poly_C(1), z)
+    with pytest.raises(DomainError):
+        integrate_bracket_poly(BracketPoly((F(0), F(0), F(1))))(z)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

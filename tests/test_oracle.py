@@ -1,6 +1,8 @@
 """Brute-force series oracle: partial sums, convergence modes, arbitration."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -66,6 +68,28 @@ def test_partial_sum_chunk_size_is_invisible(monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 1009)
     after = partial_sum(fam("tS", 1), z, 3000)
     assert abs(before - after) <= 1e-15
+
+
+def test_oracle_eval_on_two_threads_gives_the_sequential_reports():
+    # each call allocates its own scratch arrays, so library callers may
+    # run the oracle on threads: a capped resonant point and an averaged
+    # p <= 1 point start together and must not disturb each other
+    points = [(fam("C", 1), 0.5, 1e-8), (fam("Qp", 0), 0.3, 1e-6)]
+    sequential = [oracle_eval(f, z, tol, strict=False) for f, z, tol in points]
+    start = threading.Barrier(len(points), timeout=60)
+
+    def run(point):
+        f, z, tol = point
+        start.wait()
+        return oracle_eval(f, z, tol, strict=False)
+
+    with ThreadPoolExecutor(max_workers=len(points)) as pool:
+        threaded = list(pool.map(run, points))
+    assert threaded == sequential
+    assert [(r.mode, r.terms_used) for r in threaded] == [
+        ("absolute", 1_000_000),
+        ("averaged-conditional", 20_000),
+    ]
 
 
 def test_absolute_mode_for_fast_series():

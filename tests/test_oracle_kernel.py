@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from englert_sums import FAMILY_CODES, SumFamily, cli, oracle, oracle_eval
+from englert_sums import FAMILY_CODES, SumFamily, oracle, oracle_eval
 from englert_sums.oracle import TWO_PI, _phase_split
 
 
@@ -87,17 +87,3 @@ def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, te
     reference = oracle_eval(f, z, tol, strict=False)
     assert blocked == reference
     assert (blocked.mode, blocked.terms_used) == (mode, terms)
-
-
-def test_verify_output_is_the_same_on_two_threads(capsys, monkeypatch):
-    # capped, averaged p >= 2 and averaged p <= 1 points run side by side
-    argv = ["verify", "--families", "C,Q,Qp", "--orders", "0..1", "--grid", "-0.5", "0.5", "5"]
-    monkeypatch.setenv("ENGLERT_SUMS_THREADS", "1")
-    assert cli.run(argv) == 0
-    single = capsys.readouterr()
-    monkeypatch.setenv("ENGLERT_SUMS_THREADS", "2")
-    assert cli.run(argv) == 0
-    threaded = capsys.readouterr()
-    assert threaded.out == single.out
-    assert threaded.err == single.err
-    assert single.out.endswith("PASS 18/18\n")

@@ -154,3 +154,19 @@ def test_li_1_read_by_theta_charges_the_rounding_of_its_turns(theta):
     where = (theta, v.error_bound)
     assert abs(v.real_part - ref.real) <= v.error_bound, where
     assert abs(v.imag_part - ref.imag) <= v.error_bound, where
+
+
+@pytest.mark.parametrize(
+    "theta", [math.nextafter(2 * math.pi, 0), 2 * math.pi - 1e-12, 2 * math.pi - 1e-6, 4.0]
+)
+@pytest.mark.parametrize("a", (1, 2, 5))
+def test_theta_above_pi_keeps_its_reflected_angle(a, theta):
+    # above pi the reflected angle 2pi - theta is taken in two words, so
+    # a point next to a whole turn keeps its small angle to a few ulps
+    p = UnitCirclePoint.from_theta(theta)
+    v = li_on_circle(a, p)
+    ref = li_reference(a, p)
+    where = (a, theta, v.error_bound)
+    assert abs(v.real_part - ref.real) <= v.error_bound, where
+    assert abs(v.imag_part - ref.imag) <= v.error_bound, where
+    assert v.error_bound <= (1e-13 if a == 1 else 5e-14), where

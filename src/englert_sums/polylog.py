@@ -18,6 +18,7 @@ pair.  Every value carries an explicit error bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # 2 pi - TWO_PI, the low word of 2 pi; the sum is 2 pi to about 1e-32
 _TWO_PI_LOW = 2.4492935982947064e-16
+_TWO_PI_HIGH = Fraction(TWO_PI)
+_TWO_PI_WORDS = _TWO_PI_HIGH + Fraction(_TWO_PI_LOW)  # 2 pi + 5.99e-33
 
 _EPS = 2.0**-52  # = 2u; the error comments count in u = 2^-53
 _TAIL_CUT = 1e-20  # an expansion's tail starts at its first term below this
@@ -44,49 +47,77 @@ _TAIL_CUT = 1e-20  # an expansion's tail starts at its first term below this
 _UNDERFLOW = 1e-300
 
 
+def _as_turns(t):
+    try:
+        return t if type(t) is Fraction else Fraction(t)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"turns must be a finite number, got {t!r}") from None
+
+
 @dataclass(frozen=True)
 class UnitCirclePoint:
-    """Point e^{i theta} with theta reduced to [0, 2*pi).
+    """Point e^{2 pi i turns} of the unit circle.
 
-    ``turns`` optionally carries the exact angle as a fraction of a full
-    revolution; without it the angle is read from theta.
+    ``turns`` is the exact angle as a fraction of a revolution, in
+    [0, 1).  ``drift`` bounds, in radians, how far the true angle may lie
+    from 2 pi turns: 0 for a point given in turns, the cost of reading a
+    float angle for one given by theta.
     """
 
-    theta: float
-    turns: Fraction = None
+    turns: Fraction
+    drift: float = 0.0
 
     def __post_init__(self):
-        th = float(self.theta)
-        if not math.isfinite(th) or th < 0.0 or th >= TWO_PI:
-            raise DomainError(f"theta must lie in [0, 2*pi), got {self.theta!r}")
-        object.__setattr__(self, "theta", th)
-        if self.turns is not None:
-            t = Fraction(self.turns)
-            if not 0 <= t < 1:
-                raise DomainError(f"turns must lie in [0, 1), got {t}")
-            object.__setattr__(self, "turns", t)
+        t = _as_turns(self.turns)
+        if not 0 <= t < 1:
+            raise DomainError(f"turns must lie in [0, 1), got {t}")
+        object.__setattr__(self, "turns", t)
+        if not 0.0 <= self.drift < math.inf:
+            raise DomainError(f"drift must be finite and >= 0, got {self.drift!r}")
+
+    @property
+    def theta(self):
+        """The angle 2 pi turns as a float in [0, 2 pi)."""
+        theta = TWO_PI * float(self.turns)
+        # float(turns) can round up to 1.0 for turns just below a revolution
+        return theta if theta < TWO_PI else math.nextafter(TWO_PI, 0.0)
 
     @classmethod
     def from_turns(cls, t):
         """Exact construction from an angle measured in revolutions."""
-        t = Fraction(t) % 1
-        theta = TWO_PI * float(t)
-        if theta >= TWO_PI:
-            # float(t) can round up to 1.0 for t just below a revolution
-            theta = math.nextafter(TWO_PI, 0.0)
-        return cls(theta, t)
+        return cls(_as_turns(t) % 1)
 
     @classmethod
     def from_theta(cls, theta):
-        th = float(theta)
-        if not math.isfinite(th):
-            raise DomainError(f"theta must be finite, got {theta!r}")
-        r = math.fmod(th, TWO_PI)
-        if r < 0.0:
-            r += TWO_PI
-        if r >= TWO_PI:
-            r = 0.0
-        return cls(r, None)
+        """The point at a finite float angle theta, reduced exactly by the
+        two-word 2 pi and read at the reduced angle x, or above pi at the
+        reflected angle 2 pi - x, rounded once and divided by TWO_PI once."""
+        try:
+            x = Fraction(float(theta))
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"theta must be a finite number, got {theta!r}") from None
+        k = math.floor(x / _TWO_PI_WORDS)
+        x -= k * _TWO_PI_WORDS
+        if x > math.pi:
+            # the angle moves by less than drift = 2.6u r: a rounding each
+            # for r and the quotient, 0.35u for TWO_PI and, as r > 2.4e-16
+            # for k = 0, under 0.25u for the two words' own error.  The
+            # reflected turns stay <= 1/2, so a point next to a whole turn
+            # keeps its small angle
+            r = float(_TWO_PI_WORDS - x)
+            turns = 1 - Fraction(r / TWO_PI)
+            drift = 1.3 * _EPS * r
+        else:
+            # within 0.85u of x/2pi, or half a subnormal step: the angle
+            # moves by less than drift
+            r = float(x)
+            turns = Fraction(float(x / _TWO_PI_HIGH))
+            drift = 0.5 * _EPS * r + TWO_PI * math.ulp(0.0)
+        if k:
+            # the k turns taken off, and the turn the reflection adds, move
+            # the angle by the two words' error, below 6e-33 each
+            drift += 6e-33 * (abs(k) + 1)
+        return cls(turns, drift)
 
 
 @dataclass(frozen=True)
@@ -134,27 +165,20 @@ def _cos_pi(t):
     return -sign * math.cos(math.pi * (r - 1.0))
 
 
-_zeta_cache = {}
-
-
+@functools.cache
 def _zeta_odd(s):
     """zeta(s) for odd s >= 3 within 1.5u, once per s: Euler-Maclaurin
     after nine terms, whose first dropped correction is below 1e-19."""
-    z = _zeta_cache.get(s)
-    if z is None:
-        terms = [k**-s for k in range(1, 10)] + [10.0 ** (1 - s) / (s - 1), 0.5 * 10.0**-s]
-        rising = s  # s (s+1) ... (s+2j-2)
-        for j in range(1, 11):
-            b = float(bernoulli(2 * j) / math.factorial(2 * j))
-            terms.append(b * rising * 10.0 ** (1 - s - 2 * j))
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-        z = _zeta_cache[s] = math.fsum(terms)  # benign race: same value
-    return z
+    terms = [k**-s for k in range(1, 10)] + [10.0 ** (1 - s) / (s - 1), 0.5 * 10.0**-s]
+    rising = s  # s (s+1) ... (s+2j-2)
+    for j in range(1, 11):
+        b = float(bernoulli(2 * j) / math.factorial(2 * j))
+        terms.append(b * rising * 10.0 ** (1 - s - 2 * j))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return math.fsum(terms)
 
 
-_expansions = {}
-
-
+@functools.cache
 def _expansion(a):
     """(H highest first, p, w0, w1, tail, m_cut, k, g) of order a, once.
 
@@ -168,9 +192,6 @@ def _expansion(a):
     m_cut on is at most 4/3 of its first term.  w0 and w1 are H's
     rounding weights (see _clausen) at v = 0 and v = 1.
     """
-    e = _expansions.get(a)
-    if e is not None:
-        return e
     p = (a - 1) % 2
     coeffs, k = [], 0.0
     scaled = math.pi if p else 1.0  # pi^m / m!
@@ -189,8 +210,7 @@ def _expansion(a):
         coeffs.append(c)
     w = [(2 * j + 2) * abs(cj) for j, cj in zip(range(p, m, 2), coeffs)]
     g = math.fsum(1.0 / j for j in range(1, a)) - math.log(math.pi)
-    e = _expansions[a] = (tuple(reversed(coeffs)), p, w[0], sum(w), 4.0 / 3.0 * abs(c), m, k, g)
-    return e  # benign race: same value
+    return tuple(reversed(coeffs)), p, w[0], sum(w), 4.0 / 3.0 * abs(c), m, k, g
 
 
 def _clausen(a, tr):
@@ -224,17 +244,9 @@ def _clausen(a, tr):
     return h, _EPS * (rounding + abs(h)) + tail * v**m_cut + _UNDERFLOW
 
 
-_half_cache = {}
-
-
+@functools.cache
 def _poly_half(kind, n):
-    key = (kind, n)
-    p = _half_cache.get(key)
-    if p is None:
-        base = poly_C(n) if kind == "C" else poly_S(n)
-        p = base.with_shift(ONE_HALF)
-        _half_cache[key] = p  # benign race: construction is idempotent
-    return p
+    return (poly_C(n) if kind == "C" else poly_S(n)).with_shift(ONE_HALF)
 
 
 def _check_li_order(a):
@@ -248,32 +260,15 @@ def li_on_circle(a, p):
     """Li_a(e^{i theta}) for integer a >= 1 at a point of the unit circle.
 
     One component is the exact bracket polynomial (the even cosine table
-    for even a, the odd sine table for odd a, read in theta/2pi), the
-    other the Clausen expansion.  Order 1 is the elementary logarithm
-    pair and diverges at theta = 0.  A point given by theta alone is read
-    at theta/2pi rounded once, or above pi at the reflected angle
-    2pi - theta taken in two words and then divided by 2pi, and its bound
-    covers that rounding.
+    for even a, the odd sine table for odd a, read at the point's turns),
+    the other the Clausen expansion.  Order 1 is the elementary logarithm
+    pair and diverges at theta = 0.  The point's drift, the cost of
+    reading it from a float angle, is charged to the bound.
     """
     _check_li_order(a)
     if not isinstance(p, UnitCirclePoint):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
-    if p.turns is not None:
-        turns, drift = p.turns, 0.0
-    elif p.theta > math.pi:
-        # TWO_PI - theta is exact (Sterbenz), so r keeps a small angle
-        # next to a whole turn.  Its reflected turns are within 2.6u of
-        # r/2pi, and the angle moves by less than drift: a rounding each
-        # for the sum and the quotient, 0.35u for TWO_PI and under 0.2u
-        # for the low word, as r > 1e-15.  r <= pi keeps them <= 1/2.
-        r = (TWO_PI - p.theta) + _TWO_PI_LOW
-        turns = 1 - Fraction(r / TWO_PI)
-        drift = 1.3 * _EPS * r
-    else:
-        # within 0.85u of theta/2pi, or half a subnormal step: the angle
-        # moves by less than drift
-        turns = Fraction(p.theta / TWO_PI) % 1
-        drift = 0.5 * _EPS * p.theta + TWO_PI * math.ulp(0.0)
+    turns, drift = p.turns, p.drift
     # reflect to [0, 1/2] before rounding, which would cost a point just
     # below a whole turn most of its small angle
     num, den = turns.numerator, turns.denominator
@@ -292,6 +287,8 @@ def li_on_circle(a, p):
             # about drift times the slope 1/2 cot(theta/2) for small drift
             half = math.pi * tr - 0.5 * drift
             err += math.log(s / math.sin(half)) if half > 0.0 else math.inf
+            # im, within 4.1e-16 of pi (1/2 - turns), moves by drift/2
+            err = max(err, 5e-16 + 0.5 * drift)
         return LiValue(re, im, 1, err)
     n, odd = divmod(a, 2)
     # float(poly) is within 0.5u, math.pi**a within (0.35a + 1)u (math.pi

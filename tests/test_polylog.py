@@ -1,5 +1,6 @@
 """Unit-circle polylogarithm values, symmetries, and error bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -189,15 +190,28 @@ def test_order_cap():
 
 
 def test_unit_circle_point_construction():
+    assert [f.name for f in dataclasses.fields(UnitCirclePoint)] == ["turns", "drift"]
     p = UnitCirclePoint.from_turns(Fraction(5, 4))
-    assert p.turns == Fraction(1, 4)
+    assert (p.turns, p.drift) == (Fraction(1, 4), 0.0)
     assert p.theta == pytest.approx(PI / 2.0, abs=1e-15)
     q = UnitCirclePoint.from_theta(-PI / 2.0)
+    assert q.turns == Fraction(3, 4) and 0.0 < q.drift < 1e-15
     assert q.theta == pytest.approx(1.5 * PI, abs=1e-12)
-    assert q.turns is None
-    assert UnitCirclePoint.from_theta(2.0 * PI).theta == 0.0
+    # TWO_PI is 2.45e-16 short of a whole turn, and the point keeps that
+    w = UnitCirclePoint.from_theta(2.0 * PI)
+    assert 0 < 1 - w.turns < Fraction(1, 10**16)
+    assert w.theta == math.nextafter(2.0 * PI, 0.0)
     r = UnitCirclePoint.from_turns(Fraction(999999999, 1000000000))
     assert 0.0 <= r.theta < 2.0 * PI
+    below = UnitCirclePoint.from_turns(1 - Fraction(1, 10**20))
+    assert below.theta == math.nextafter(2.0 * PI, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "a quarter"])
+def test_non_finite_or_non_numeric_angles_raise_domain_error(bad):
+    for make in (UnitCirclePoint, UnitCirclePoint.from_turns, UnitCirclePoint.from_theta):
+        with pytest.raises(DomainError):
+            make(bad)
 
 
 def test_domain_errors():
@@ -208,9 +222,12 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         li_on_circle(2, 0.25)
     with pytest.raises(DomainError):
-        UnitCirclePoint(-0.1)
+        UnitCirclePoint(Fraction(-1, 10))
     with pytest.raises(DomainError):
-        UnitCirclePoint(7.0)
+        UnitCirclePoint(1)
+    for drift in (-1e-16, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            UnitCirclePoint(Fraction(1, 4), drift)
     with pytest.raises(DomainError):
         UnitCirclePoint.from_theta(math.inf)
 

@@ -15,7 +15,9 @@ taking the imaginary part for sine families and the real part for cosine
 families, divided by pi^p.
 
 Li_a itself is checked the same way on the unit circle, against
-mpmath's polylog, for orders 2..24 and three high orders up to the cap.
+mpmath's polylog, for orders 1..24 and three high orders up to the cap:
+at exact turns, and for a point read from a float theta at that theta,
+in [0, 2 pi) and up to 1e300 on either side.
 """
 
 import math
@@ -108,31 +110,65 @@ LI_TURNS = (
     Fraction(0), NINES, Fraction(1, 1000), Fraction(1, 4), Fraction(1, 3),
     Fraction(1, 2) - NINES, Fraction(1, 2), 1 - NINES,
 ) + tuple(Fraction(random.Random(20).random()) for _ in range(20))
-LI_POINTS = [UnitCirclePoint.from_turns(t) for t in LI_TURNS]
-# read by theta alone: the turns theta/2pi round to 0
-LI_POINTS.append(UnitCirclePoint.from_theta(5e-324))
+# a Fraction is read as exact turns, a float as theta: 5e-324 has turns
+# theta/2pi that round to 0
+LI_POINTS = LI_TURNS + (5e-324,)
 
 
-def li_reference(a, p):
+def point(at):
+    if isinstance(at, Fraction):
+        return UnitCirclePoint.from_turns(at)
+    return UnitCirclePoint.from_theta(at)
+
+
+def li_reference(a, at):
+    """mpmath's Li_a at exact turns (a Fraction) or at the input theta."""
     with mpmath.workdps(40):
-        if p.turns is None:
-            w = mpmath.expj(mpmath.mpf(p.theta))
+        if isinstance(at, Fraction):
+            w = mpmath.expjpi(2 * mpmath.mpf(at.numerator) / at.denominator)
         else:
-            w = mpmath.expjpi(2 * mpmath.mpf(p.turns.numerator) / p.turns.denominator)
+            w = mpmath.expj(mpmath.mpf(at))
         return mpmath.polylog(a, w)
+
+
+def assert_li_within_bound(a, at):
+    v = li_on_circle(a, point(at))
+    ref = li_reference(a, at)
+    where = (a, at, v.error_bound)
+    assert 0.0 < v.error_bound, where
+    assert abs(v.real_part - ref.real) <= v.error_bound, where
+    assert abs(v.imag_part - ref.imag) <= v.error_bound, where
+    return v
 
 
 @pytest.mark.parametrize("a", LI_ORDERS)
 def test_li_on_circle_holds_its_bound(a):
-    for p in LI_POINTS:
-        v = li_on_circle(a, p)
-        ref = li_reference(a, p)
-        where = (a, p.turns, p.theta, v.error_bound)
-        assert 0.0 < v.error_bound, where
-        assert abs(v.real_part - ref.real) <= v.error_bound, where
-        assert abs(v.imag_part - ref.imag) <= v.error_bound, where
+    for at in LI_POINTS:
+        v = assert_li_within_bound(a, at)
         if a <= 24:
-            assert v.error_bound <= 5e-14, where
+            assert v.error_bound <= 5e-14, (a, at, v.error_bound)
+
+
+def test_li_1_holds_its_bound_at_exact_turns():
+    for t in LI_TURNS:
+        if t:
+            assert assert_li_within_bound(1, t).error_bound <= 5e-14, t
+
+
+TWO_PI = 2 * math.pi
+# at 1e30 the drift of 1e-3 moves Im Li_1 = (pi - theta)/2 by more than
+# it moves Re Li_1
+FAR_THETAS = (1e10, -1e10, 1e5, -1e5, 100.0, -100.0, TWO_PI, -TWO_PI, 3 * TWO_PI, 1e30, 1e300)
+
+
+@pytest.mark.parametrize("theta", FAR_THETAS)
+@pytest.mark.parametrize("a", (1, 2, 3, 5, 17, 41))
+def test_theta_outside_one_turn_is_reduced_within_its_bound(a, theta):
+    # theta is reduced exactly by the two-word 2pi, whose error of 6e-33
+    # a turn only a theta beyond 1e18 makes felt
+    v = assert_li_within_bound(a, theta)
+    if abs(theta) < 1e11:
+        assert v.error_bound <= (1e-13 if a == 1 else 5e-14), (a, theta, v.error_bound)
 
 
 def test_odd_zeta_values_are_within_one_and_a_half_unit_roundoffs():
@@ -148,12 +184,7 @@ def test_odd_zeta_values_are_within_one_and_a_half_unit_roundoffs():
 def test_li_1_read_by_theta_charges_the_rounding_of_its_turns(theta):
     # next to a whole turn the reflected angle keeps only a few ulps of
     # theta/2pi, and Re Li_1 = -log|2 sin(theta/2)| is steep there
-    p = UnitCirclePoint.from_theta(theta)
-    v = li_on_circle(1, p)
-    ref = li_reference(1, p)
-    where = (theta, v.error_bound)
-    assert abs(v.real_part - ref.real) <= v.error_bound, where
-    assert abs(v.imag_part - ref.imag) <= v.error_bound, where
+    assert_li_within_bound(1, theta)
 
 
 @pytest.mark.parametrize(
@@ -163,10 +194,5 @@ def test_li_1_read_by_theta_charges_the_rounding_of_its_turns(theta):
 def test_theta_above_pi_keeps_its_reflected_angle(a, theta):
     # above pi the reflected angle 2pi - theta is taken in two words, so
     # a point next to a whole turn keeps its small angle to a few ulps
-    p = UnitCirclePoint.from_theta(theta)
-    v = li_on_circle(a, p)
-    ref = li_reference(a, p)
-    where = (a, theta, v.error_bound)
-    assert abs(v.real_part - ref.real) <= v.error_bound, where
-    assert abs(v.imag_part - ref.imag) <= v.error_bound, where
-    assert v.error_bound <= (1e-13 if a == 1 else 5e-14), where
+    v = assert_li_within_bound(a, theta)
+    assert v.error_bound <= (1e-13 if a == 1 else 5e-14), (a, theta, v.error_bound)

@@ -5,8 +5,11 @@ denominators, with alternating and non-alternating signs, evaluate here
 through exact rational bracket polynomials, elementary trig/log forms,
 or polylogarithms on the unit circle.  A brute-force summation oracle
 in englert_sums.oracle provides independent ground truth for every
-closed form.
+closed form.  The oracle needs numpy and loads on first use, so
+importing the package and evaluating closed forms does not load numpy.
 """
+
+import importlib
 
 from .bernoulli import abs_bernoulli_term, bernoulli
 from .bracket import centered, frac
@@ -32,14 +35,6 @@ from .errors import (
     UnsupportedOrderError,
     UsageError,
 )
-from .oracle import (
-    ArbitrationReport,
-    ArbitrationRow,
-    OracleReport,
-    arbitrate,
-    oracle_eval,
-    partial_sum,
-)
 from .polylog import (
     LiValue,
     UnitCirclePoint,
@@ -57,6 +52,29 @@ from .sums import (
 )
 
 __version__ = "0.1.0"
+
+# served from englert_sums.oracle when first read (PEP 562)
+_ORACLE_NAMES = frozenset({
+    "ArbitrationReport",
+    "ArbitrationRow",
+    "OracleReport",
+    "arbitrate",
+    "oracle",
+    "oracle_eval",
+    "partial_sum",
+})
+
+
+def __getattr__(name):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = importlib.import_module(".oracle", __name__)
+    return oracle if name == "oracle" else getattr(oracle, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)
+
 
 __all__ = [
     "ArbitrationReport",

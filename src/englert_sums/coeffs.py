@@ -305,9 +305,12 @@ def eval_poly(p, z):
     """
     if not isinstance(p, BracketPoly):
         raise DomainError(f"expected a BracketPoly, got {type(p).__name__}")
-    if not isinstance(z, Rational):
+    if type(z) is Fraction:  # before the slower ABC check
+        m, q = z.numerator, z.denominator
+    elif isinstance(z, Rational):
+        m, q = int(z.numerator), int(z.denominator)
+    else:
         return float(eval_poly(p, _exact(z)))
-    m, q = int(z.numerator), int(z.denominator)
     if p.shift:
         if q % 2:
             m, q = 2 * m - q, 2 * q

@@ -36,10 +36,27 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# 2 pi - TWO_PI, the low word of 2 pi; the sum is 2 pi to about 1e-32
-_TWO_PI_LOW = 2.4492935982947064e-16
 _TWO_PI_HIGH = Fraction(TWO_PI)
-_TWO_PI_WORDS = _TWO_PI_HIGH + Fraction(_TWO_PI_LOW)  # 2 pi + 5.99e-33
+# floor(2 pi 2^1120) / 2^1120, from mpmath at 400 digits: below 2 pi by
+# less than 2^-1120, so the |k| < 2^1022 whole turns of any finite float
+# angle take off less than 2^-98 in all
+_TWO_PI_BITS = 1120
+_TWO_PI = Fraction(
+    int(
+        "6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd91"
+        "28a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122"
+        "f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2"
+        "d74f9208be258ff324943328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd"
+        "348b1fd47e9267afc1b2ae91e",
+        16,
+    ),
+    1 << _TWO_PI_BITS,
+)
+# from_theta reads an angle r from here up as the float r / TWO_PI, which
+# is then a normal float
+_TINY_ANGLE = 2.0**-1019
+_NORMAL = 2.0**-1022  # the smallest normal float
+_LN2 = math.log(2.0)
 
 _EPS = 2.0**-52  # = 2u; the error comments count in u = 2^-53
 _TAIL_CUT = 1e-20  # an expansion's tail starts at its first term below this
@@ -68,10 +85,13 @@ class UnitCirclePoint:
     drift: float = 0.0
 
     def __post_init__(self):
-        t = _as_turns(self.turns)
-        if not 0 <= t < 1:
+        t = self.turns
+        if type(t) is not Fraction:
+            t = _as_turns(t)
+            object.__setattr__(self, "turns", t)
+        # 0 <= t < 1 on the integers: a Fraction's denominator is positive
+        if not 0 <= t.numerator < t.denominator:
             raise DomainError(f"turns must lie in [0, 1), got {t}")
-        object.__setattr__(self, "turns", t)
         if not 0.0 <= self.drift < math.inf:
             raise DomainError(f"drift must be finite and >= 0, got {self.drift!r}")
 
@@ -89,34 +109,49 @@ class UnitCirclePoint:
 
     @classmethod
     def from_theta(cls, theta):
-        """The point at a finite float angle theta, reduced exactly by the
-        two-word 2 pi and read at the reduced angle x, or above pi at the
-        reflected angle 2 pi - x, rounded once and divided by TWO_PI once."""
+        """The point at a finite float angle theta, reduced exactly by
+        _TWO_PI and read at the reduced angle x, or above pi at the
+        reflected angle 2 pi - x, rounded once and divided by TWO_PI once.
+        An angle too small for that quotient to stay a normal float gets
+        exact turns instead."""
         try:
             x = Fraction(float(theta))
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"theta must be a finite number, got {theta!r}") from None
-        k = math.floor(x / _TWO_PI_WORDS)
-        x -= k * _TWO_PI_WORDS
-        if x > math.pi:
+        k = math.floor(x / _TWO_PI)
+        x -= k * _TWO_PI
+        flip = x > math.pi
+        if flip:
+            x = _TWO_PI - x
+        r = float(x)
+        if r < _TINY_ANGLE:
+            # such an r is |theta| itself (k is 0, or -1 for theta below
+            # 0), and the turns r / _TWO_PI move the angle by r times
+            # _TWO_PI's relative error, under 2^-1122: no float holds that
+            # move, and it shifts every li_on_circle value by far less
+            # than the floor of its bound, so the drift is 0
+            t = x / _TWO_PI
+            return cls(1 - t if flip else t)
+        if flip:
             # the angle moves by less than drift = 2.6u r: a rounding each
-            # for r and the quotient, 0.35u for TWO_PI and, as r > 2.4e-16
-            # for k = 0, under 0.25u for the two words' own error.  The
-            # reflected turns stay <= 1/2, so a point next to a whole turn
-            # keeps its small angle
-            r = float(_TWO_PI_WORDS - x)
+            # for r and the quotient, and 0.35u for TWO_PI.  The reflected
+            # turns stay <= 1/2, so a point next to a whole turn keeps its
+            # small angle
             turns = 1 - Fraction(r / TWO_PI)
             drift = 1.3 * _EPS * r
         else:
-            # within 0.85u of x/2pi, or half a subnormal step: the angle
-            # moves by less than drift
-            r = float(x)
+            # within 0.85u of x/2pi, a normal float: the angle moves by
+            # less than drift
             turns = Fraction(float(x / _TWO_PI_HIGH))
-            drift = 0.5 * _EPS * r + TWO_PI * math.ulp(0.0)
+            drift = 0.5 * _EPS * r
         if k:
             # the k turns taken off, and the turn the reflection adds, move
-            # the angle by the two words' error, below 6e-33 each
-            drift += 6e-33 * (abs(k) + 1)
+            # the angle by _TWO_PI's error, below 2^-1120 each; charged at
+            # twice that, which covers the rounding of |k| + 1.  Under
+            # |k| = 2^44 the charge underflows to 0, a loss below 2^-1075
+            # and far inside drift's slack: for k != 0 no reduced angle r
+            # comes near the underflow range
+            drift += math.ldexp(abs(k) + 1, 1 - _TWO_PI_BITS)
         return cls(turns, drift)
 
 
@@ -270,30 +305,57 @@ def li_on_circle(a, p):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
     turns, drift = p.turns, p.drift
     # reflect to [0, 1/2] before rounding, which would cost a point just
-    # below a whole turn most of its small angle
+    # below a whole turn most of its small angle.  A tr below the normal
+    # range is off by under 2^-1075, which moves a Clausen component by
+    # under 1e-319, inside its floor
     num, den = turns.numerator, turns.denominator
-    tr, flip = (num / den, 1.0) if 2 * num <= den else ((den - num) / den, -1.0)
+    if 2 * num <= den:
+        rn, flip = num, 1.0
+    else:
+        rn, flip = den - num, -1.0
+    tr = rn / den
     if a == 1:
-        s = _sin_pi(tr)
-        if s <= 0.0:
+        if not rn:
             raise SingularPointError("Li_1 diverges at the point 1 of the circle")
+        e = 0
+        if tr < _NORMAL:
+            # rn / den keeps too few bits here: read the turns as tr 2^-e,
+            # tr in [1/2, 2), where sin(pi t) = pi t far below an ulp.  The
+            # rounding of e ln 2 and of the sum stays within 2u |re|
+            e = den.bit_length() - rn.bit_length()
+            tr = (rn << e) / den
+            s = math.pi * tr
+        else:
+            s = _sin_pi(tr)
         re = -math.log(2.0 * s)
-        im = math.pi * (0.5 - float(turns))
+        if e:
+            re += e * _LN2
+        im = math.pi * (0.5 - num / den)
         err = 7e-16 * (3.0 + abs(re))
         if drift:
             # -log|2 sin(theta/2)| is convex and falls on (0, pi], so an
             # angle within drift of the reflected one moves it most at the
             # end nearest 0, by log(sin(pi tr) / sin(pi tr - drift/2)):
-            # about drift times the slope 1/2 cot(theta/2) for small drift
-            half = math.pi * tr - 0.5 * drift
-            err += math.log(s / math.sin(half)) if half > 0.0 else math.inf
+            # about drift times the slope 1/2 cot(theta/2) for small drift.
+            # Scaled by 2^e, the sines are their angles, and a drift past
+            # the float range dwarfs the angle
+            try:
+                half = math.pi * tr - math.ldexp(drift, e - 1)
+            except OverflowError:
+                half = -math.inf
+            if half > 0.0:
+                err += math.log(s / (half if e else math.sin(half)))
+            else:
+                err = math.inf
             # im, within 4.1e-16 of pi (1/2 - turns), moves by drift/2
             err = max(err, 5e-16 + 0.5 * drift)
         return LiValue(re, im, 1, err)
     n, odd = divmod(a, 2)
-    # float(poly) is within 0.5u, math.pi**a within (0.35a + 1)u (math.pi
-    # is off by 0.35u) and the product 0.5u more: in all < (a + 4) EPS
-    exact = math.pi**a * float(eval_poly(_poly_half("S" if odd else "C", n), turns))
+    # the exact value is within 0.5u, math.pi**a within (0.35a + 1)u
+    # (math.pi is off by 0.35u) and the product 0.5u more: in all
+    # < (a + 4) EPS
+    x = eval_poly(_poly_half("S" if odd else "C", n), turns)
+    exact = math.pi**a * (x.numerator / x.denominator)
     value, err = _clausen(a, tr)
     err += (a + 4) * _EPS * abs(exact)
     if drift:

@@ -82,12 +82,15 @@ class SumFamily:
     order: int
 
     def __post_init__(self):
-        if self._fields not in _CODE_BY_FIELDS:
+        code = _CODE_BY_FIELDS.get(self._fields)
+        if code is None:
             raise DomainError(f"field combination {self._fields!r} names no family")
         if isinstance(self.order, bool) or not isinstance(self.order, int):
             raise DomainError(f"order must be a plain integer, got {self.order!r}")
         if self.order < 0:
             raise DomainError(f"order must be >= 0, got {self.order}")
+        # the family code, resolved once: a plain read-only attribute
+        object.__setattr__(self, "code", code)
 
     @classmethod
     def from_code(cls, code, order):
@@ -103,10 +106,6 @@ class SumFamily:
         return (
             self.index_kind, self.alternating, self.trig, self.power_parity, self.modified
         )
-
-    @property
-    def code(self):
-        return _CODE_BY_FIELDS[self._fields]
 
     @property
     def power(self):
@@ -229,41 +228,43 @@ def _check_singular(f, zf):
 # building blocks
 
 
-def _plus_quarters(zf, k):
-    """zf + k/4 as an exact Fraction, built from the float's integer ratio."""
+def _turns(zf, k):
+    """zf + k/4 reduced to [0, 1), one exact Fraction built in integers
+    from the float's integer ratio."""
     m, q = zf.as_integer_ratio()
-    return Fraction(4 * m + k * q, 4 * q)
+    q4 = 4 * q
+    return Fraction((4 * m + k * q) % q4, q4)
 
 
 def _part(n, zf, kind, a, b=None, sign=1.0):
     """(value, path, error_bound) of one k-family part of order n.
 
     The part is read at z + a/4, or, when b is given, as sign times half
-    the difference of its reads at z + a/4 and at z + b/4.  The parts "C"
-    and "S" are the bracket polynomials of order n; "re" is Re Li_{2n+1}
-    and "im" is Im Li_{2n}, both scaled by pi^-p.
+    the difference of its reads at z + a/4 and at z + b/4, each taken
+    modulo 1: every part has period 1.  The parts "C" and "S" are the
+    bracket polynomials of order n; "re" is Re Li_{2n+1} and "im" is
+    Im Li_{2n}, both scaled by pi^-p.
     """
-    za = _plus_quarters(zf, a)
     if kind in ("C", "S"):
         poly = poly_C(n) if kind == "C" else poly_S(n)
-        x = eval_poly(poly, za)
+        x = eval_poly(poly, _turns(zf, a))
         if b is None:
-            v = float(x)
+            v = x.numerator / x.denominator  # correctly rounded, as float(x)
         else:
             # (x - y) / 2, exact until one correctly rounded division
-            y = eval_poly(poly, _plus_quarters(zf, b))
+            y = eval_poly(poly, _turns(zf, b))
             v = (x.numerator * y.denominator - y.numerator * x.denominator) / (
                 2 * x.denominator * y.denominator
             )
         return sign * v, "polynomial", _EPS * (1.0 + abs(v))
     order = 2 * n if kind == "im" else 2 * n + 1
-    la = li_on_circle(order, UnitCirclePoint.from_turns(za))
+    la = li_on_circle(order, UnitCirclePoint(_turns(zf, a)))
     if b is None:
         s = math.pi**order
         v = (la.imag_part if kind == "im" else la.real_part) / s
         raw = la.error_bound
     else:
-        lb = li_on_circle(order, UnitCirclePoint.from_turns(_plus_quarters(zf, b)))
+        lb = li_on_circle(order, UnitCirclePoint(_turns(zf, b)))
         s = 2.0 * math.pi**order
         if kind == "im":
             v = (la.imag_part - lb.imag_part) / s

@@ -216,6 +216,16 @@ def test_polylog_at_quarter_circle(capsys):
     assert 0.0 <= bound < 1e-12
 
 
+def test_polylog_at_the_smallest_angle(capsys):
+    # theta/2pi underflows; the point keeps exact turns and Li_1 is finite
+    code, out, err = run(capsys, "polylog", "1", "5e-324")
+    assert code == 0 and err == ""
+    re, im, bound = (float(x) for x in out.split())
+    # -log(5e-324) = 1074 log 2
+    assert abs(re - 1074 * math.log(2.0)) <= bound < 1e-12
+    assert im == math.pi / 2.0
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "S", "1", "0.3")
     assert code == 0

@@ -1,6 +1,8 @@
 """Brute-force series oracle: partial sums, convergence modes, arbitration."""
 
 import math
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -222,3 +224,18 @@ def test_arbitration_validation():
         arbitrate("not callable", lambda z: 0.0, f, [0.1])
     with pytest.raises(DomainError):
         arbitrate(lambda z: 0.0, lambda z: 0.0, f, [])
+
+
+def test_package_loads_numpy_only_with_the_oracle():
+    # englert_sums serves the oracle names on first read (PEP 562), so
+    # closed forms alone never import numpy
+    code = (
+        "import sys, englert_sums as es\n"
+        "es.eval_family(es.SumFamily.from_code('Sp', 2), 0.3)\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by eval'\n"
+        "assert 'oracle_eval' in es.__all__ and 'oracle_eval' in dir(es)\n"
+        "assert es.oracle_eval is es.oracle.oracle_eval\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -232,6 +232,28 @@ def test_domain_errors():
         UnitCirclePoint.from_theta(math.inf)
 
 
+def test_turns_bounds_are_checked_on_the_integers():
+    tiny = Fraction(1, 2**60)
+    for bad in (Fraction(1), 1, Fraction(-1, 10), 1 + tiny):
+        with pytest.raises(DomainError):
+            UnitCirclePoint(bad)
+    for good in (Fraction(0), 0, 1 - tiny):
+        assert UnitCirclePoint(good).turns == good
+
+
+def test_li_1_at_turns_below_the_float_range():
+    # rn / den underflows here; Li_1 reads the turns by their integers
+    t = Fraction(3, 2**2000)
+    v = li_on_circle(1, UnitCirclePoint(t))
+    assert v.real_part == pytest.approx(2000 * math.log(2) - math.log(6 * PI), rel=1e-15)
+    assert v.imag_part == PI / 2 and v.error_bound < 2e-12
+    # the same point reflected sits just below a whole turn
+    w = li_on_circle(1, UnitCirclePoint(1 - t))
+    assert (w.real_part, w.imag_part, w.error_bound) == (v.real_part, -PI / 2, v.error_bound)
+    # a drift far beyond the angle leaves nothing to bound
+    assert li_on_circle(1, UnitCirclePoint(t, 1e-300)).error_bound == math.inf
+
+
 def test_livalue_fields():
     v = at_turns(2, 1, 4)
     assert isinstance(v, LiValue)

@@ -35,7 +35,7 @@ from englert_sums import (
     li_on_circle,
     singular_points,
 )
-from englert_sums.polylog import _zeta_odd
+from englert_sums.polylog import _TWO_PI, _TWO_PI_BITS, _zeta_odd
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -111,7 +111,7 @@ LI_TURNS = (
     Fraction(1, 2) - NINES, Fraction(1, 2), 1 - NINES,
 ) + tuple(Fraction(random.Random(20).random()) for _ in range(20))
 # a Fraction is read as exact turns, a float as theta: 5e-324 has turns
-# theta/2pi that round to 0
+# theta/2pi far below the float range
 LI_POINTS = LI_TURNS + (5e-324,)
 
 
@@ -156,19 +156,39 @@ def test_li_1_holds_its_bound_at_exact_turns():
 
 
 TWO_PI = 2 * math.pi
-# at 1e30 the drift of 1e-3 moves Im Li_1 = (pi - theta)/2 by more than
-# it moves Re Li_1
+# 1e30 and 1e300 take off 1.6e29 and 1.6e299 whole turns
 FAR_THETAS = (1e10, -1e10, 1e5, -1e5, 100.0, -100.0, TWO_PI, -TWO_PI, 3 * TWO_PI, 1e30, 1e300)
 
 
 @pytest.mark.parametrize("theta", FAR_THETAS)
 @pytest.mark.parametrize("a", (1, 2, 3, 5, 17, 41))
 def test_theta_outside_one_turn_is_reduced_within_its_bound(a, theta):
-    # theta is reduced exactly by the two-word 2pi, whose error of 6e-33
-    # a turn only a theta beyond 1e18 makes felt
+    # theta is reduced exactly by a 2pi of 1120 bits, whose error of
+    # 2^-1120 a turn no finite float makes felt
     v = assert_li_within_bound(a, theta)
-    if abs(theta) < 1e11:
-        assert v.error_bound <= (1e-13 if a == 1 else 5e-14), (a, theta, v.error_bound)
+    assert v.error_bound <= (1e-13 if a == 1 else 5e-14), (a, theta, v.error_bound)
+
+
+def test_two_pi_is_held_to_its_bits():
+    # rederived at 400 digits, about 1330 bits: floor(2 pi 2^bits) / 2^bits
+    assert _TWO_PI_BITS >= 1100
+    with mpmath.workdps(400):
+        n = int(mpmath.floor(2 * mpmath.pi * mpmath.mpf(2) ** _TWO_PI_BITS))
+    assert _TWO_PI == Fraction(n, 2**_TWO_PI_BITS)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-320, 1e-310, -5e-324, -1e-320, -1e-310])
+@pytest.mark.parametrize("a", (1, 2, 5))
+def test_theta_below_the_float_range_of_its_turns_keeps_its_angle(a, theta):
+    # theta/2pi is subnormal or underflows: the point keeps exact turns,
+    # and Li_1 = -log(theta) + i pi/2 stays finite and tight
+    v = li_on_circle(a, UnitCirclePoint.from_theta(theta))
+    with mpmath.workdps(60):
+        ref = mpmath.polylog(a, mpmath.expj(mpmath.mpf(theta)))
+    where = (a, theta, v.error_bound)
+    assert abs(v.real_part - ref.real) <= v.error_bound, where
+    assert abs(v.imag_part - ref.imag) <= v.error_bound, where
+    assert 0.0 < v.error_bound <= (1e-12 if a == 1 else 5e-14), where
 
 
 def test_odd_zeta_values_are_within_one_and_a_half_unit_roundoffs():

@@ -5,7 +5,9 @@ reduction to standard constants, then checked against both before being
 written down here.
 """
 
+import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +29,7 @@ from englert_sums.errors import (
     SingularPointError,
     UnsupportedOrderError,
 )
+from englert_sums.sums import _turns
 
 PI = math.pi
 LN2 = math.log(2.0)
@@ -385,6 +388,36 @@ def test_with_order():
     g = f.with_order(3)
     assert g.order == 3 and g.code == "bC"
     assert f.order == 1
+
+
+def test_code_is_resolved_once_and_read_only():
+    f = SumFamily.from_code("tbSp", 2)
+    assert f.code == "tbSp"
+    assert f == SumFamily("2k+1", False, "sin", "odd", "none", 2)
+    assert hash(f) == hash(SumFamily("2k+1", False, "sin", "odd", "none", 2))
+    assert "code" not in repr(f)
+    assert [x.name for x in dataclasses.fields(f)][-1] == "order"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.code = "S"
+
+
+def turns_battery():
+    zs = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.0**53, -(2.0**53), 1e15, -1e15]
+    for base in (1.0, 2.0, -1.0, -3.0, 0.5, 1.5, -0.5, -2.5):
+        zs.append(math.nextafter(base, -math.inf))
+    rng = random.Random(31)
+    return zs + [rng.uniform(-4.0, 4.0) for _ in range(200)]
+
+
+def test_parts_read_the_reduced_turns_of_z_plus_quarters():
+    # _part builds the turns in integers; they must be the very Fraction
+    # from_turns reduces with Fraction arithmetic
+    for zf in turns_battery():
+        for q in range(-2, 3):
+            t = _turns(zf, q)
+            want = UnitCirclePoint.from_turns(F(zf) + F(q, 4)).turns
+            assert type(t) is F and t == want, (zf, q)
+            assert (t.numerator, t.denominator) == (want.numerator, want.denominator), (zf, q)
 
 
 def test_fraction_argument_matches_float():

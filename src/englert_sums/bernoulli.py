@@ -5,9 +5,10 @@ recurrence (convention B_1 = -1/2):
 
     sum_{k=0}^{m} C(m+1, k) B_k = 0   for m >= 1.
 
-The recurrence is quadratic in the index but exact; a thread-safe cache
-keeps each number computed once.  The table limit is generous (indexes
-up to 256) because downstream users only ever need a few dozen.
+The recurrence is quadratic in the index but exact.  bernoulli is a
+pure function behind a functools cache: a race may compute a number
+twice, never wrongly.  The table limit is generous (indexes up to 256)
+because downstream users only ever need a few dozen.
 
 ``abs_bernoulli_term(n)`` packages the combination
 
@@ -18,46 +19,31 @@ this package and equals (1 - 2**(-2n-1)) * zeta(2n+2) / pi**(2n+2).
 First values: 1/12, 7/720, 31/30240, 127/1209600.
 """
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
-from .errors import CapacityError, DomainError
+from .errors import check_int
 
 MAX_INDEX = 256
 
-_lock = threading.Lock()
-_cache = [Fraction(1), Fraction(-1, 2)]
 
-
+# typed: an entry for an int subclass compares equal to True or 2.0 and
+# must not answer them before the argument check
+@functools.lru_cache(maxsize=None, typed=True)
 def bernoulli(m):
     """Exact Bernoulli number B_m as a Fraction (B_1 = -1/2)."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise DomainError(f"Bernoulli index must be an int, got {m!r}")
-    if m < 0:
-        raise DomainError(f"Bernoulli index must be nonnegative, got {m}")
-    if m > MAX_INDEX:
-        raise CapacityError(f"Bernoulli index {m} exceeds table limit {MAX_INDEX}")
-    if m % 2 == 1 and m > 1:
+    check_int(m, "Bernoulli index", 0, MAX_INDEX)
+    if m == 0:
+        return Fraction(1)
+    if m > 1 and m % 2:
         return Fraction(0)
-    with _lock:
-        while len(_cache) <= m:
-            j = len(_cache)
-            if j % 2 == 1:
-                _cache.append(Fraction(0))
-                continue
-            acc = Fraction(0)
-            for k in range(j):
-                acc += math.comb(j + 1, k) * _cache[k]
-            _cache.append(-acc / (j + 1))
-        return _cache[m]
+    acc = sum(math.comb(m + 1, k) * bernoulli(k) for k in range(m))
+    return -acc / (m + 1)
 
 
 def abs_bernoulli_term(n):
     """(2**(2n+1) - 1) |B_{2n+2}| / (2n+2)! as an exact Fraction, n >= 0."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"index must be an int, got {n!r}")
-    if n < 0:
-        raise DomainError(f"index must be nonnegative, got {n}")
+    check_int(n, "index", 0)
     m = 2 * n + 2
     return (2 ** (m - 1) - 1) * abs(bernoulli(m)) / Fraction(math.factorial(m))

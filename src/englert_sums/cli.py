@@ -13,6 +13,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .bracket import centered
 from .errors import (
     DomainError,
     EnglertSumsError,
-    ToleranceNotReachedError,
     UsageError,
 )
 from .oracle import arbitrate, oracle_eval
@@ -31,10 +31,16 @@ from .sums import FAMILY_CODES, SumFamily, is_supported, singular_points
 from .sums import eval as eval_family
 
 _FORMATS = ("csv", "tsv", "json")
+# argparse's own pattern knows only plain decimals and takes -1e-3 for an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 class ThrowingParser(argparse.ArgumentParser):
-    """argparse that raises instead of printing usage and exiting."""
+    """argparse that raises instead of exiting and reads -1e-3 as a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)
@@ -490,13 +496,7 @@ def run(argv=None):
     except (UsageError, DomainError) as exc:
         print(f"E1: {exc}", file=sys.stderr)
         return 1
-    except ToleranceNotReachedError as exc:
-        print(f"E3: {exc}", file=sys.stderr)
-        return 3
-    except EnglertSumsError as exc:
-        print(f"E3: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (EnglertSumsError, OSError) as exc:
         print(f"E3: {exc}", file=sys.stderr)
         return 3
 

@@ -14,23 +14,25 @@ Every row satisfies the closure constraint
 
 which is exactly the condition for the odd antiderivative to stay
 periodic (no staircase component survives the integration).  All
-generation is exact in fractions.Fraction.  Evaluation runs Horner in
-plain integers over the common denominator of the coefficients and
-builds one Fraction at the end; a float argument is read as its exact
-Fraction, so its float result is the correctly rounded value.
+generation is exact in fractions.Fraction, in pure functions of the
+order behind functools caches: a race may build an entry twice, never
+wrongly.  Evaluation runs Horner in plain integers over the common
+denominator of the coefficients and builds one Fraction at the end; a
+float argument is read as its exact Fraction, so its float result is
+the correctly rounded value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .bernoulli import abs_bernoulli_term
 from .bracket import ONE_HALF, centered
-from .errors import CapacityError, DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, check_int
 
 __all__ = [
     "BracketPoly",
@@ -49,15 +51,6 @@ ZERO = Fraction(0)
 
 # c_table(n) consumes |B_{2n}|, so the order cap tracks bernoulli.MAX_INDEX.
 MAX_ORDER = 120
-
-
-def _check_order(n, minimum, what="order"):
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"{what} must be a plain integer, got {n!r}")
-    if n < minimum:
-        raise DomainError(f"{what} must be >= {minimum}, got {n}")
-    if n > MAX_ORDER:
-        raise CapacityError(f"{what} {n} exceeds the supported cap {MAX_ORDER}")
 
 
 def _integer_form(coeffs):
@@ -152,27 +145,23 @@ class IntegratedPoly:
         return periodic + self.nonperiodic * (zq - centered(zq - self.poly.shift))
 
 
-_table_lock = threading.Lock()
-# _tables[m - 1] holds the row for order m; seeded from the order-one family.
-_tables = [(Fraction(-1, 12), Fraction(1))]
-
-
+# typed: an entry for an int subclass compares equal to True or 2.0 and
+# must not answer them before the argument check
+@functools.lru_cache(maxsize=None, typed=True)
 def c_table(n):
     """Exact coefficient row [c_0(n), ..., c_n(n)] of the even cosine family.
 
     Order 0 has no polynomial form (the constant -1/2 family is handled in
     sums), so n must be >= 1.
     """
-    _check_order(n, 1)
-    with _table_lock:
-        while len(_tables) < n:
-            prev = _tables[-1]
-            m = len(_tables) + 1
-            row = [-abs_bernoulli_term(m - 1)]
-            for i in range(1, m + 1):
-                row.append(Fraction(-2, i * (2 * i - 1)) * prev[i - 1])
-            _tables.append(tuple(row))
-        return _tables[n - 1]
+    check_int(n, "order", 1, MAX_ORDER)
+    if n == 1:
+        return (Fraction(-1, 12), Fraction(1))
+    prev = c_table(n - 1)
+    row = [-abs_bernoulli_term(n - 1)]
+    for i in range(1, n + 1):
+        row.append(Fraction(-2, i * (2 * i - 1)) * prev[i - 1])
+    return tuple(row)
 
 
 def constraint_check(n):
@@ -182,31 +171,22 @@ def constraint_check(n):
     return total == 0
 
 
-# reentrant: building the sine polynomial re-enters for its cosine source
-_poly_lock = threading.RLock()
-_poly_cache = {}
-
-
+@functools.lru_cache(maxsize=None, typed=True)
 def poly_C(n):
     """Even bracket polynomial of the alternating cosine family, shift 0.
 
     poly_C(1) is <z>^2 - 1/12; higher orders follow from c_table(n) with
     c_i(n) at power 2i.
     """
-    _check_order(n, 1)
-    key = ("C", n)
-    with _poly_lock:
-        p = _poly_cache.get(key)
-        if p is None:
-            row = c_table(n)
-            coeffs = [ZERO] * (2 * len(row) - 1)
-            for i, c in enumerate(row):
-                coeffs[2 * i] = c
-            p = BracketPoly(tuple(coeffs))
-            _poly_cache[key] = p
-    return p
+    check_int(n, "order", 1, MAX_ORDER)
+    row = c_table(n)
+    coeffs = [ZERO] * (2 * len(row) - 1)
+    for i, c in enumerate(row):
+        coeffs[2 * i] = c
+    return BracketPoly(tuple(coeffs))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def poly_S(n):
     """Odd bracket polynomial of the alternating sine family, shift 0.
 
@@ -215,24 +195,17 @@ def poly_S(n):
     antiderivative has no staircase component, and we verify that rather
     than assume it.
     """
-    _check_order(n, 0)
-    key = ("S", n)
-    with _poly_lock:
-        p = _poly_cache.get(key)
-        if p is None:
-            if n == 0:
-                p = BracketPoly((ZERO, Fraction(-1)))
-            else:
-                anti = integrate_bracket_poly(poly_C(n))
-                if anti.nonperiodic != 0:
-                    raise InternalConsistencyError(
-                        "antiderivative of the order-%d even polynomial kept a "
-                        "nonperiodic coefficient %s; the closure constraint is "
-                        "violated" % (n, anti.nonperiodic)
-                    )
-                p = BracketPoly(tuple(2 * c for c in anti.poly.coefficients))
-            _poly_cache[key] = p
-    return p
+    check_int(n, "order", 0, MAX_ORDER)
+    if n == 0:
+        return BracketPoly((ZERO, Fraction(-1)))
+    anti = integrate_bracket_poly(poly_C(n))
+    if anti.nonperiodic != 0:
+        raise InternalConsistencyError(
+            "antiderivative of the order-%d even polynomial kept a "
+            "nonperiodic coefficient %s; the closure constraint is "
+            "violated" % (n, anti.nonperiodic)
+        )
+    return BracketPoly(tuple(2 * c for c in anti.poly.coefficients))
 
 
 def sin_poly_variant(n):
@@ -246,7 +219,7 @@ def sin_poly_variant(n):
     series it claims to describe.  It is retained verbatim as the losing
     candidate of the arbitration suite; poly_S carries the derived form.
     """
-    _check_order(n, 1)
+    check_int(n, "order", 1, MAX_ORDER)
     row = c_table(n)
     coeffs = [ZERO] * max(2 * n - 1, 1)
     for i in range(1, n):

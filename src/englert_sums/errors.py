@@ -65,3 +65,17 @@ class ToleranceNotReachedError(EnglertSumsError):
 
 class UsageError(EnglertSumsError):
     """Bad command-line arguments (reserved for the CLI layer)."""
+
+
+def check_int(value, what, minimum, cap=None):
+    """Refuse anything but a plain int in [minimum, cap].
+
+    A bool, a non-int or a value below minimum raises DomainError; a
+    value above cap raises CapacityError.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be a plain integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{what} must be >= {minimum}, got {value}")
+    if cap is not None and value > cap:
+        raise CapacityError(f"{what} {value} exceeds the supported cap {cap}")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket import frac
-from .errors import CapacityError, DomainError, ToleranceNotReachedError
+from .errors import DomainError, ToleranceNotReachedError, check_int
 from .sums import (
     SumFamily,
     _check_singular,
@@ -178,12 +178,7 @@ def partial_sum(f, z, n_terms):
     """
     _require_family(f)
     zf = _finite_z(z)
-    if isinstance(n_terms, bool) or not isinstance(n_terms, int):
-        raise DomainError(f"n_terms must be a plain integer, got {n_terms!r}")
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    if n_terms > _MAX_TERMS:
-        raise CapacityError(f"n_terms {n_terms} exceeds the cap {_MAX_TERMS}")
+    check_int(n_terms, "n_terms", 1, _MAX_TERMS)
     return _chunked_sum(f, zf, f.k_start, f.k_start + n_terms)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .bernoulli import bernoulli
 from .bracket import ONE_HALF
 from .coeffs import eval_poly, poly_C, poly_S
-from .errors import DomainError, SingularPointError
+from .errors import DomainError, SingularPointError, check_int
 
 __all__ = [
     "LiValue",
@@ -284,13 +284,6 @@ def _poly_half(kind, n):
     return (poly_C(n) if kind == "C" else poly_S(n)).with_shift(ONE_HALF)
 
 
-def _check_li_order(a):
-    if isinstance(a, bool) or not isinstance(a, int):
-        raise DomainError(f"polylogarithm order must be a plain integer, got {a!r}")
-    if a < 1:
-        raise DomainError(f"polylogarithm order must be >= 1, got {a}")
-
-
 def li_on_circle(a, p):
     """Li_a(e^{i theta}) for integer a >= 1 at a point of the unit circle.
 
@@ -300,7 +293,7 @@ def li_on_circle(a, p):
     pair and diverges at theta = 0.  The point's drift, the cost of
     reading it from a float angle, is charged to the bound.
     """
-    _check_li_order(a)
+    check_int(a, "polylogarithm order", 1)
     if not isinstance(p, UnitCirclePoint):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
     turns, drift = p.turns, p.drift

@@ -45,6 +45,7 @@ from .errors import (
     JumpPointError,
     SingularPointError,
     UnsupportedOrderError,
+    check_int,
 )
 from .polylog import (
     UnitCirclePoint,
@@ -85,10 +86,7 @@ class SumFamily:
         code = _CODE_BY_FIELDS.get(self._fields)
         if code is None:
             raise DomainError(f"field combination {self._fields!r} names no family")
-        if isinstance(self.order, bool) or not isinstance(self.order, int):
-            raise DomainError(f"order must be a plain integer, got {self.order!r}")
-        if self.order < 0:
-            raise DomainError(f"order must be >= 0, got {self.order}")
+        check_int(self.order, "order", 0)
         # the family code, resolved once: a plain read-only attribute
         object.__setattr__(self, "code", code)
 

@@ -90,6 +90,8 @@ def test_domain_errors():
         abs_bernoulli_term(-1)
     with pytest.raises(DomainError):
         abs_bernoulli_term(1.5)
+    with pytest.raises(DomainError):
+        abs_bernoulli_term(True)
 
 
 def test_capacity_cap():

@@ -272,6 +272,34 @@ def test_verify_report_file(capsys, tmp_path):
     assert len([l for l in lines if l.endswith("PASS")]) == 4
 
 
+def test_verify_report_into_a_directory_is_exit_3(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        "verify", "--families", "S", "--orders", "1..1",
+        "--grid", "-0.4", "0.4", "4", "--report", str(tmp_path),
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("E3:")
+
+
+@pytest.mark.parametrize(
+    "argv,reference",
+    [
+        (("eval", "Sp", "1", "-1e-3"), ("eval", "Sp", "1", "-0.001")),
+        (("eval", "Sp", "1", "-1e-3"), ("eval", "Sp", "1", "--", "-1e-3")),
+        (("polylog", "1", "-1e10"), ("polylog", "1", "--", "-1e10")),
+        (("polylog", "2", "-2.5E+1"), ("polylog", "2", "-25")),
+        (("table", "S", "1", "-1e-1", "1e-1", "3"), ("table", "S", "1", "-0.1", "0.1", "3")),
+        (("verify", "--grid", "-1e-1", "0.1", "3"), ("verify", "--grid", "-0.1", "0.1", "3")),
+    ],
+)
+def test_negative_numbers_with_an_exponent_are_values(capsys, argv, reference):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *reference)
+    assert code == 0 and err == "" and out
+
+
 def test_verify_usage_errors(capsys):
     for argv in (
         ("verify", "--families", "NOPE", "--orders", "1..1", "--grid", "0", "1", "3"),

@@ -1,6 +1,7 @@
 """Coefficient tables, bracket polynomials, and the integration rule."""
 
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from englert_sums import (
     BracketPoly,
     abs_bernoulli_term,
+    bernoulli,
     c_table,
     constraint_check,
     eval_poly,
@@ -246,4 +248,62 @@ def test_order_validation():
         c_table("3")
     with pytest.raises(CapacityError):
         c_table(121)
+    for make, minimum in ((c_table, 1), (poly_C, 1), (poly_S, 0), (sin_poly_variant, 1)):
+        for bad in (True, 2.0, minimum - 1):
+            with pytest.raises(DomainError):
+                make(bad)
+        with pytest.raises(CapacityError):
+            make(121)
     assert poly_S(0).coefficients == (F(0), F(-1))
+
+
+class Order(int):
+    """An int subclass: a valid order whose cache key is a tuple."""
+
+
+def test_cached_tables_still_check_their_arguments():
+    # a plain int argument is its own cache key, but an int subclass is
+    # keyed by a tuple that equals (True,) or (1.0,); a cache keyed
+    # without the type would answer these calls from those entries
+    for n in (0, 1, 2):
+        bernoulli(n)
+        bernoulli(Order(n))
+        poly_S(n)
+        poly_S(Order(n))
+    for n in (1, 2):
+        c_table(n)
+        c_table(Order(n))
+        poly_C(n)
+        poly_C(Order(n))
+    for make, bad in (
+        (poly_C, True), (poly_C, 1.0), (poly_S, False), (c_table, 2.0),
+        (bernoulli, True), (bernoulli, 2.0),
+    ):
+        with pytest.raises(DomainError):
+            make(bad)
+
+
+def test_tables_built_on_racing_threads_match_a_sequential_build():
+    caches = (bernoulli, c_table, poly_C, poly_S)
+
+    def build():
+        return bernoulli(256), c_table(120), poly_S(120)
+
+    for f in caches:
+        f.cache_clear()
+    sequential = build()
+    for f in caches:
+        f.cache_clear()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        start.wait()
+        results[i] = build()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(r == sequential for r in results)

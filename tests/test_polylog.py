@@ -220,6 +220,8 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         li_on_circle(2.0, UnitCirclePoint.from_turns(Fraction(1, 4)))
     with pytest.raises(DomainError):
+        li_on_circle(True, UnitCirclePoint.from_turns(Fraction(1, 4)))
+    with pytest.raises(DomainError):
         li_on_circle(2, 0.25)
     with pytest.raises(DomainError):
         UnitCirclePoint(Fraction(-1, 10))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import re
@@ -25,14 +26,20 @@ from .errors import (
     EnglertSumsError,
     UsageError,
 )
-from .oracle import arbitrate, oracle_eval
+from .oracle import ArbitrationRow, arbitrate, oracle_eval
 from .polylog import UnitCirclePoint, li_on_circle
 from .sums import FAMILY_CODES, SumFamily, is_supported, singular_points
 from .sums import eval as eval_family
 
 _FORMATS = ("csv", "tsv", "json")
-# argparse's own pattern knows only plain decimals and takes -1e-3 for an option
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# every negative literal float() reads: argparse's own pattern knows only
+# plain decimals and takes -1e-3, -inf or -1_000 for an option
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:e[-+]?{_DIGITS})?\Z"
+    r"|-(?:inf|infinity|nan)\Z",
+    re.IGNORECASE,
+)
 
 
 class ThrowingParser(argparse.ArgumentParser):
@@ -53,14 +60,26 @@ def _linspace(z0, z1, steps):
     return [z0 + i * h for i in range(steps)]
 
 
-def _positive_order(n):
-    if n < 0:
-        raise UsageError(f"order must be >= 0, got {n}")
-    return n
+def _checked_eps(eps):
+    if not eps >= 0:  # nan too
+        raise UsageError(f"--exclusion-eps must be >= 0, got {eps}")
+    return eps
 
 
-def _family(code, n):
-    return SumFamily.from_code(code, _positive_order(n))
+def _split_grid(f, grid, eps, **key):
+    """The points of grid off f's singular lattice, and the excluded ones.
+
+    A point within eps of the lattice becomes an excluded entry: key, then
+    its z and the lattice kind.
+    """
+    lattice = singular_points(f)
+    points, excluded = [], []
+    for z in grid:
+        if lattice.contains(z, eps):
+            excluded.append({**key, "z": z, "reason": lattice.kind})
+        else:
+            points.append(z)
+    return points, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +128,7 @@ def _render(fmt, columns, rows, notes_key, notes, note_line=_excluded_line):
 
 
 def _cmd_eval(args):
-    f = _family(args.family, args.n)
+    f = SumFamily.from_code(args.family, args.n)
     r = eval_family(f, args.z)
     print(f"{r.value:.16e} path={r.path} error_bound={r.error_bound:.3e}")
     return 0
@@ -119,16 +138,11 @@ _TABLE_COLUMNS = ("z", "value", "path", "error_bound")
 
 
 def _cmd_table(args):
-    f = _family(args.family, args.n)
-    eps = args.exclusion_eps
-    if eps < 0:
-        raise UsageError(f"--exclusion-eps must be >= 0, got {eps}")
-    lattice = singular_points(f)
-    rows, excluded = [], []
-    for z in _linspace(args.z0, args.z1, args.steps):
-        if lattice.contains(z, eps):
-            excluded.append({"z": z, "reason": lattice.kind})
-            continue
+    f = SumFamily.from_code(args.family, args.n)
+    eps = _checked_eps(args.exclusion_eps)
+    points, excluded = _split_grid(f, _linspace(args.z0, args.z1, args.steps), eps)
+    rows = []
+    for z in points:
         r = eval_family(f, z)
         rows.append(
             {"z": z, "value": r.value, "path": r.path, "error_bound": r.error_bound}
@@ -179,7 +193,7 @@ def _cmd_polylog(args):
 
 
 def _cmd_oracle(args):
-    f = _family(args.family, args.n)
+    f = SumFamily.from_code(args.family, args.n)
     report = oracle_eval(f, args.z, args.tol)
     print(
         f"{report.value:.16e} {report.terms_used} "
@@ -252,173 +266,113 @@ _VERIFY_COLUMNS = (
 )
 
 
-def _emit_report(text, summary, report_path):
+def _emit_report(text, failed, total, report_path):
+    """Print text, or write it to report_path, then the PASS or FAIL line.
+
+    Returns the exit code: 0 when nothing failed, 2 otherwise.
+    """
+    summary = f"FAIL {failed}/{total}" if failed else f"PASS {total}/{total}"
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n" + summary + "\n")
     else:
         print(text)
     print(summary)
+    return 2 if failed else 0
 
 
 def _cmd_verify(args):
     if args.tol < 1e-10:
         raise UsageError(f"--tol must be >= 1e-10, got {args.tol}")
-    if args.exclusion_eps < 0:
-        raise UsageError(f"--exclusion-eps must be >= 0, got {args.exclusion_eps}")
+    eps = _checked_eps(args.exclusion_eps)
     if args.arbitrate:
         return _cmd_arbitrate(args)
     codes = _parse_families(args.families)
     orders = _parse_orders(args.orders)
-    z0, z1, raw_steps = args.grid
-    steps = int(raw_steps)
-    if steps != raw_steps:
-        raise UsageError(f"grid step count must be an integer, got {raw_steps}")
-    grid = _linspace(z0, z1, steps)
-    tasks, excluded = [], []
+    z0, z1, steps = args.grid
+    if not steps.is_integer():  # nan and inf too
+        raise UsageError(f"grid step count must be an integer, got {steps}")
+    grid = _linspace(z0, z1, int(steps))
+    rows, excluded = [], []
     for code in codes:
         for n in orders:
             f = SumFamily.from_code(code, n)
             if not is_supported(f):
                 continue
-            lattice = singular_points(f)
-            for z in grid:
-                if lattice.contains(z, args.exclusion_eps):
-                    excluded.append(
-                        {"family": code, "order": n, "z": z, "reason": lattice.kind}
-                    )
-                else:
-                    tasks.append((f, z))
-    rows = [_verify_point(f, z, args.tol) for f, z in tasks]
+            points, skipped = _split_grid(f, grid, eps, family=code, order=n)
+            excluded.extend(skipped)
+            rows.extend(_verify_point(f, z, args.tol) for z in points)
     failed = sum(1 for r in rows if r["verdict"] == "FAIL")
-    total = len(rows)
-    summary = f"PASS {total}/{total}" if failed == 0 else f"FAIL {failed}/{total}"
     text = _render(args.format, _VERIFY_COLUMNS, rows, "excluded", excluded)
-    _emit_report(text, summary, args.report)
-    return 0 if failed == 0 else 2
+    return _emit_report(text, failed, len(rows), args.report)
 
 
 # ---------------------------------------------------------------------------
 # arbitration suites: competing closed forms judged by the series oracle
 
 
-def _poly_claim(poly):
-    return lambda z: float(eval_poly(poly, Fraction(z)))
+def _as_printed_sine(n, z):
+    """The odd sine family as its general formula is printed."""
+    return float(eval_poly(sin_poly_variant(n), Fraction(z)))
 
 
-def _suite_sine_display():
-    """Recursion-built odd sine polynomials vs the as-printed variant."""
-    out = []
-    for n in (1, 2, 3, 4):
-        f = SumFamily.from_code("S", n)
-        claim_a = _poly_claim(poly_S(n))
-        claim_b = _poly_claim(sin_poly_variant(n))
-        grid = _linspace(-0.75, 0.75, 16)
-        out.append(("sine-polynomial-display", f, arbitrate(claim_a, claim_b, f, grid), "a"))
-    return out
+def _doubled_argument_cosine(n, z):
+    """bCp at order 1 through the doubled-argument quarter-shift route."""
+    zq, s1 = Fraction(z), poly_S(1)
+    return float(eval_poly(s1, zq - Fraction(1, 4)) - eval_poly(s1, 2 * zq) / 8)
 
 
-def _suite_quarter_shift_cosine():
-    """Half-difference route vs the doubled-argument quarter-shift route."""
-    f = SumFamily.from_code("bCp", 1)
-    claim_a = lambda z: eval_family(f, z).value
-    s1 = poly_S(1)
-
-    def claim_b(z):
-        zq = Fraction(z)
-        return float(eval_poly(s1, zq - Fraction(1, 4)) - eval_poly(s1, 2 * zq) / 8)
-
-    grid = _linspace(-0.7, 0.7, 16)
-    return [("quarter-shift-odd-cosine", f, arbitrate(claim_a, claim_b, f, grid), "both")]
+def _quartic_difference(n, z):
+    """bSp at order 2 as the explicit quartic difference."""
+    wp = centered(Fraction(z) + Fraction(1, 4))
+    wm = centered(Fraction(z) - Fraction(1, 4))
+    half = Fraction(1, 2)
+    return float((wp**2 * (half - wp**2) - wm**2 * (half - wm**2)) / 6)
 
 
-def _suite_quarter_shift_sine():
-    """Half-difference route vs the explicit quartic difference."""
-    f = SumFamily.from_code("bSp", 2)
-    claim_a = lambda z: eval_family(f, z).value
-
-    def claim_b(z):
-        wp = centered(Fraction(z) + Fraction(1, 4))
-        wm = centered(Fraction(z) - Fraction(1, 4))
-        half = Fraction(1, 2)
-        return float(
-            (wp**2 * (half - wp**2) - wm**2 * (half - wm**2)) / 6
-        )
-
-    grid = _linspace(-0.7, 0.7, 16)
-    return [("quarter-shift-odd-sine", f, arbitrate(claim_a, claim_b, f, grid), "both")]
+def _principal_arctan(n, z):
+    """P at order 0 through the principal-branch arctan."""
+    w = cmath.exp(1j * math.pi * z)
+    return -(w * cmath.atan(1.0 / w)).imag / math.pi
 
 
-def _suite_modified_arctan():
-    """Prefactor reduction vs the principal-branch arctan form."""
-    f = SumFamily.from_code("P", 0)
-    claim_a = lambda z: eval_family(f, z).value
+# Candidate A is always the family's own closed form; candidate B(n, z) is
+# the competing formula, judged on 16 points of [-edge, edge].
+_SUITES = (
+    # name, family, orders, candidate B, edge, expected winner
+    ("sine-polynomial-display", "S", (1, 2, 3, 4), _as_printed_sine, 0.75, "a"),
+    ("quarter-shift-odd-cosine", "bCp", (1,), _doubled_argument_cosine, 0.7, "both"),
+    ("quarter-shift-odd-sine", "bSp", (2,), _quartic_difference, 0.7, "both"),
+    ("modified-sine-arctan", "P", (0,), _principal_arctan, 0.7, "both"),
+)
 
-    def claim_b(z):
-        w = cmath.exp(1j * math.pi * z)
-        return -(w * cmath.atan(1.0 / w)).imag / math.pi
-
-    grid = _linspace(-0.7, 0.7, 16)
-    return [("modified-sine-arctan", f, arbitrate(claim_a, claim_b, f, grid), "both")]
-
-
-_ARBITRATE_COLUMNS = (
-    "suite",
-    "family",
-    "order",
-    "z",
-    "value_a",
-    "value_b",
-    "oracle_value",
-    "diff_a",
-    "diff_b",
-    "a_ok",
-    "b_ok",
+_ARBITRATE_COLUMNS = ("suite", "family", "order") + tuple(
+    field.name for field in dataclasses.fields(ArbitrationRow)
 )
 
 
 def _cmd_arbitrate(args):
-    suites = (
-        _suite_sine_display()
-        + _suite_quarter_shift_cosine()
-        + _suite_quarter_shift_sine()
-        + _suite_modified_arctan()
-    )
-    rows, lines, ok_count = [], [], 0
-    for name, f, report, expected in suites:
-        total = len(report.rows)
-        for r in report.rows:
-            rows.append(
-                {
-                    "suite": name,
-                    "family": f.code,
-                    "order": f.order,
-                    "z": r.z,
-                    "value_a": r.value_a,
-                    "value_b": r.value_b,
-                    "oracle_value": r.oracle_value,
-                    "diff_a": r.diff_a,
-                    "diff_b": r.diff_b,
-                    "a_ok": r.a_ok,
-                    "b_ok": r.b_ok,
-                }
+    rows, lines, failed = [], [], 0
+    for name, code, orders, claim_b, edge, expected in _SUITES:
+        grid = _linspace(-edge, edge, 16)
+        for n in orders:
+            f = SumFamily.from_code(code, n)
+            report = arbitrate(
+                lambda z: eval_family(f, z).value, lambda z: claim_b(n, z), f, grid
             )
-        matched = report.winner == expected
-        ok_count += matched
-        lines.append(
-            f"arbitrate {name} {f.code} n={f.order}: "
-            f"candidate A {report.a_pass}/{total}, candidate B {report.b_pass}/{total}, "
-            f"winner={report.winner} expected={expected}"
-        )
+            rows.extend(
+                {"suite": name, "family": code, "order": n, **dataclasses.asdict(r)}
+                for r in report.rows
+            )
+            failed += report.winner != expected
+            total = len(report.rows)
+            lines.append(
+                f"arbitrate {name} {code} n={n}: "
+                f"candidate A {report.a_pass}/{total}, candidate B {report.b_pass}/{total}, "
+                f"winner={report.winner} expected={expected}"
+            )
     text = _render(args.format, _ARBITRATE_COLUMNS, rows, "suites", lines, note_line=str)
-    n_suites = len(suites)
-    summary = (
-        f"PASS {n_suites}/{n_suites}"
-        if ok_count == n_suites
-        else f"FAIL {n_suites - ok_count}/{n_suites}"
-    )
-    _emit_report(text, summary, args.report)
-    return 0 if ok_count == n_suites else 2
+    return _emit_report(text, failed, len(lines), args.report)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +425,7 @@ def _build_parser():
     p.add_argument("--families", default="")
     p.add_argument("--orders", default="0..3")
     p.add_argument(
-        "--grid", nargs=3, type=float, default=[-1.3, 2.7, 41], metavar=("Z0", "Z1", "STEPS")
+        "--grid", nargs=3, type=float, default=[-1.3, 2.7, 41.0], metavar=("Z0", "Z1", "STEPS")
     )
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--exclusion-eps", type=float, default=1e-3)

@@ -15,8 +15,8 @@ class DomainError(EnglertSumsError, ValueError):
     """Input outside the mathematical domain of the routine.
 
     Examples: non-finite argument to a bracket function, a negative
-    Bernoulli index, integrating a constant against the half-shifted
-    bracket (the antiderivative is not piecewise polynomial there).
+    Bernoulli index, a bracket polynomial shifted by anything but 0 or
+    1/2.
     """
 
 

@@ -47,13 +47,7 @@ import numpy as np
 
 from .bracket import frac
 from .errors import DomainError, ToleranceNotReachedError, check_int
-from .sums import (
-    SumFamily,
-    _check_singular,
-    _check_supported,
-    _finite_z,
-    _require_family,
-)
+from .sums import SumFamily, _checked_z, _finite_z, _require_family
 
 __all__ = [
     "ArbitrationReport",
@@ -254,17 +248,14 @@ def oracle_eval(f, z, tol, strict=True):
     mode.  With strict=True a result whose estimate exceeds tol raises
     ToleranceNotReachedError carrying the best report found.
     """
-    _require_family(f)
-    zf = _finite_z(z)
     tol = float(tol)
     if not math.isfinite(tol) or tol < 1e-10:
         raise DomainError(f"tol must be finite and >= 1e-10, got {tol!r}")
-    p = f.power
     # families with no value (power-zero alternating combinations) raise
     # here too; the power-zero families that remain, the constant cosine
     # and the two tangent/cotangent forms, average to their Abel values
-    _check_supported(f)
-    _check_singular(f, zf)
+    zf = _checked_z(f, z)
+    p = f.power
 
     if p >= 2:
         cap = _CAP_P2 if p == 2 else _CAP_P3

@@ -292,6 +292,9 @@ def test_verify_report_into_a_directory_is_exit_3(capsys, tmp_path):
         (("polylog", "2", "-2.5E+1"), ("polylog", "2", "-25")),
         (("table", "S", "1", "-1e-1", "1e-1", "3"), ("table", "S", "1", "-0.1", "0.1", "3")),
         (("verify", "--grid", "-1e-1", "0.1", "3"), ("verify", "--grid", "-0.1", "0.1", "3")),
+        (("polylog", "2", "-1_000"), ("polylog", "2", "--", "-1_000")),
+        (("polylog", "2", "-1_000"), ("polylog", "2", "-1000")),
+        (("eval", "Sp", "1", "-.1_5E-0_1"), ("eval", "Sp", "1", "-0.015")),
     ],
 )
 def test_negative_numbers_with_an_exponent_are_values(capsys, argv, reference):
@@ -300,15 +303,58 @@ def test_negative_numbers_with_an_exponent_are_values(capsys, argv, reference):
     assert code == 0 and err == "" and out
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("eval", "Sp", "1", "-inf"), "E1: z must be finite, got -inf\n"),
+        (("eval", "Sp", "1", "-nan"), "E1: z must be finite, got nan\n"),
+        (("oracle", "S", "1", "-Infinity"), "E1: z must be finite, got -inf\n"),
+        (("polylog", "2", "-Infinity"), "E1: theta must be a finite number, got -inf\n"),
+        (("polylog", "2", "-INF"), "E1: theta must be a finite number, got -inf\n"),
+    ],
+)
+def test_negative_non_finite_literals_are_values(capsys, argv, err):
+    # the same error as the "--" form gives, not a missing argument
+    dashed = argv[:-1] + ("--", argv[-1])
+    assert run(capsys, *argv) == run(capsys, *dashed) == (1, "", err)
+
+
+@pytest.mark.parametrize("eps,shown", [("-1", "-1.0"), ("nan", "nan")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "S", "0", "-1", "1", "5"),
+        ("verify",),
+        ("verify", "--arbitrate"),
+    ],
+)
+def test_bad_exclusion_eps_is_a_usage_error(capsys, argv, eps, shown):
+    code, out, err = run(capsys, *argv, "--exclusion-eps", eps)
+    assert (code, out, err) == (1, "", f"E1: --exclusion-eps must be >= 0, got {shown}\n")
+
+
 def test_verify_usage_errors(capsys):
     for argv in (
         ("verify", "--families", "NOPE", "--orders", "1..1", "--grid", "0", "1", "3"),
         ("verify", "--families", "S", "--orders", "x", "--grid", "0", "1", "3"),
         ("verify", "--families", "S", "--orders", "1,2", "--grid", "0", "1", "3"),
+        ("verify", "--families", "S", "--orders", "1", "--grid", "0", "1", "2.5"),
+        ("verify", "--families", "S", "--orders", "1", "--grid", "0", "1", "nan"),
+        ("verify", "--families", "S", "--orders", "1", "--grid", "0", "1", "inf"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("E1:")
+
+
+def test_verify_default_grid(capsys):
+    # 41 points from -1.3 to 2.7; S n=0 drops its four jumps
+    code, out, err = run(capsys, "verify", "--families", "S", "--orders", "0..1")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[1].startswith("S,0,-1.3000000000000000e+00,")
+    assert sum(l.startswith("# excluded family=S order=0") for l in lines) == 4
+    assert lines[-1] == "PASS 78/78"
 
 
 def test_verify_failure_is_exit_2(capsys, monkeypatch):
@@ -345,3 +391,25 @@ def test_verify_arbitrate_suites(capsys, tmp_path):
         assert "candidate A 16/16, candidate B 0/16" in line
         assert "winner=a expected=a" in line
     assert text.count("winner=both expected=both") == 3
+
+
+def test_verify_arbitrate_failure_is_exit_2(capsys, monkeypatch):
+    real = cli.arbitrate
+
+    def skewed(claim_a, claim_b, f, grid):
+        # the arctan candidate now misses every point, so that suite's
+        # winner is a where both is expected
+        if f.code == "P":
+            return real(claim_a, lambda z: claim_b(z) + 1e-3, f, grid)
+        return real(claim_a, claim_b, f, grid)
+
+    monkeypatch.setattr(cli, "arbitrate", skewed)
+    code, out, err = run(capsys, "verify", "--arbitrate")
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL 1/7"
+    assert lines[-2] == (
+        "# arbitrate modified-sine-arctan P n=0: candidate A 16/16, "
+        "candidate B 0/16, winner=a expected=both"
+    )
+    assert out.count("expected=both") == 3

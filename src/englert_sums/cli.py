@@ -56,7 +56,13 @@ class ThrowingParser(argparse.ArgumentParser):
 def _linspace(z0, z1, steps):
     if steps < 2:
         raise UsageError(f"grid needs at least 2 steps, got {steps}")
+    for end in (z0, z1):
+        if not math.isfinite(end):
+            raise UsageError(f"grid end must be finite, got {end}")
     h = (z1 - z0) / (steps - 1)
+    if math.isinf(h):  # z1 - z0 overflows: weigh the ends instead
+        w0, w1 = z0 / (steps - 1), z1 / (steps - 1)
+        return [w0 * (steps - 1 - i) + w1 * i for i in range(steps)]
     return [z0 + i * h for i in range(steps)]
 
 
@@ -281,15 +287,25 @@ def _emit_report(text, failed, total, report_path):
     return 2 if failed else 0
 
 
+# the options that shape verify's grid run, all None unless given: the
+# arbitration suites carry their own families, points and tolerances
+_GRID_RUN_OPTIONS = ("families", "orders", "grid", "tol", "exclusion_eps")
+
+
 def _cmd_verify(args):
-    if args.tol < 1e-10:
-        raise UsageError(f"--tol must be >= 1e-10, got {args.tol}")
-    eps = _checked_eps(args.exclusion_eps)
+    tol = 1e-8 if args.tol is None else args.tol
+    if not 1e-10 <= tol < math.inf:  # nan too
+        raise UsageError(f"--tol must be finite and >= 1e-10, got {tol}")
+    eps = _checked_eps(1e-3 if args.exclusion_eps is None else args.exclusion_eps)
     if args.arbitrate:
+        given = [k for k in _GRID_RUN_OPTIONS if getattr(args, k) is not None]
+        if given:
+            names = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise UsageError(f"--arbitrate runs its own suites and takes no {names}")
         return _cmd_arbitrate(args)
     codes = _parse_families(args.families)
-    orders = _parse_orders(args.orders)
-    z0, z1, steps = args.grid
+    orders = _parse_orders(args.orders or "0..3")
+    z0, z1, steps = args.grid or (-1.3, 2.7, 41.0)
     if not steps.is_integer():  # nan and inf too
         raise UsageError(f"grid step count must be an integer, got {steps}")
     grid = _linspace(z0, z1, int(steps))
@@ -301,7 +317,7 @@ def _cmd_verify(args):
                 continue
             points, skipped = _split_grid(f, grid, eps, family=code, order=n)
             excluded.extend(skipped)
-            rows.extend(_verify_point(f, z, args.tol) for z in points)
+            rows.extend(_verify_point(f, z, tol) for z in points)
     failed = sum(1 for r in rows if r["verdict"] == "FAIL")
     text = _render(args.format, _VERIFY_COLUMNS, rows, "excluded", excluded)
     return _emit_report(text, failed, len(rows), args.report)
@@ -422,16 +438,22 @@ def _build_parser():
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="closed forms against the series oracle")
-    p.add_argument("--families", default="")
-    p.add_argument("--orders", default="0..3")
-    p.add_argument(
-        "--grid", nargs=3, type=float, default=[-1.3, 2.7, 41.0], metavar=("Z0", "Z1", "STEPS")
-    )
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--exclusion-eps", type=float, default=1e-3)
+    # None unless given (see _GRID_RUN_OPTIONS); _cmd_verify applies the defaults
+    p.add_argument("--families")
+    p.add_argument("--orders")
+    p.add_argument("--grid", nargs=3, type=float, metavar=("Z0", "Z1", "STEPS"))
+    p.add_argument("--tol", type=float)
+    p.add_argument("--exclusion-eps", type=float)
     p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("--report")
-    p.add_argument("--arbitrate", action="store_true")
+    p.add_argument(
+        "--arbitrate",
+        action="store_true",
+        help="run the built-in arbitration suites instead of the grid; they "
+        "fix their own families, orders, points and tolerances, so "
+        "--families, --orders, --grid, --tol and --exclusion-eps are usage "
+        "errors here",
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bernoulli import bernoulli
@@ -155,14 +155,50 @@ class UnitCirclePoint:
         return cls(turns, drift)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiValue:
-    """Li_a(e^{i theta}) with a bound covering both components."""
+    """Li_a(e^{i theta}) with a bound covering both components.
 
-    real_part: float
-    imag_part: float
+    ``clausen`` is the Clausen-type component (Im Li_a for even a, Re
+    Li_a for odd a) and ``clausen_bound`` its own bound; at order 1 that
+    bound covers both components.  The other component and the bound of
+    both come from ``_other()``, called on the first read of real_part,
+    imag_part or error_bound and kept: for a >= 2 it evaluates the exact
+    bracket polynomial, which a caller of the Clausen component alone
+    never pays for.
+    """
+
     order: int
-    error_bound: float
+    clausen: float
+    clausen_bound: float
+    _other: object = field(repr=False)  # () -> (other component, error_bound)
+
+    @functools.cached_property
+    def _rest(self):
+        return self._other()
+
+    @property
+    def real_part(self):
+        return self.clausen if self.order % 2 else self._rest[0]
+
+    @property
+    def imag_part(self):
+        return self._rest[0] if self.order % 2 else self.clausen
+
+    @property
+    def error_bound(self):
+        return self._rest[1]
+
+    def _key(self):
+        return self.real_part, self.imag_part, self.order, self.error_bound
+
+    def __eq__(self, other):
+        if type(other) is not LiValue:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _sin_pi(t):
@@ -284,12 +320,27 @@ def _poly_half(kind, n):
     return (poly_C(n) if kind == "C" else poly_S(n)).with_shift(ONE_HALF)
 
 
+def _exact_component(a, poly, turns, clausen_err, drift_err):
+    """(value, error_bound of Li_a) of the exact component, a >= 2: poly
+    read at turns, times pi^a.
+
+    The exact value is within 0.5u, math.pi**a within (0.35a + 1)u
+    (math.pi is off by 0.35u) and the product 0.5u more: in all
+    < (a + 4) EPS.
+    """
+    x = eval_poly(poly, turns)
+    exact = math.pi**a * (x.numerator / x.denominator)
+    return exact, clausen_err + (a + 4) * _EPS * abs(exact) + drift_err
+
+
 def li_on_circle(a, p):
     """Li_a(e^{i theta}) for integer a >= 1 at a point of the unit circle.
 
     One component is the exact bracket polynomial (the even cosine table
     for even a, the odd sine table for odd a, read at the point's turns),
-    the other the Clausen expansion.  Order 1 is the elementary logarithm
+    the other the Clausen expansion.  Only the Clausen component is
+    computed here; the polynomial waits for the first read of a field
+    that needs it (see LiValue).  Order 1 is the elementary logarithm
     pair and diverges at theta = 0.  The point's drift, the cost of
     reading it from a float angle, is charged to the bound.
     """
@@ -342,20 +393,20 @@ def li_on_circle(a, p):
                 err = math.inf
             # im, within 4.1e-16 of pi (1/2 - turns), moves by drift/2
             err = max(err, 5e-16 + 0.5 * drift)
-        return LiValue(re, im, 1, err)
+        # both components are known: the other one comes back as given
+        return LiValue(1, re, err, functools.partial(tuple, (im, err)))
     n, odd = divmod(a, 2)
-    # the exact value is within 0.5u, math.pi**a within (0.35a + 1)u
-    # (math.pi is off by 0.35u) and the product 0.5u more: in all
-    # < (a + 4) EPS
-    x = eval_poly(_poly_half("S" if odd else "C", n), turns)
-    exact = math.pi**a * (x.numerator / x.denominator)
+    # the table is looked up here, so an order past its cap fails at once
+    poly = _poly_half("S" if odd else "C", n)
     value, err = _clausen(a, tr)
-    err += (a + 4) * _EPS * abs(exact)
     if drift:
         # |d/dtheta| of either component is at most zeta(2) < 1.65 for
         # a >= 3; for a = 2 the Clausen slope -log|2 sin(theta/2)|
         # integrates to at most drift (1.5 + |log drift|)
-        err += drift * (1.65 if a > 2 else 1.6 + abs(math.log(drift)))
-    if odd:
-        return LiValue(value, exact, a, err)
-    return LiValue(exact, flip * value, a, err)
+        drift_err = drift * (1.65 if a > 2 else 1.6 + abs(math.log(drift)))
+    else:
+        drift_err = 0.0
+    if not odd:
+        value *= flip
+    other = functools.partial(_exact_component, a, poly, turns, err, drift_err)
+    return LiValue(a, value, err + drift_err, other)

@@ -256,19 +256,18 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
             )
         return sign * v, "polynomial", _EPS * (1.0 + abs(v))
     order = 2 * n if kind == "im" else 2 * n + 1
+    # the part is the Clausen component of Li_order, which the order's
+    # parity selects; the exact polynomial of the other is never built
     la = li_on_circle(order, UnitCirclePoint(_turns(zf, a)))
     if b is None:
         s = math.pi**order
-        v = (la.imag_part if kind == "im" else la.real_part) / s
-        raw = la.error_bound
+        v = la.clausen / s
+        raw = la.clausen_bound
     else:
         lb = li_on_circle(order, UnitCirclePoint(_turns(zf, b)))
         s = 2.0 * math.pi**order
-        if kind == "im":
-            v = (la.imag_part - lb.imag_part) / s
-        else:
-            v = (la.real_part - lb.real_part) / s
-        raw = la.error_bound + lb.error_bound
+        v = (la.clausen - lb.clausen) / s
+        raw = la.clausen_bound + lb.clausen_bound
     return sign * v, "polylog", raw / s + _EPS * (1.0 + abs(v))
 
 

@@ -413,3 +413,57 @@ def test_verify_arbitrate_failure_is_exit_2(capsys, monkeypatch):
         "candidate B 0/16, winner=a expected=both"
     )
     assert out.count("expected=both") == 3
+
+
+@pytest.mark.parametrize(
+    "argv,end",
+    [
+        (("table", "S", "1", "-inf", "0", "3"), "-inf"),
+        (("table", "S", "1", "0", "inf", "3"), "inf"),
+        (("table", "S", "1", "nan", "0", "3"), "nan"),
+        (("verify", "--families", "S", "--orders", "1", "--grid", "-inf", "0", "3"), "-inf"),
+        (("verify", "--families", "S", "--orders", "1", "--grid", "0", "nan", "3"), "nan"),
+    ],
+)
+def test_non_finite_grid_ends_are_usage_errors(capsys, argv, end):
+    assert run(capsys, *argv) == (1, "", f"E1: grid end must be finite, got {end}\n")
+
+
+def test_a_grid_span_past_the_float_range_keeps_its_ends(capsys):
+    code, out, err = run(capsys, "table", "S", "1", "-1e308", "1e308", "3")
+    assert code == 0 and err == ""
+    zs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert zs == [-1e308, 0.0, 1e308]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e-11", "-1"])
+def test_verify_tol_must_be_finite_and_at_least_1e_10(capsys, tol):
+    shown = str(float(tol))
+    for argv in (("verify", "--tol", tol), ("verify", "--arbitrate", "--tol", tol)):
+        assert run(capsys, *argv) == (
+            1, "", f"E1: --tol must be finite and >= 1e-10, got {shown}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "extra,names",
+    [
+        (("--families", "S"), "--families"),
+        (("--orders", "1"), "--orders"),
+        (("--grid", "0", "1", "3"), "--grid"),
+        (("--tol", "1e-8"), "--tol"),
+        (("--exclusion-eps", "1e-3"), "--exclusion-eps"),
+        (("--families", "NOPE", "--grid", "0", "1", "nan"), "--families, --grid"),
+    ],
+)
+def test_arbitrate_rejects_the_grid_options(capsys, extra, names):
+    # the suites carry their own families, points and tolerances
+    assert run(capsys, "verify", "--arbitrate", *extra) == (
+        1, "", f"E1: --arbitrate runs its own suites and takes no {names}\n"
+    )
+
+
+def test_verify_defaults_match_the_explicit_options(capsys):
+    argv = ("verify", "--families", "Sp,tC,P", "--grid", "-1.3", "2.7", "41.0")
+    explicit = ("--orders", "0..3", "--tol", "1e-8", "--exclusion-eps", "1e-3")
+    assert run(capsys, *argv) == run(capsys, *argv, *explicit)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import pickle
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from englert_sums import LiValue, SumFamily, UnitCirclePoint, eval_family, li_on_circle
 from englert_sums.errors import CapacityError, DomainError, SingularPointError
-from englert_sums.polylog import _cos_pi, _sin_pi
+from englert_sums import polylog, sums
+from englert_sums.coeffs import eval_poly
+from englert_sums.polylog import _EPS, _clausen, _cos_pi, _poly_half, _sin_pi
 
 PI = math.pi
 
@@ -261,3 +265,133 @@ def test_livalue_fields():
     assert isinstance(v, LiValue)
     assert v.order == 2
     assert v.error_bound >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the exact component is built on first read, and only then
+
+POLYLOG_CODES = (
+    "Sp", "Cp", "tSp", "tCp", "bS", "bC", "tbSp", "tbCp",
+    "P", "Q", "Pp", "Qp", "tP", "tQ", "tPp", "tQp",
+)
+
+
+def eager_li(a, p):
+    """(real, imag, error_bound, clausen, clausen_bound) of Li_a, a >= 2, as
+    li_on_circle computed them when it built both components every call."""
+    turns, drift = p.turns, p.drift
+    num, den = turns.numerator, turns.denominator
+    if 2 * num <= den:
+        rn, flip = num, 1.0
+    else:
+        rn, flip = den - num, -1.0
+    tr = rn / den
+    n, odd = divmod(a, 2)
+    x = eval_poly(_poly_half("S" if odd else "C", n), turns)
+    exact = math.pi**a * (x.numerator / x.denominator)
+    value, err = _clausen(a, tr)
+    clausen_err = err
+    err += (a + 4) * _EPS * abs(exact)
+    drift_err = 0.0
+    if drift:
+        drift_err = drift * (1.65 if a > 2 else 1.6 + abs(math.log(drift)))
+        err += drift_err
+    if odd:
+        return value, exact, err, value, clausen_err + drift_err
+    return exact, flip * value, err, flip * value, clausen_err + drift_err
+
+
+EAGER_POINTS = [UnitCirclePoint.from_turns(Fraction(k, 24)) for k in range(24)] + [
+    UnitCirclePoint.from_turns(t)
+    for t in (Fraction(1, 10**9), 1 - Fraction(1, 10**9), Fraction(7, 17), 0.3137)
+] + [
+    UnitCirclePoint.from_theta(theta)
+    for theta in (1e-7, 0.5, 1.234, 3.0, 4.5, 6.283185307179585, -2.5, 1e10)
+]
+FIELD_ORDERS = [
+    ("real_part", "imag_part", "error_bound"),
+    ("error_bound", "imag_part", "real_part"),
+    ("imag_part", "error_bound", "real_part"),
+]
+
+
+@pytest.mark.parametrize("a", range(2, 18))
+def test_lazy_fields_equal_the_eager_ones_bit_for_bit(a):
+    for i, p in enumerate(EAGER_POINTS):
+        re, im, err, clausen, clausen_bound = (x.hex() for x in eager_li(a, p))
+        v = li_on_circle(a, p)
+        assert (v.clausen.hex(), v.clausen_bound.hex()) == (clausen, clausen_bound)
+        names = FIELD_ORDERS[(a + i) % len(FIELD_ORDERS)]
+        got = {name: getattr(v, name).hex() for name in names}
+        assert got == {"real_part": re, "imag_part": im, "error_bound": err}
+        assert v.order == a
+
+
+def test_reading_the_fields_builds_the_polynomial_once(monkeypatch):
+    calls = []
+
+    def counted(poly, z):
+        calls.append(z)
+        return eval_poly(poly, z)
+
+    monkeypatch.setattr(polylog, "eval_poly", counted)
+    for a in (2, 3, 8, 17):
+        v = li_on_circle(a, UnitCirclePoint.from_turns(Fraction(5, 13)))
+        assert calls == []
+        v.clausen, v.clausen_bound, v.order
+        assert calls == []
+        for _ in range(3):
+            v.real_part, v.imag_part, v.error_bound
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_polylog_parts_never_build_the_polynomial(monkeypatch):
+    calls = []
+
+    def counted(poly, z):
+        calls.append(z)
+        return eval_poly(poly, z)
+
+    monkeypatch.setattr(polylog, "eval_poly", counted)
+    for code in POLYLOG_CODES:
+        for n in range(1, 9):
+            for z in (-3.7, 0.3137, 1.25, 2.6):
+                assert eval_family(SumFamily.from_code(code, n), z).path == "polylog"
+    assert calls == []
+
+
+def test_polylog_part_bounds_shrink_by_the_dropped_term(monkeypatch):
+    # each part read with raw = la.error_bound, the bound that also charged
+    # the exact component's rounding, as sums did before
+    real = sums.li_on_circle
+
+    def both_components(a, p):
+        v = real(a, p)
+        return types.SimpleNamespace(clausen=v.clausen, clausen_bound=v.error_bound)
+
+    zs = (-3.7, -0.4, 0.3137, 1.25, 2.6)
+    new = {
+        (c, n, z): eval_family(SumFamily.from_code(c, n), z)
+        for c in POLYLOG_CODES for n in range(1, 9) for z in zs
+    }
+    monkeypatch.setattr(sums, "li_on_circle", both_components)
+    shrunk = 0
+    for (c, n, z), r in new.items():
+        old = eval_family(SumFamily.from_code(c, n), z)
+        assert r.value.hex() == old.value.hex()
+        assert r.error_bound <= old.error_bound
+        shrunk += r.error_bound < old.error_bound
+    assert shrunk > len(new) // 2
+
+
+def test_livalue_is_read_only_and_compares_by_value():
+    p = UnitCirclePoint.from_turns(Fraction(1, 5))
+    v, w = li_on_circle(3, p), li_on_circle(3, p)
+    for name in ("real_part", "imag_part", "error_bound", "order", "clausen"):
+        with pytest.raises((AttributeError, dataclasses.FrozenInstanceError)):
+            setattr(v, name, 0.0)
+    assert v == w and hash(v) == hash(w)
+    for u in (v, li_on_circle(1, p)):
+        assert pickle.loads(pickle.dumps(u)) == u
+    assert v != li_on_circle(3, UnitCirclePoint.from_turns(Fraction(4, 5)))

@@ -16,10 +16,22 @@ which is exactly the condition for the odd antiderivative to stay
 periodic (no staircase component survives the integration).  All
 generation is exact in fractions.Fraction, in pure functions of the
 order behind functools caches: a race may build an entry twice, never
-wrongly.  Evaluation runs Horner in plain integers over the common
-denominator of the coefficients and builds one Fraction at the end; a
-float argument is read as its exact Fraction, so its float result is
-the correctly rounded value.
+wrongly.
+
+The families with 2k+1 denominators take half the difference of two
+reads of a table P a half turn apart.  With w = <z + a/4> that is
+
+    (P(w) - P(<w + 1/2>)) / 2 = sgn(w)^par Q(|w|),
+    Q(u) = (P(u) - P(u - 1/2)) / 2,
+
+with par 0 for the even cosine tables and 1 for the odd sine tables, so
+each such read is one folded bracket polynomial (see BracketPoly).  Q
+comes from an integer Taylor shift of P, once per table.
+
+Evaluation runs Horner in plain integers over the common denominator of
+the coefficients.  A rational argument gets one Fraction at the end; a
+float argument is read from its integer ratio, and its result is the
+exact value rounded once by an integer true division.
 """
 
 from __future__ import annotations
@@ -48,26 +60,33 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
+# the shifts of a bracket variable, in quarter turns
+_SHIFTS = tuple(Fraction(k, 4) for k in range(4))
+_FOLD_SIGNS = {None: 0, "even": 1, "odd": -1}
 
 # c_table(n) consumes |B_{2n}|, so the order cap tracks bernoulli.MAX_INDEX.
 MAX_ORDER = 120
 
 
-def _integer_form(coeffs):
-    """(den, numerators, odd, squared): coeffs over their common denominator.
+def _integer_form(coeffs, shift, fold):
+    """The form eval_poly reads: (den, numerators, odd, squared, quarters, sign).
 
-    ``numerators`` run from the top power down.  Even polynomials keep
-    only the even powers and are read in w**2 (squared); odd ones keep
-    the odd powers, read as w * q(w**2) (odd and squared); mixed ones
-    keep every power and are read in w.
+    ``numerators`` are coeffs over their common denominator den, from
+    the top power down.  Even polynomials keep only the even powers and
+    are read in w**2 (squared); odd ones keep the odd powers, read as
+    w * q(w**2) (odd and squared); mixed ones keep every power and are
+    read in w.  ``quarters`` is the shift in quarter turns and ``sign``
+    the fold: 0 unfolded, 1 even, -1 odd.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    quarters = int(4 * shift)
+    sign = _FOLD_SIGNS[fold]
     if not any(nums[1::2]):
-        return den, tuple(reversed(nums[0::2])), False, True
+        return den, tuple(reversed(nums[0::2])), False, True, quarters, sign
     if not any(nums[0::2]):
-        return den, tuple(reversed(nums[1::2])), True, True
-    return den, tuple(reversed(nums)), False, False
+        return den, tuple(reversed(nums[1::2])), True, True, quarters, sign
+    return den, tuple(reversed(nums)), False, False, quarters, sign
 
 
 @dataclass(frozen=True)
@@ -76,26 +95,36 @@ class BracketPoly:
 
     ``coefficients[i]`` multiplies w**i.  Trailing zero coefficients are
     stripped at construction so equal polynomials compare equal; the zero
-    polynomial keeps a single zero entry.  Only shifts 0 and 1/2 are
-    meaningful here because those are the two carriers the integration
-    rules know about.
+    polynomial keeps a single zero entry.  The shift is a quarter turn:
+    0, 1/4, 1/2 or 3/4.  Only 0 and 1/2 are carriers the integration
+    rules know about; the quarter shifts serve the reads of the 2k+1
+    families.
+
+    ``fold`` is None for a polynomial read at w itself.  A folded
+    polynomial Q is read at |w|: "even" gives Q(|w|), "odd" gives Q(|w|)
+    for w >= 0 and -Q(|w|) for w < 0.  Half the difference of the reads
+    of a table P at w and at <w + 1/2> is the fold, even for an even P
+    and odd for an odd P, of Q(u) = (P(u) - P(u - 1/2)) / 2.
     """
 
     coefficients: tuple
     shift: Fraction = ZERO
+    fold: str | None = None
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if not coeffs:
             coeffs = (ZERO,)
         shift = Fraction(self.shift)
-        if shift not in (ZERO, ONE_HALF):
-            raise DomainError(f"bracket shift must be 0 or 1/2, got {shift}")
+        if shift not in _SHIFTS:
+            raise DomainError(f"bracket shift must be 0, 1/4, 1/2 or 3/4, got {shift}")
+        if self.fold not in (None, "even", "odd"):
+            raise DomainError(f"bracket fold must be None, 'even' or 'odd', got {self.fold!r}")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "_int_form", _integer_form(coeffs))
+        object.__setattr__(self, "_int_form", _integer_form(coeffs, shift, self.fold))
 
     @property
     def degree(self):
@@ -111,8 +140,8 @@ class BracketPoly:
         return "odd" if has_odd else "even"
 
     def with_shift(self, shift):
-        """Same coefficients read in the bracket variable <z - shift>."""
-        return BracketPoly(self.coefficients, Fraction(shift))
+        """Same coefficients and fold read in the bracket variable <z - shift>."""
+        return BracketPoly(self.coefficients, Fraction(shift), self.fold)
 
     def __call__(self, z):
         return eval_poly(self, z)
@@ -241,6 +270,11 @@ def integrate_bracket_poly(p):
     """
     if not isinstance(p, BracketPoly):
         raise DomainError(f"expected a BracketPoly, got {type(p).__name__}")
+    if p.fold is not None or p.shift not in (ZERO, ONE_HALF):
+        raise DomainError(
+            f"only unfolded polynomials at shift 0 or 1/2 integrate, got shift "
+            f"{p.shift} and fold {p.fold!r}"
+        )
     coeffs = [ZERO] * (len(p.coefficients) + 1)
     nonper = ZERO
     half_shift = p.shift == ONE_HALF
@@ -264,33 +298,83 @@ def _exact(z):
     return Fraction(zf)
 
 
-def eval_poly(p, z):
-    """Horner evaluation of p at the bracket value centered(z - shift).
+@functools.lru_cache(maxsize=None, typed=True)
+def _half_difference(kind, n):
+    """Coefficients of Q(u) = (P(u) - P(u - 1/2)) / 2, P = poly_<kind>(n).
 
-    Rational z stays exact and returns a Fraction: with z = m/q, the
-    shift and the centering are done on the integer m, Horner runs in
-    integers over the common denominator with no gcd inside the loop,
-    and a single Fraction is normalised at the end.  Any other z is
-    read as the exact Fraction of float(z), which must be finite, and
-    the float of the exact value comes back: correctly rounded, so
-    eval_poly(p, x) == float(eval_poly(p, Fraction(x))) for every
-    finite float x.
+    With P = sum_j a_j u^j / den in integers, g(v) = 2^d den P(v/2) has
+    the integer coefficients a_j 2^(d-j); synthetic division by v - 1
+    (Horner's Taylor shift) turns them into those of g(v - 1), which is
+    2^d den P(u - 1/2) at v = 2u.
+    """
+    p = poly_C(n) if kind == "C" else poly_S(n)
+    d = p.degree
+    den = math.lcm(*(c.denominator for c in p.coefficients))
+    a = [c.numerator * (den // c.denominator) for c in p.coefficients]
+    g = [c << (d - j) for j, c in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            g[j] -= g[j + 1]
+    den <<= d + 1
+    return tuple(Fraction((c << d) - (h << j), den) for j, (c, h) in enumerate(zip(a, g)))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _table_read(kind, n, a, b):
+    """The table poly_<kind>(n), kind "C" or "S", read at z + a/4.
+
+    With b None this is the table at shift -a/4.  With b = a -+ 2 it is
+    half the difference of the reads at z + a/4 and at z + b/4: the fold
+    of Q (see _half_difference) at the same shift, even for C and odd
+    for S.  One cache serves every reader, so each table is built once.
+    """
+    if kind not in ("C", "S"):
+        raise DomainError(f"table kind must be 'C' or 'S', got {kind!r}")
+    shift = Fraction(-a % 4, 4)
+    if b is None:
+        p = poly_C(n) if kind == "C" else poly_S(n)
+        return p.with_shift(shift) if shift else p
+    if (a - b) % 4 != 2:
+        raise DomainError(f"reads at z + {a}/4 and z + {b}/4 are not a half turn apart")
+    return BracketPoly(_half_difference(kind, n), shift, "even" if kind == "C" else "odd")
+
+
+def eval_poly(p, z):
+    """Horner evaluation of p at the bracket value w = centered(z - shift).
+
+    A folded p is read at |w| and, for an odd fold, negated where w < 0
+    (see BracketPoly).  With z = m/q read in integers (the integer ratio
+    of a float), the shift and the centering are done on m, and Horner
+    runs in integers over the common denominator with no gcd inside the
+    loop.  Rational z stays exact: one normalised Fraction comes back.
+    Any other z is read as float(z), which must be finite, and the exact
+    value comes back rounded once by an integer true division, so
+    eval_poly(p, x) == float(eval_poly(p, Fraction(x))) for every finite
+    float x.  An odd fold negates the integer, not the float, so a zero
+    is always +0.0.
     """
     if not isinstance(p, BracketPoly):
         raise DomainError(f"expected a BracketPoly, got {type(p).__name__}")
-    if type(z) is Fraction:  # before the slower ABC check
-        m, q = z.numerator, z.denominator
-    elif isinstance(z, Rational):
+    # float first, then Fraction, before the slower ABC check
+    exact = type(z) is not float and (type(z) is Fraction or isinstance(z, Rational))
+    if exact:
         m, q = int(z.numerator), int(z.denominator)
     else:
-        return float(eval_poly(p, _exact(z)))
-    if p.shift:
-        if q % 2:
-            m, q = 2 * m - q, 2 * q
+        zf = float(z)
+        if not math.isfinite(zf):
+            raise DomainError(f"polynomial argument must be finite, got {z!r}")
+        m, q = zf.as_integer_ratio()
+    den, nums, odd, squared, quarters, fold = p._int_form
+    if quarters:
+        if q & 3:
+            m, q = 4 * m - quarters * q, 4 * q
         else:
-            m -= q // 2
+            m -= quarters * (q >> 2)
     m -= (2 * m + q) // (2 * q) * q
-    den, nums, odd, squared = p._int_form
+    negate = False
+    if fold and m < 0:
+        m = -m
+        negate = fold < 0
     x, y = (m * m, q * q) if squared else (m, q)
     # invariant: acc / (den * ypow) is the Horner value so far at x / y
     acc = nums[0]
@@ -302,4 +386,6 @@ def eval_poly(p, z):
     if odd:
         acc *= m
         den *= q
-    return Fraction(acc, den)
+    if negate:
+        acc = -acc
+    return Fraction(acc, den) if exact else acc / den

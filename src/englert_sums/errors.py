@@ -15,8 +15,8 @@ class DomainError(EnglertSumsError, ValueError):
     """Input outside the mathematical domain of the routine.
 
     Examples: non-finite argument to a bracket function, a negative
-    Bernoulli index, a bracket polynomial shifted by anything but 0 or
-    1/2.
+    Bernoulli index, a bracket polynomial shifted by anything but a
+    whole number of quarter turns.
     """
 
 

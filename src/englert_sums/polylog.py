@@ -21,12 +21,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli
-from .bracket import ONE_HALF
-from .coeffs import eval_poly, poly_C, poly_S
+from .coeffs import MAX_ORDER, _table_read, eval_poly
 from .errors import DomainError, SingularPointError, check_int
 
 __all__ = [
@@ -155,39 +154,64 @@ class UnitCirclePoint:
         return cls(turns, drift)
 
 
-@dataclass(frozen=True, eq=False)
 class LiValue:
     """Li_a(e^{i theta}) with a bound covering both components.
 
     ``clausen`` is the Clausen-type component (Im Li_a for even a, Re
     Li_a for odd a) and ``clausen_bound`` its own bound; at order 1 that
     bound covers both components.  The other component and the bound of
-    both come from ``_other()``, called on the first read of real_part,
-    imag_part or error_bound and kept: for a >= 2 it evaluates the exact
-    bracket polynomial, which a caller of the Clausen component alone
-    never pays for.
+    both are computed on the first read of real_part, imag_part or
+    error_bound and kept: for a >= 2 that evaluates the exact bracket
+    polynomial, which a caller of the Clausen component alone never pays
+    for.  Read-only; compares, hashes and pickles by value.
     """
 
-    order: int
-    clausen: float
-    clausen_bound: float
-    _other: object = field(repr=False)  # () -> (other component, error_bound)
+    __slots__ = ("order", "clausen", "clausen_bound", "_inputs", "_rest")
 
-    @functools.cached_property
-    def _rest(self):
-        return self._other()
+    def __init__(self, order, clausen, clausen_bound, inputs):
+        # inputs: at order 1 the other component and the bound of both; for
+        # a >= 2 the turns, clausen_err and drift_err of _exact_component
+        init = object.__setattr__
+        init(self, "order", order)
+        init(self, "clausen", clausen)
+        init(self, "clausen_bound", clausen_bound)
+        init(self, "_inputs", inputs)
+        init(self, "_rest", inputs if order == 1 else None)
+
+    def _other(self):
+        """(the other component, error_bound), computed once."""
+        rest = self._rest
+        if rest is None:
+            rest = _exact_component(self.order, *self._inputs)
+            object.__setattr__(self, "_rest", rest)
+        return rest
 
     @property
     def real_part(self):
-        return self.clausen if self.order % 2 else self._rest[0]
+        return self.clausen if self.order % 2 else self._other()[0]
 
     @property
     def imag_part(self):
-        return self._rest[0] if self.order % 2 else self.clausen
+        return self._other()[0] if self.order % 2 else self.clausen
 
     @property
     def error_bound(self):
-        return self._rest[1]
+        return self._other()[1]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LiValue is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LiValue is read-only; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return LiValue, (self.order, self.clausen, self.clausen_bound, self._inputs)
+
+    def __repr__(self):
+        return (
+            f"LiValue(order={self.order!r}, clausen={self.clausen!r}, "
+            f"clausen_bound={self.clausen_bound!r})"
+        )
 
     def _key(self):
         return self.real_part, self.imag_part, self.order, self.error_bound
@@ -315,26 +339,24 @@ def _clausen(a, tr):
     return h, _EPS * (rounding + abs(h)) + tail * v**m_cut + _UNDERFLOW
 
 
-@functools.cache
-def _poly_half(kind, n):
-    return (poly_C(n) if kind == "C" else poly_S(n)).with_shift(ONE_HALF)
-
-
-def _exact_component(a, poly, turns, clausen_err, drift_err):
-    """(value, error_bound of Li_a) of the exact component, a >= 2: poly
-    read at turns, times pi^a.
+def _exact_component(a, turns, clausen_err, drift_err):
+    """(value, error_bound of Li_a) of the exact component, a >= 2: the
+    table of order a // 2 read at turns shifted by a half turn, times
+    pi^a.
 
     The exact value is within 0.5u, math.pi**a within (0.35a + 1)u
     (math.pi is off by 0.35u) and the product 0.5u more: in all
     < (a + 4) EPS.
     """
-    x = eval_poly(poly, turns)
+    n, odd = divmod(a, 2)
+    x = eval_poly(_table_read("S" if odd else "C", n, 2, None), turns)
     exact = math.pi**a * (x.numerator / x.denominator)
     return exact, clausen_err + (a + 4) * _EPS * abs(exact) + drift_err
 
 
 def li_on_circle(a, p):
-    """Li_a(e^{i theta}) for integer a >= 1 at a point of the unit circle.
+    """Li_a(e^{i theta}) for integer a from 1 to 2 MAX_ORDER + 1 at a point
+    of the unit circle.
 
     One component is the exact bracket polynomial (the even cosine table
     for even a, the odd sine table for odd a, read at the point's turns),
@@ -344,7 +366,7 @@ def li_on_circle(a, p):
     pair and diverges at theta = 0.  The point's drift, the cost of
     reading it from a float angle, is charged to the bound.
     """
-    check_int(a, "polylogarithm order", 1)
+    check_int(a, "polylogarithm order", 1, 2 * MAX_ORDER + 1)
     if not isinstance(p, UnitCirclePoint):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
     turns, drift = p.turns, p.drift
@@ -394,10 +416,7 @@ def li_on_circle(a, p):
             # im, within 4.1e-16 of pi (1/2 - turns), moves by drift/2
             err = max(err, 5e-16 + 0.5 * drift)
         # both components are known: the other one comes back as given
-        return LiValue(1, re, err, functools.partial(tuple, (im, err)))
-    n, odd = divmod(a, 2)
-    # the table is looked up here, so an order past its cap fails at once
-    poly = _poly_half("S" if odd else "C", n)
+        return LiValue(1, re, err, (im, err))
     value, err = _clausen(a, tr)
     if drift:
         # |d/dtheta| of either component is at most zeta(2) < 1.65 for
@@ -406,7 +425,6 @@ def li_on_circle(a, p):
         drift_err = drift * (1.65 if a > 2 else 1.6 + abs(math.log(drift)))
     else:
         drift_err = 0.0
-    if not odd:
+    if not a % 2:
         value *= flip
-    other = functools.partial(_exact_component, a, poly, turns, err, drift_err)
-    return LiValue(a, value, err + drift_err, other)
+    return LiValue(a, value, err + drift_err, (turns, err, drift_err))

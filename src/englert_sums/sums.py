@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bracket import ONE_HALF
-from .coeffs import eval_poly, poly_C, poly_S
+from .coeffs import _table_read, eval_poly
 from .errors import (
     DomainError,
     JumpPointError,
@@ -240,20 +240,13 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
     The part is read at z + a/4, or, when b is given, as sign times half
     the difference of its reads at z + a/4 and at z + b/4, each taken
     modulo 1: every part has period 1.  The parts "C" and "S" are the
-    bracket polynomials of order n; "re" is Re Li_{2n+1} and "im" is
-    Im Li_{2n}, both scaled by pi^-p.
+    bracket polynomials of order n, both reads in one folded polynomial
+    (see coeffs._table_read) evaluated once at the float z; "re" is
+    Re Li_{2n+1} and "im" is Im Li_{2n}, both scaled by pi^-p.
     """
     if kind in ("C", "S"):
-        poly = poly_C(n) if kind == "C" else poly_S(n)
-        x = eval_poly(poly, _turns(zf, a))
-        if b is None:
-            v = x.numerator / x.denominator  # correctly rounded, as float(x)
-        else:
-            # (x - y) / 2, exact until one correctly rounded division
-            y = eval_poly(poly, _turns(zf, b))
-            v = (x.numerator * y.denominator - y.numerator * x.denominator) / (
-                2 * x.denominator * y.denominator
-            )
+        # the exact value, correctly rounded
+        v = eval_poly(_table_read(kind, n, a, b), zf)
         return sign * v, "polynomial", _EPS * (1.0 + abs(v))
     order = 2 * n if kind == "im" else 2 * n + 1
     # the part is the Clausen component of Li_order, which the order's

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from englert_sums import LiValue, SumFamily, UnitCirclePoint, eval_family, li_on_circle
 from englert_sums.errors import CapacityError, DomainError, SingularPointError
 from englert_sums import polylog, sums
-from englert_sums.coeffs import eval_poly
-from englert_sums.polylog import _EPS, _clausen, _cos_pi, _poly_half, _sin_pi
+from englert_sums.coeffs import _table_read, eval_poly
+from englert_sums.polylog import _EPS, _clausen, _cos_pi, _sin_pi
 
 PI = math.pi
 
@@ -287,7 +287,7 @@ def eager_li(a, p):
         rn, flip = den - num, -1.0
     tr = rn / den
     n, odd = divmod(a, 2)
-    x = eval_poly(_poly_half("S" if odd else "C", n), turns)
+    x = eval_poly(_table_read("S" if odd else "C", n, 2, None), turns)
     exact = math.pi**a * (x.numerator / x.denominator)
     value, err = _clausen(a, tr)
     clausen_err = err

@@ -18,7 +18,8 @@ Even-summand families with k denominators are bracket polynomials; odd
 summand order 0 is elementary trig/log; odd summand at higher order goes
 through polylogarithms on the unit circle; the 2k+1 families are exact
 half-turn or quarter-turn combinations of the k families; the modified
-families reduce to 2k+1 families at z/2 with sin/cos prefactors.
+families reduce to 2k+1 families at z/2 with sin/cos prefactors, at every
+order, order 0 included.
 
 Twelve families have denominator power zero at order 0.  Nine of them
 have no value there and raise UnsupportedOrderError: C, bC, bSp, tbC,
@@ -307,12 +308,13 @@ def _tcp0(zf):
 
 def _bs0(zf):
     # log|tan(pi z + pi/4)| / (2 pi); derivative is 1/cos(2 pi z).  The
-    # quarter is added to z reduced mod 2, where no bit of it is lost.
+    # quarter is added to z reduced mod 2, where no bit of it is lost, and
+    # the slope reads 2 z reduced mod 2, since 2 z overflows past 8.98e307.
     u = math.fmod(zf, 2.0) + 0.25
     s = _sin_pi(u)
     c = _cos_pi(u)
     v = (math.log(abs(s)) - math.log(abs(c))) / (2.0 * math.pi)
-    slope = abs(1.0 / _cos_pi(2.0 * zf))
+    slope = abs(1.0 / _cos_pi(2.0 * math.fmod(zf, 1.0)))
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
 
 
@@ -333,41 +335,6 @@ def _tbcp0(zf):
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
 
 
-def _qp0(zf):
-    # log|cos(pi z) / (1 + sin(pi z))| read as log|tan(pi (1/4 - z/2))|: the
-    # quotient cancels near z = 3/2 (mod 2), the tangent does not.  The
-    # sign matters: with 1 - sin (tan(pi (1/4 + z/2))) the log term flips
-    # sign and the series oracle rejects the value.  The step and u read
-    # z reduced mod 2, where adding 1/2 or 1/4 loses no bit.
-    s, c = _sin_pi(zf), _cos_pi(zf)
-    r = math.fmod(zf, 2.0)
-    step = 0.25 * (-1.0) ** math.floor(r + 0.5)
-    u = 0.25 - 0.5 * r
-    log_term = math.log(abs(_sin_pi(u))) - math.log(abs(_cos_pi(u)))
-    v = step * c - s * log_term / (2.0 * math.pi)
-    slope = math.pi / 4.0 + 0.5 * abs(c * log_term - s / c)
-    return v, slope * _EPS * (1.0 + abs(zf)) + 2.0 * _EPS * (1.0 + abs(v))
-
-
-def _tp0(zf):
-    s, c = _sin_pi(zf), _cos_pi(zf)
-    step = 0.25 * (-1.0) ** math.floor(zf)
-    half_s, half_c = _sin_pi(0.5 * zf), _cos_pi(0.5 * zf)
-    log_term = math.log(abs(half_c)) - math.log(abs(half_s))
-    v = step * c - s * log_term / (2.0 * math.pi)
-    slope = math.pi / 4.0 + 0.5 * abs(c * log_term) + 0.25 * abs(s / (half_s * half_c))
-    return v, slope * _EPS * (1.0 + abs(zf)) + 2.0 * _EPS * (1.0 + abs(v))
-
-
-def _tqp0(zf):
-    s, c = _sin_pi(zf), _cos_pi(zf)
-    half_s, half_c = _sin_pi(0.5 * zf), _cos_pi(0.5 * zf)
-    log_term = math.log(abs(half_c)) - math.log(abs(half_s))
-    v = 0.25 * abs(s) + c * log_term / (2.0 * math.pi)
-    slope = math.pi / 4.0 + 0.5 * abs(s * log_term) + 0.25 * abs(c / (half_s * half_c))
-    return v, slope * _EPS * (1.0 + abs(zf)) + 2.0 * _EPS * (1.0 + abs(v))
-
-
 # ---------------------------------------------------------------------------
 # the family table
 
@@ -375,7 +342,9 @@ def _tqp0(zf):
 class _Family(NamedTuple):
     fields: tuple  # index_kind, alternating, trig, power_parity, modified
     route: tuple  # order n >= 1, see _route
-    at0: object  # order 0: None (no value), an elementary form, or _SAME
+    # order 0: None (no value), an elementary form, or _SAME; every
+    # modified family with an order-0 value takes _SAME, its reduction
+    at0: object
     lattice: SingularSet  # order-0 singular lattice
     partner: tuple  # eval_via_relation: (code, shift of z), None for P/Q
 
@@ -431,15 +400,15 @@ _FAMILIES = {
                  _EMPTY_SET, None),
     "Pp": _Family(("2k+1", True, "sin", "odd", "PQ"), ("bSp", "bC", -1.0), None,
                   _EMPTY_SET, None),
-    "Qp": _Family(("2k+1", True, "cos", "odd", "PQ"), ("bS", "bCp", 1.0), _qp0,
+    "Qp": _Family(("2k+1", True, "cos", "odd", "PQ"), ("bS", "bCp", 1.0), _SAME,
                   _lat("log", ONE_HALF, 1), None),
-    "tP": _Family(("2k+1", False, "sin", "even", "PQ"), ("tbS", "tbCp", -1.0), _tp0,
+    "tP": _Family(("2k+1", False, "sin", "even", "PQ"), ("tbS", "tbCp", -1.0), _SAME,
                   _lat("jump", 0, 1), None),
     "tQ": _Family(("2k+1", False, "cos", "even", "PQ"), ("tbSp", "tbC", 1.0), None,
                   _EMPTY_SET, None),
     "tPp": _Family(("2k+1", False, "sin", "odd", "PQ"), ("tbSp", "tbC", -1.0), None,
                    _EMPTY_SET, None),
-    "tQp": _Family(("2k+1", False, "cos", "odd", "PQ"), ("tbS", "tbCp", 1.0), _tqp0,
+    "tQp": _Family(("2k+1", False, "cos", "odd", "PQ"), ("tbS", "tbCp", 1.0), _SAME,
                    _lat("log", 0, 1), None),
 }
 
@@ -476,12 +445,13 @@ def _pq_reduction(route, n, zf):
     v2, path2, e2 = _route(second, n, half)
     s, c = _sin_pi(zf), _cos_pi(zf)
     if sign > 0:
-        v = s * v1 + c * v2
+        w1, w2 = s, c
     else:
-        v = c * v1 - s * v2
+        w1, w2 = c, -s
+    v = w1 * v1 + w2 * v2
     eb = (
-        abs(s) * e1
-        + abs(c) * e2
+        abs(w1) * e1
+        + abs(w2) * e2
         + _drift(zf) * (abs(v1) + abs(v2))
         + 2.0 * _EPS * (1.0 + abs(v))
     )

@@ -73,6 +73,13 @@ def test_eval_unsupported_or_singular_is_exit_3(capsys, argv, marker):
     assert marker in err
 
 
+def test_eval_bs0_at_huge_z_is_exit_0(capsys):
+    code, out, err = run(capsys, "eval", "bS", "0", "1e308")
+    assert code == 0
+    assert err == ""
+    assert "path=elementary" in out
+
+
 def test_unknown_family_is_exit_1(capsys):
     code, _, err = run(capsys, "eval", "Zz", "1", "0.3")
     assert code == 1

@@ -29,6 +29,7 @@ from englert_sums.errors import (
     SingularPointError,
     UnsupportedOrderError,
 )
+from englert_sums.cli import _linspace
 from englert_sums.sums import _turns
 
 PI = math.pi
@@ -353,6 +354,7 @@ PATH_TAGS = [
     ("Q", 1, "polylog"),
     ("Pp", 1, "polylog"),
     ("Qp", 0, "elementary"),
+    ("tP", 0, "elementary"),
     ("tQp", 0, "elementary"),
 ]
 
@@ -461,3 +463,92 @@ def test_qp0_holds_its_bound_next_to_the_cancelling_lattice(z):
         ref = step * mpmath.cospi(zm) - mpmath.sinpi(zm) * mpmath.log(abs(tan)) / (2 * mpmath.pi)
         r = eval_family(SumFamily.from_code("Qp", 0), z)
         assert abs(r.value - ref) <= r.error_bound
+
+
+ORDER_ZERO_PQ = ("P", "Qp", "tP", "tQp")
+
+
+@pytest.mark.parametrize("code", ORDER_ZERO_PQ)
+def test_order_zero_modified_families_take_their_reduction(code):
+    # eval and eval_via_relation run the one sin/cos reduction at order 0
+    # too, so value, path and bound agree bit for bit on verify's grid
+    f = SumFamily.from_code(code, 0)
+    for z in _linspace(-1.3, 2.7, 41):
+        if singular_points(f).contains(z, 1e-3):
+            continue
+        a, b = eval_family(f, z), eval_via_relation(f, z)
+        assert a.value.hex() == b.value.hex(), (code, z)
+        assert a.error_bound.hex() == b.error_bound.hex(), (code, z)
+        assert a.path == b.path == "elementary"
+
+
+def order_zero_reference(code, z):
+    """P, Qp, tP and tQp at order 0 as 40-digit elementary closed forms.
+
+    With L = log|tan(pi (z/2 + 1/4))| / (2 pi) and s = (-1)^floor(z + 1/2) / 4,
+    P = cos(pi z) L - sin(pi z) s and Qp = sin(pi z) L + cos(pi z) s; with
+    L = -log|tan(pi z/2)| / (2 pi) and s = (-1)^floor(z) / 4,
+    tP = cos(pi z) s - sin(pi z) L and tQp = sin(pi z) s + cos(pi z) L.
+    Every form has period 2, so z is first reduced mod 2, exactly.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        r = zm - 2 * mpmath.floor(zm / 2)
+        sin, cos, pi = mpmath.sinpi(r), mpmath.cospi(r), mpmath.pi
+        if code in ("P", "Qp"):
+            step = (-1) ** int(mpmath.floor(r + 0.5)) / mpmath.mpf(4)
+            log = mpmath.log(abs(mpmath.tan(pi * (r / 2 + mpmath.mpf(1) / 4)))) / (2 * pi)
+            return cos * log - sin * step if code == "P" else sin * log + cos * step
+        step = (-1) ** int(mpmath.floor(r)) / mpmath.mpf(4)
+        log = -mpmath.log(abs(mpmath.tan(pi * r / 2))) / (2 * pi)
+        return cos * step - sin * log if code == "tP" else sin * step + cos * log
+
+
+def order_zero_points():
+    """1e-3..1e-14 from 0, +-1/2, 1, 3/2 and 2 on both sides, and uniform z."""
+    near = [
+        a + side * 10.0**-e
+        for a in (0.0, 0.5, -0.5, 1.0, 1.5, 2.0)
+        for e in range(3, 15)
+        for side in (1, -1)
+    ]
+    rng = random.Random(13)
+    return near + [rng.uniform(-3.0, 3.0) for _ in range(200)]
+
+
+@pytest.mark.parametrize("code", ORDER_ZERO_PQ)
+def test_order_zero_modified_families_hold_their_bound(code):
+    f = SumFamily.from_code(code, 0)
+    lattice = singular_points(f)
+    huge = [1e15 + 0.25, -1e15 - 0.375, 2.0**60 + 0.5]
+    worst = 0.0
+    for z in order_zero_points() + huge:
+        if lattice.contains(z, 1e-12):  # eval raises there
+            continue
+        r = eval_family(f, z)
+        err = abs(r.value - order_zero_reference(code, z))
+        assert err <= r.error_bound, (code, z, float(err), r.error_bound)
+        if z not in huge:  # there the drift of z alone sets the bound
+            worst = max(worst, r.error_bound)
+    if lattice.kind == "jump":
+        # next to the jumps of P and tP one half of the reduction has a log
+        # point, damped by its own prefactor; Qp and tQp are log-singular
+        # there themselves, and their bound grows with the log
+        assert worst <= 1e-9, (code, worst)
+
+
+def test_p0_bound_weights_each_half_by_its_own_prefactor():
+    # next to z = 1/2 the bS half has a log point and its prefactor
+    # cos(pi z) vanishes: the bS bound must be damped by cos(pi z), not by
+    # sin(pi z), which would give 9.2e-8
+    z = 0.5 - 1e-9
+    r = eval_family(SumFamily.from_code("P", 0), z)
+    assert r.error_bound < 1e-13
+    assert abs(r.value - order_zero_reference("P", z)) <= r.error_bound
+
+
+@pytest.mark.parametrize("z", [1e308, -1e308, 8.99e307])
+def test_bs0_reads_huge_z_without_overflow(z):
+    r = eval_family(SumFamily.from_code("bS", 0), z)
+    assert math.isfinite(r.value) and math.isfinite(r.error_bound)

@@ -14,6 +14,16 @@ Only the terms with m = a-1 (mod 2) reach the Clausen component, all with
 odd zeta arguments: zeta(3), zeta(5), ... below m = a-1 and
 zeta(-n) = -B_{n+1}/(n+1) above.  Order 1 is the elementary logarithm
 pair.  Every value carries an explicit error bound.
+
+The same expansion serves the Legendre chi function, the odd-index half
+chi_a(w) = sum_j w^(2j+1)/(2j+1)^a = Li_a(w) - 2^-a Li_a(w^2), for
+|theta| < pi:
+
+  chi_a(e^{i theta}) = sum_{m != a-1} (1 - 2^(m-a)) zeta(a-m) (i theta)^m / m!
+                       + (i theta)^(a-1) / (a-1)! (H_{a-1} + log 2 - log(-i theta)) / 2.
+
+``sums`` reads the Clausen component of chi_a on [0, pi/2] for the 2k+1
+families (see _clausen).
 """
 
 from __future__ import annotations
@@ -274,8 +284,9 @@ def _zeta_odd(s):
 
 
 @functools.cache
-def _expansion(a):
-    """(H highest first, p, w0, w1, tail, m_cut, k, g) of order a, once.
+def _expansion(a, chi=False):
+    """(H highest first, p, w0, w1, scale, tail, m_cut, k, g) of order a,
+    once.
 
     In v = theta/pi the component is v^p H(v^2) + k v^(a-1) (g - log v)
     plus a tail, with p = (a-1) mod 2, H's coefficients
@@ -284,8 +295,18 @@ def _expansion(a):
     pi^m/m! takes m float steps of at most 1.4u (math.pi is off by
     0.35u), so a coefficient, zeta included, is within (1.4m + 2)u.  Past
     m = a-1 each term is below v^2/4 times the last, so the tail from
-    m_cut on is at most 4/3 of its first term.  w0 and w1 are H's
-    rounding weights (see _clausen) at v = 0 and v = 1.
+    m_cut on is at most 4/3 of its first term.
+
+    With chi, the series of chi_a, read for v <= 1/2: each coefficient
+    times 1 - 2^(m-a), k halved and g + log 2.  The cut is Li_a's.  Past
+    m = a-1, with j = m - a odd, a step shrinks |zeta(a-m)| pi^m/m! by at
+    least 4 (m+1)(m+2)/((j+1)(j+2)) and grows the factor by
+    (2^(j+2) - 1)/(2^j - 1); their product stays below 1, so each term
+    is below v^2 <= 1/4 times the last and the tail is again at most 4/3
+    of its first term.
+
+    H's rounding weights (see _clausen) are w0 at y = v^2 = 0 and w1 at
+    y = 1/scale, the end of the range: scale is 1 for Li_a, 4 for chi_a.
     """
     p = (a - 1) % 2
     coeffs, k = [], 0.0
@@ -300,24 +321,35 @@ def _expansion(a):
             c, k = 0.0, sign * scaled
         else:
             c = sign * float(-bernoulli(m - a + 1) / (m - a + 1)) * scaled
-            if abs(c) < _TAIL_CUT:
-                break
-        coeffs.append(c)
+        factor = 1.0 - 2.0 ** (m - a) if chi else 1.0
+        if m > a - 1 and abs(c) < _TAIL_CUT:
+            break
+        coeffs.append(c * factor)
+    scale = 4.0 if chi else 1.0
     w = [(2 * j + 2) * abs(cj) for j, cj in zip(range(p, m, 2), coeffs)]
+    w1 = sum(wj * scale**-i for i, wj in enumerate(w))
     g = math.fsum(1.0 / j for j in range(1, a)) - math.log(math.pi)
-    return tuple(reversed(coeffs)), p, w[0], sum(w), 4.0 / 3.0 * abs(c), m, k, g
+    if chi:
+        k, g = 0.5 * k, g + _LN2
+    tail = 4.0 / 3.0 * abs(c * factor)
+    return tuple(reversed(coeffs)), p, w[0], w1, scale, tail, m, k, g
 
 
-def _clausen(a, tr):
-    """(value, error_bound) of the Clausen component of Li_a at turns tr.
+def _clausen(a, tr, chi=False):
+    """(value, error_bound) of the Clausen component of Li_a at turns tr,
+    or with chi of chi_a.
 
-    tr in [0, 1/2] is within 0.5u, and so is v = theta/pi = 2 tr.  Each
-    term m of H is charged (2m+2) EPS = (4m+4)u of its size, more than
-    its coefficient (1.4m + 2)u, its power of v (0.75m + 1)u and Horner's
-    (m + 1)u.  These charges are convex in y = v^2 on [0, 1], so the chord
-    (1 - y) w0 + y w1 bounds them.
+    tr in [0, 1/2] (for chi [0, 1/4]) is within 0.5u, and so is
+    v = theta/pi = 2 tr.  Each term m of H is charged (2m+2) EPS = (4m+4)u
+    of its size, more than its coefficient (1.4m + 2)u, its power of v
+    (0.75m + 1)u and Horner's (m + 1)u.  For chi the factor 1 - 2^(m-a)
+    and its product add 0.75u: the 0.85m u left over covers that from
+    m = 2 on, and below, pi^0 = v^0 = 1 and pi^1, v^1 are charged far more
+    than their 0.35u and 0.5u.  These charges are convex in y = v^2, so
+    the chord (1 - s) w0 + s w1 in s = scale y bounds them for
+    y <= 1/scale.
     """
-    coeffs, p, w0, w1, tail, m_cut, k, g = _expansion(a)
+    coeffs, p, w0, w1, scale, tail, m_cut, k, g = _expansion(a, chi)
     v = 2.0 * tr
     if p and v == 1.0:
         return 0.0, 0.0  # Im Li_a(-1) = 0
@@ -325,7 +357,8 @@ def _clausen(a, tr):
     h = 0.0
     for c in coeffs:
         h = h * y + c
-    rounding = (1.0 - y) * w0 + y * w1
+    s = scale * y
+    rounding = (1.0 - s) * w0 + s * w1
     if p:
         h *= v
         rounding *= v

@@ -17,9 +17,10 @@ The ASCII codes used throughout the package and the CLI are
 Even-summand families with k denominators are bracket polynomials; odd
 summand order 0 is elementary trig/log; odd summand at higher order goes
 through polylogarithms on the unit circle; the 2k+1 families are exact
-half-turn or quarter-turn combinations of the k families; the modified
-families reduce to 2k+1 families at z/2 with sin/cos prefactors, at every
-order, order 0 included.
+half-turn or quarter-turn combinations of the k families, read as one
+folded bracket polynomial or as one Legendre chi series (the odd-index
+half of a polylogarithm); the modified families reduce to 2k+1 families
+at z/2 with sin/cos prefactors, at every order, order 0 included.
 
 Twelve families have denominator power zero at order 0.  Nine of them
 have no value there and raise UnsupportedOrderError: C, bC, bSp, tbC,
@@ -40,8 +41,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bracket import ONE_HALF
-from .coeffs import _table_read, eval_poly
+from .coeffs import MAX_ORDER, _table_read, eval_poly
 from .errors import (
+    CapacityError,
     DomainError,
     JumpPointError,
     SingularPointError,
@@ -51,6 +53,7 @@ from .errors import (
 from .polylog import (
     UnitCirclePoint,
     _cos_pi,
+    _clausen,
     _sin_pi,
     li_on_circle,
 )
@@ -227,12 +230,17 @@ def _check_singular(f, zf):
 # building blocks
 
 
-def _turns(zf, k):
-    """zf + k/4 reduced to [0, 1), one exact Fraction built in integers
+def _turn_ints(zf, k):
+    """(num, den): zf + k/4 reduced to [0, 1) as num/den, built in integers
     from the float's integer ratio."""
     m, q = zf.as_integer_ratio()
     q4 = 4 * q
-    return Fraction((4 * m + k * q) % q4, q4)
+    return (4 * m + k * q) % q4, q4
+
+
+def _turns(zf, k):
+    """zf + k/4 reduced to [0, 1), one exact Fraction."""
+    return Fraction(*_turn_ints(zf, k))
 
 
 def _part(n, zf, kind, a, b=None, sign=1.0):
@@ -244,24 +252,49 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
     bracket polynomials of order n, both reads in one folded polynomial
     (see coeffs._table_read) evaluated once at the float z; "re" is
     Re Li_{2n+1} and "im" is Im Li_{2n}, both scaled by pi^-p.
+
+    For "re" and "im", b is always a + 2 or a - 2, half a turn away, so
+    the half difference is the same component X of the Legendre chi
+    function chi_p (see polylog) at the turns t of z + a/4, read in one
+    series.  X(t + 1/2) = -X(t) and X(1/2 - t) = X(t) for even p, -X(t)
+    for odd p, take t to [0, 1/4] exactly.  X is exactly 0 at t = 0 for
+    even p (Im chi_p(1)) and at a quarter turn for odd p.
     """
     if kind in ("C", "S"):
         # the exact value, correctly rounded
         v = eval_poly(_table_read(kind, n, a, b), zf)
         return sign * v, "polynomial", _EPS * (1.0 + abs(v))
+    if n > MAX_ORDER:
+        # the family order's cap, which the polynomial tables check
+        # themselves; li_on_circle would name the polylog order, and the
+        # chi read has no cap
+        raise CapacityError(f"order {n} exceeds the supported cap {MAX_ORDER}")
     order = 2 * n if kind == "im" else 2 * n + 1
-    # the part is the Clausen component of Li_order, which the order's
-    # parity selects; the exact polynomial of the other is never built
-    la = li_on_circle(order, UnitCirclePoint(_turns(zf, a)))
+    s = math.pi**order
     if b is None:
-        s = math.pi**order
+        # the part is the Clausen component of Li_order, which the order's
+        # parity selects; the exact polynomial of the other is never built
+        la = li_on_circle(order, UnitCirclePoint(_turns(zf, a)))
         v = la.clausen / s
         raw = la.clausen_bound
     else:
-        lb = li_on_circle(order, UnitCirclePoint(_turns(zf, b)))
-        s = 2.0 * math.pi**order
-        v = (la.clausen - lb.clausen) / s
-        raw = la.clausen_bound + lb.clausen_bound
+        num, den = _turn_ints(zf, a)
+        half = den >> 1
+        flip = 1.0
+        if num >= half:
+            num -= half
+            flip = -1.0
+        if 2 * num > half:
+            num = half - num
+            if kind == "re":
+                flip = -flip
+        if num == (den >> 2 if kind == "re" else 0):
+            # an exact zero of X: +0 times sign, as the difference of two
+            # equal reads gave
+            v, raw = 0.0, 0.0
+        else:
+            h, raw = _clausen(order, num / den, True)
+            v = flip * h / s
     return sign * v, "polylog", raw / s + _EPS * (1.0 + abs(v))
 
 
@@ -475,7 +508,8 @@ def eval(f, z):
     pole, log point, or divergence lattice.  z counts as on the lattice
     of singular_points(f) iff its exact distance to it is below 1e-12,
     whatever |z| is.  The returned error_bound is a rigorous first-order
-    bound on the floating-point error of the reported value.
+    bound on the floating-point error of the reported value.  An order
+    above MAX_ORDER raises CapacityError.
     """
     zf = _checked_z(f, z)
     return EvalResult(*_route(f.code, f.order, zf))

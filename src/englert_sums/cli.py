@@ -26,7 +26,7 @@ from .errors import (
     EnglertSumsError,
     UsageError,
 )
-from .oracle import ArbitrationRow, arbitrate, oracle_eval
+from .oracle import ArbitrationRow, _point_tols, arbitrate, oracle_eval
 from .polylog import UnitCirclePoint, li_on_circle
 from .sums import FAMILY_CODES, SumFamily, is_supported, singular_points
 from .sums import eval as eval_family
@@ -56,6 +56,8 @@ class ThrowingParser(argparse.ArgumentParser):
 def _linspace(z0, z1, steps):
     if steps < 2:
         raise UsageError(f"grid needs at least 2 steps, got {steps}")
+    if steps > 10**6:  # the grid is built up front as one list
+        raise UsageError(f"grid takes at most 1000000 steps, got {steps}")
     for end in (z0, z1):
         if not math.isfinite(end):
             raise UsageError(f"grid end must be finite, got {end}")
@@ -241,10 +243,7 @@ def _parse_orders(text):
 
 def _verify_point(f, z, tol):
     closed = eval_family(f, z)
-    if f.power >= 2:
-        oracle_tol, base = tol, tol
-    else:
-        oracle_tol, base = max(tol, 1e-6), max(tol, 1e-5)
+    oracle_tol, base = _point_tols(f, tol)
     report = oracle_eval(f, z, oracle_tol, strict=False)
     allowed = max(base, report.tail_bound + closed.error_bound)
     diff = abs(closed.value - report.value)

@@ -292,6 +292,15 @@ def oracle_eval(f, z, tol, strict=True):
     return report
 
 
+def _point_tols(f, tol):
+    """(oracle tol, base tol) of a verify or arbitration point: tol, or at
+    least 1e-6 and 1e-5 where power <= 1 and the series converges only
+    conditionally."""
+    if f.power >= 2:
+        return tol, tol
+    return max(tol, 1e-6), max(tol, 1e-5)
+
+
 def arbitrate(claim_a, claim_b, f, grid):
     """Score two closed-form candidates for f against the oracle.
 
@@ -306,9 +315,7 @@ def arbitrate(claim_a, claim_b, f, grid):
     points = [float(z) for z in grid]
     if not points:
         raise DomainError("arbitration grid must be non-empty")
-    p = f.power
-    base = 1e-8 if p >= 2 else 1e-5
-    oracle_tol = 1e-8 if p >= 2 else 1e-6
+    oracle_tol, base = _point_tols(f, 1e-8)
     rows = []
     for zf in points:
         report = oracle_eval(f, zf, oracle_tol, strict=False)

@@ -22,8 +22,9 @@ chi_a(w) = sum_j w^(2j+1)/(2j+1)^a = Li_a(w) - 2^-a Li_a(w^2), for
   chi_a(e^{i theta}) = sum_{m != a-1} (1 - 2^(m-a)) zeta(a-m) (i theta)^m / m!
                        + (i theta)^(a-1) / (a-1)! (H_{a-1} + log 2 - log(-i theta)) / 2.
 
-``sums`` reads the Clausen component of chi_a on [0, pi/2] for the 2k+1
-families (see _clausen).
+_clausen_at holds every symmetry and exact zero of the Clausen component
+of Li_a and chi_a on the integer turns: li_on_circle reads Li_a there for
+a >= 2, and ``sums`` reads chi_a there for the 2k+1 families.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bernoulli import bernoulli
@@ -164,6 +165,7 @@ class UnitCirclePoint:
         return cls(turns, drift)
 
 
+@dataclass(frozen=True)
 class LiValue:
     """Li_a(e^{i theta}) with a bound covering both components.
 
@@ -173,66 +175,34 @@ class LiValue:
     both are computed on the first read of real_part, imag_part or
     error_bound and kept: for a >= 2 that evaluates the exact bracket
     polynomial, which a caller of the Clausen component alone never pays
-    for.  Read-only; compares, hashes and pickles by value.
+    for.  Read-only; compares, hashes and pickles by its fields.
     """
 
-    __slots__ = ("order", "clausen", "clausen_bound", "_inputs", "_rest")
+    order: int
+    clausen: float
+    clausen_bound: float
+    # at order 1 the other component and the bound of both; for a >= 2 the
+    # turns, clausen_err and drift_err of _exact_component
+    inputs: tuple = field(repr=False)
 
-    def __init__(self, order, clausen, clausen_bound, inputs):
-        # inputs: at order 1 the other component and the bound of both; for
-        # a >= 2 the turns, clausen_err and drift_err of _exact_component
-        init = object.__setattr__
-        init(self, "order", order)
-        init(self, "clausen", clausen)
-        init(self, "clausen_bound", clausen_bound)
-        init(self, "_inputs", inputs)
-        init(self, "_rest", inputs if order == 1 else None)
-
-    def _other(self):
+    @functools.cached_property
+    def _rest(self):
         """(the other component, error_bound), computed once."""
-        rest = self._rest
-        if rest is None:
-            rest = _exact_component(self.order, *self._inputs)
-            object.__setattr__(self, "_rest", rest)
-        return rest
+        if self.order == 1:
+            return self.inputs
+        return _exact_component(self.order, *self.inputs)
 
     @property
     def real_part(self):
-        return self.clausen if self.order % 2 else self._other()[0]
+        return self.clausen if self.order % 2 else self._rest[0]
 
     @property
     def imag_part(self):
-        return self._other()[0] if self.order % 2 else self.clausen
+        return self._rest[0] if self.order % 2 else self.clausen
 
     @property
     def error_bound(self):
-        return self._other()[1]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LiValue is read-only; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"LiValue is read-only; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return LiValue, (self.order, self.clausen, self.clausen_bound, self._inputs)
-
-    def __repr__(self):
-        return (
-            f"LiValue(order={self.order!r}, clausen={self.clausen!r}, "
-            f"clausen_bound={self.clausen_bound!r})"
-        )
-
-    def _key(self):
-        return self.real_part, self.imag_part, self.order, self.error_bound
-
-    def __eq__(self, other):
-        if type(other) is not LiValue:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return self._rest[1]
 
 
 def _sin_pi(t):
@@ -351,8 +321,6 @@ def _clausen(a, tr, chi=False):
     """
     coeffs, p, w0, w1, scale, tail, m_cut, k, g = _expansion(a, chi)
     v = 2.0 * tr
-    if p and v == 1.0:
-        return 0.0, 0.0  # Im Li_a(-1) = 0
     y = v * v
     h = 0.0
     for c in coeffs:
@@ -370,6 +338,45 @@ def _clausen(a, tr, chi=False):
         # r (g - log v) add at most (2.5|g| + 1.5|log v| + 2.7)u |r|
         rounding += abs(r) * ((a + 2) * (abs(g) + abs(lv)) + 2.0)
     return h, _EPS * (rounding + abs(h)) + tail * v**m_cut + _UNDERFLOW
+
+
+def _clausen_at(a, num, den, chi=False):
+    """(value, error_bound) of the Clausen component of Li_a, or with chi
+    of chi_a, at the turns t = num/den in [0, 1): its symmetries and exact
+    zeros decided on the integers, then one _clausen read.
+
+    Li_a's component is even in t for odd a and odd for even a: t -> 1 - t
+    takes t to [0, 1/2] before rounding, which would cost a point just
+    below a whole turn its small angle, and for even a the component is 0
+    at a half turn, Im Li_a(-1).  chi_a is odd in w, so its component X
+    has X(t + 1/2) = -X(t), and X(1/2 - t) = X(t) for even a, -X(t) for
+    odd a, which take t to [0, 1/4]; X is 0 at t = 0 for even a,
+    Im chi_a(1), and at a quarter turn for odd a, Re chi_a(i).  An exact
+    zero is +0 with bound 0.  A tr below the normal range is off by under
+    2^-1075, which moves the component by under 1e-319, inside its floor.
+    """
+    odd = a % 2
+    sign = 1.0
+    if chi:
+        if den & 3:
+            num, den = num << 2, den << 2
+        half = den >> 1
+        if num >= half:
+            num, sign = num - half, -1.0
+        if 2 * num > half:
+            num = half - num
+            if odd:
+                sign = -sign
+        if num == (den >> 2 if odd else 0):
+            return 0.0, 0.0
+    elif 2 * num > den:
+        num = den - num
+        if not odd:
+            sign = -1.0
+    elif 2 * num == den and not odd:
+        return 0.0, 0.0
+    h, err = _clausen(a, num / den, chi)
+    return sign * h, err
 
 
 def _exact_component(a, turns, clausen_err, drift_err):
@@ -403,17 +410,11 @@ def li_on_circle(a, p):
     if not isinstance(p, UnitCirclePoint):
         raise DomainError(f"expected a UnitCirclePoint, got {type(p).__name__}")
     turns, drift = p.turns, p.drift
-    # reflect to [0, 1/2] before rounding, which would cost a point just
-    # below a whole turn most of its small angle.  A tr below the normal
-    # range is off by under 2^-1075, which moves a Clausen component by
-    # under 1e-319, inside its floor
     num, den = turns.numerator, turns.denominator
-    if 2 * num <= den:
-        rn, flip = num, 1.0
-    else:
-        rn, flip = den - num, -1.0
-    tr = rn / den
     if a == 1:
+        # reflected to [0, 1/2] before rounding, as in _clausen_at
+        rn = num if 2 * num <= den else den - num
+        tr = rn / den
         if not rn:
             raise SingularPointError("Li_1 diverges at the point 1 of the circle")
         e = 0
@@ -450,7 +451,7 @@ def li_on_circle(a, p):
             err = max(err, 5e-16 + 0.5 * drift)
         # both components are known: the other one comes back as given
         return LiValue(1, re, err, (im, err))
-    value, err = _clausen(a, tr)
+    value, err = _clausen_at(a, num, den)
     if drift:
         # |d/dtheta| of either component is at most zeta(2) < 1.65 for
         # a >= 3; for a = 2 the Clausen slope -log|2 sin(theta/2)|
@@ -458,6 +459,4 @@ def li_on_circle(a, p):
         drift_err = drift * (1.65 if a > 2 else 1.6 + abs(math.log(drift)))
     else:
         drift_err = 0.0
-    if not a % 2:
-        value *= flip
     return LiValue(a, value, err + drift_err, (turns, err, drift_err))

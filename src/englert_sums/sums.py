@@ -52,8 +52,8 @@ from .errors import (
 )
 from .polylog import (
     UnitCirclePoint,
+    _clausen_at,
     _cos_pi,
-    _clausen,
     _sin_pi,
     li_on_circle,
 )
@@ -119,9 +119,6 @@ class SumFamily:
     @property
     def k_start(self):
         return 0 if self.index_kind == "2k+1" else 1
-
-    def with_order(self, order):
-        return SumFamily(*self._fields, order)
 
 
 @dataclass(frozen=True)
@@ -254,11 +251,9 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
     Re Li_{2n+1} and "im" is Im Li_{2n}, both scaled by pi^-p.
 
     For "re" and "im", b is always a + 2 or a - 2, half a turn away, so
-    the half difference is the same component X of the Legendre chi
-    function chi_p (see polylog) at the turns t of z + a/4, read in one
-    series.  X(t + 1/2) = -X(t) and X(1/2 - t) = X(t) for even p, -X(t)
-    for odd p, take t to [0, 1/4] exactly.  X is exactly 0 at t = 0 for
-    even p (Im chi_p(1)) and at a quarter turn for odd p.
+    the half difference is the same component of the Legendre chi
+    function chi_p at the turns of z + a/4, read in one series (see
+    polylog._clausen_at).
     """
     if kind in ("C", "S"):
         # the exact value, correctly rounded
@@ -279,22 +274,8 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
         raw = la.clausen_bound
     else:
         num, den = _turn_ints(zf, a)
-        half = den >> 1
-        flip = 1.0
-        if num >= half:
-            num -= half
-            flip = -1.0
-        if 2 * num > half:
-            num = half - num
-            if kind == "re":
-                flip = -flip
-        if num == (den >> 2 if kind == "re" else 0):
-            # an exact zero of X: +0 times sign, as the difference of two
-            # equal reads gave
-            v, raw = 0.0, 0.0
-        else:
-            h, raw = _clausen(order, num / den, True)
-            v = flip * h / s
+        h, raw = _clausen_at(order, num, den, True)
+        v = h / s
     return sign * v, "polylog", raw / s + _EPS * (1.0 + abs(v))
 
 

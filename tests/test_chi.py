@@ -18,7 +18,7 @@ from englert_sums import FAMILY_CODES, SumFamily, eval_family, eval_via_relation
 from englert_sums.cli import run
 from englert_sums.errors import CapacityError
 from englert_sums.oracle import oracle_eval
-from englert_sums.polylog import _clausen
+from englert_sums.polylog import _clausen, _clausen_at
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -88,6 +88,21 @@ def test_chi_component_holds_its_bound_before_the_pi_scaling(a):
         err = abs(value - ref)
         assert err <= bound, (a, t, float(err), bound)
         assert bound <= 1e-13 * max(1.0, abs(value)), (a, t, bound)
+
+
+@pytest.mark.parametrize("a", (2, 3, 8, 17))
+def test_chi_turns_reduce_from_any_denominator(a):
+    # the whole circle, with denominators that are multiples of 4 and
+    # ones that are not; an exact zero has bound 0
+    turns = [Fraction(k, 12) for k in range(12)] + [Fraction(k, 7) for k in range(7)]
+    for t in turns + [Fraction(2, 5), Fraction(5, 6)]:
+        value, bound = _clausen_at(a, t.numerator, t.denominator, True)
+        with mpmath.workdps(40):
+            ref = chi_reference(a, mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator))
+        if bound == 0.0:
+            assert value == 0.0 and abs(ref) < 1e-30, (a, t, float(ref))
+        else:
+            assert abs(value - ref) <= bound, (a, t, float(abs(value - ref)), bound)
 
 
 def test_quarter_turn_zeros_are_exact_and_keep_their_sign():

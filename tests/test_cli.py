@@ -443,6 +443,25 @@ def test_a_grid_span_past_the_float_range_keeps_its_ends(capsys):
     assert zs == [-1e308, 0.0, 1e308]
 
 
+@pytest.mark.parametrize(
+    "argv,steps",
+    [
+        (("table", "S", "1", "0", "1", "1000001"), 1000001),
+        (("table", "S", "1", "0", "1", "10000000000"), 10**10),
+        (("verify", "--families", "S", "--orders", "1", "--grid", "0", "1", "1e300"), int(1e300)),
+    ],
+)
+def test_grids_above_a_million_steps_are_usage_errors(capsys, argv, steps):
+    # the grid is a list built up front: such a run would only exhaust memory
+    err = f"E1: grid takes at most 1000000 steps, got {steps}\n"
+    assert run(capsys, *argv) == (1, "", err)
+
+
+def test_a_grid_of_a_million_steps_is_built():
+    grid = cli._linspace(0.0, 1.0, 10**6)
+    assert len(grid) == 10**6 and grid[0] == 0.0 and abs(grid[-1] - 1.0) < 1e-15
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "1e-11", "-1"])
 def test_verify_tol_must_be_finite_and_at_least_1e_10(capsys, tol):
     shown = str(float(tol))

@@ -14,7 +14,7 @@ from englert_sums import LiValue, SumFamily, UnitCirclePoint, eval_family, li_on
 from englert_sums.errors import CapacityError, DomainError, SingularPointError
 from englert_sums import polylog, sums
 from englert_sums.coeffs import _table_read, eval_poly
-from englert_sums.polylog import _EPS, _clausen, _cos_pi, _sin_pi
+from englert_sums.polylog import _EPS, _clausen_at, _cos_pi, _sin_pi
 
 PI = math.pi
 
@@ -280,16 +280,11 @@ def eager_li(a, p):
     """(real, imag, error_bound, clausen, clausen_bound) of Li_a, a >= 2, as
     li_on_circle computed them when it built both components every call."""
     turns, drift = p.turns, p.drift
-    num, den = turns.numerator, turns.denominator
-    if 2 * num <= den:
-        rn, flip = num, 1.0
-    else:
-        rn, flip = den - num, -1.0
-    tr = rn / den
     n, odd = divmod(a, 2)
     x = eval_poly(_table_read("S" if odd else "C", n, 2, None), turns)
     exact = math.pi**a * (x.numerator / x.denominator)
-    value, err = _clausen(a, tr)
+    # the Clausen component, reflected and signed
+    value, err = _clausen_at(a, turns.numerator, turns.denominator)
     clausen_err = err
     err += (a + 4) * _EPS * abs(exact)
     drift_err = 0.0
@@ -298,7 +293,7 @@ def eager_li(a, p):
         err += drift_err
     if odd:
         return value, exact, err, value, clausen_err + drift_err
-    return exact, flip * value, err, flip * value, clausen_err + drift_err
+    return exact, value, err, value, clausen_err + drift_err
 
 
 EAGER_POINTS = [UnitCirclePoint.from_turns(Fraction(k, 24)) for k in range(24)] + [
@@ -396,3 +391,19 @@ def test_livalue_is_read_only_and_compares_by_value():
     for u in (v, li_on_circle(1, p)):
         assert pickle.loads(pickle.dumps(u)) == u
     assert v != li_on_circle(3, UnitCirclePoint.from_turns(Fraction(4, 5)))
+
+
+@pytest.mark.parametrize("a", (1, 2, 17))
+def test_a_read_livalue_pickles_and_equals_a_fresh_one(a):
+    p = UnitCirclePoint.from_turns(Fraction(5, 13))
+    v = li_on_circle(a, p)
+    fields = (v.real_part, v.imag_part, v.error_bound)
+    u = pickle.loads(pickle.dumps(v))
+    fresh = li_on_circle(a, p)
+    for x in (v, u):
+        assert x == fresh and hash(x) == hash(fresh)
+    for x in (u, fresh):
+        assert (x.real_part, x.imag_part, x.error_bound) == fields
+    assert repr(v) == (
+        f"LiValue(order={a}, clausen={v.clausen!r}, clausen_bound={v.clausen_bound!r})"
+    )

@@ -149,6 +149,18 @@ def test_li_on_circle_holds_its_bound(a):
             assert v.error_bound <= 5e-14, (a, at, v.error_bound)
 
 
+@pytest.mark.parametrize("a", range(2, 19, 2))
+def test_clausen_bound_holds_next_to_a_half_turn(a):
+    # Im Li_a(-1) = 0 for even a, but turns that only round to 1/2 are no
+    # zero: Im Li_a is about 4e-20 at 1/2 - 1e-20, and the Clausen
+    # component's own bound must cover it
+    for d in (10**17, 10**20, 10**30):
+        for at in (Fraction(1, 2) - Fraction(1, d), Fraction(1, 2) + Fraction(1, d)):
+            v = li_on_circle(a, point(at))
+            ref = li_reference(a, at).imag
+            assert abs(v.clausen - ref) <= v.clausen_bound, (a, at, v.clausen_bound)
+
+
 def test_li_1_holds_its_bound_at_exact_turns():
     for t in LI_TURNS:
         if t:

@@ -385,13 +385,6 @@ def test_power_table(code, order):
     assert f.power == (2 * order + 1 if odd_power else 2 * order)
 
 
-def test_with_order():
-    f = SumFamily.from_code("bC", 1)
-    g = f.with_order(3)
-    assert g.order == 3 and g.code == "bC"
-    assert f.order == 1
-
-
 def test_code_is_resolved_once_and_read_only():
     f = SumFamily.from_code("tbSp", 2)
     assert f.code == "tbSp"

@@ -307,7 +307,9 @@ def _cmd_verify(args):
     z0, z1, steps = args.grid or (-1.3, 2.7, 41.0)
     if not steps.is_integer():  # nan and inf too
         raise UsageError(f"grid step count must be an integer, got {steps}")
-    grid = _linspace(z0, z1, int(steps))
+    # a count past 2^53 stays a float, which _linspace refuses as given
+    # (1e+300), not as the hundreds of digits of its integer value
+    grid = _linspace(z0, z1, int(steps) if steps < 2**53 else steps)
     rows, excluded = [], []
     for code in codes:
         for n in orders:

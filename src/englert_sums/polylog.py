@@ -120,10 +120,11 @@ class UnitCirclePoint:
     @classmethod
     def from_theta(cls, theta):
         """The point at a finite float angle theta, reduced exactly by
-        _TWO_PI and read at the reduced angle x, or above pi at the
-        reflected angle 2 pi - x, rounded once and divided by TWO_PI once.
-        An angle too small for that quotient to stay a normal float gets
-        exact turns instead."""
+        _TWO_PI to x, or above pi to the reflected angle 2 pi - x, whose
+        exact quotient by the float TWO_PI, rounded once, gives turns t,
+        or 1 - t after the reflection.  So theta and -theta read as
+        mirror points with equal drift.  An angle too small for that
+        quotient to stay a normal float gets exact turns instead."""
         try:
             x = Fraction(float(theta))
         except (TypeError, ValueError, OverflowError):
@@ -142,18 +143,11 @@ class UnitCirclePoint:
             # than the floor of its bound, so the drift is 0
             t = x / _TWO_PI
             return cls(1 - t if flip else t)
-        if flip:
-            # the angle moves by less than drift = 2.6u r: a rounding each
-            # for r and the quotient, and 0.35u for TWO_PI.  The reflected
-            # turns stay <= 1/2, so a point next to a whole turn keeps its
-            # small angle
-            turns = 1 - Fraction(r / TWO_PI)
-            drift = 1.3 * _EPS * r
-        else:
-            # within 0.85u of x/2pi, a normal float: the angle moves by
-            # less than drift
-            turns = Fraction(float(x / _TWO_PI_HIGH))
-            drift = 0.5 * _EPS * r
+        # within 0.85u of x/2pi, a normal float: the angle moves by less
+        # than drift, and the reflected turns 1 - turns by as much, so an
+        # angle and its negative read as mirror points
+        turns = Fraction(float(x / _TWO_PI_HIGH))
+        drift = 0.5 * _EPS * r
         if k:
             # the k turns taken off, and the turn the reflection adds, move
             # the angle by _TWO_PI's error, below 2^-1120 each; charged at
@@ -162,7 +156,7 @@ class UnitCirclePoint:
             # and far inside drift's slack: for k != 0 no reduced angle r
             # comes near the underflow range
             drift += math.ldexp(abs(k) + 1, 1 - _TWO_PI_BITS)
-        return cls(turns, drift)
+        return cls(1 - turns if flip else turns, drift)
 
 
 @dataclass(frozen=True)
@@ -430,7 +424,7 @@ def li_on_circle(a, p):
         re = -math.log(2.0 * s)
         if e:
             re += e * _LN2
-        im = math.pi * (0.5 - num / den)
+        im = math.pi * ((den - 2 * num) / (2 * den))
         err = 7e-16 * (3.0 + abs(re))
         if drift:
             # -log|2 sin(theta/2)| is convex and falls on (0, pi], so an

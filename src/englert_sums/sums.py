@@ -136,25 +136,24 @@ class SingularSet:
     offset: Fraction = None
     period: Fraction = None
 
-    def __post_init__(self):
-        if self.kind != "none":
-            per = float(self.period)
-            off = float(self.offset % self.period)
-            # the lattice points next to any r in (-per, per)
-            near = (off - 2.0 * per, off - per, off, off + per)
-            object.__setattr__(self, "_near", near)
-
     def distance(self, z):
-        """Distance from z to the lattice, exact wherever it is small.
+        """Distance from z to the lattice, math.inf for the empty set.
 
-        fmod reduces z exactly, and for the dyadic offsets and periods of
-        the families the difference from the nearest lattice point is
-        then exact too (Sterbenz), however large |z| is.
+        The distance is exact in integers, from the integer ratios of
+        float(z), offset and period, and rounded once, however large |z|
+        is and whatever the offset and period.  A non-finite z raises
+        DomainError.
         """
+        m, q = _finite_z(z).as_integer_ratio()
         if self.kind == "none":
             return math.inf
-        r = math.fmod(float(z), float(self.period))
-        return min(abs(r - c) for c in self._near)
+        a, b = self.offset.as_integer_ratio()
+        c, d = self.period.as_integer_ratio()
+        # over the common denominator q b d: z - offset, and the period,
+        # whose sign names the same lattice
+        period = abs(c) * q * b
+        r = (m * b - a * q) * d % period
+        return min(r, period - r) / (q * b * d)
 
     def contains(self, z, eps):
         return self.distance(z) < eps
@@ -175,22 +174,10 @@ def _finite_z(z):
     return zf
 
 
-def _check_supported(f):
-    if f.order == 0 and _FAMILIES[f.code].at0 is None:
-        raise UnsupportedOrderError(
-            f"family {f.code} has denominator power 0 at order 0; "
-            "the defining series has no value"
-        )
-
-
 def is_supported(f):
     """True when eval(f, z) is defined for nonsingular z."""
     _require_family(f)
-    try:
-        _check_supported(f)
-    except UnsupportedOrderError:
-        return False
-    return True
+    return f.order > 0 or _FAMILIES[f.code].at0 is not None
 
 
 def singular_points(f):
@@ -209,18 +196,6 @@ def singular_points(f):
 
 # z is singular iff its exact distance to the order-0 lattice is below this
 _EXACT_EPS = 1e-12
-
-
-def _check_singular(f, zf):
-    s = singular_points(f)
-    if s.contains(zf, _EXACT_EPS):
-        msg = (
-            f"family {f.code} order {f.order} is singular on the lattice "
-            f"{s.offset} + {s.period}*Z ({s.kind}); got z={zf!r}"
-        )
-        if s.kind == "jump":
-            raise JumpPointError(msg)
-        raise SingularPointError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +449,44 @@ def _pq_reduction(route, n, zf):
 
 
 def _checked_z(f, z):
+    """z as a float: the one gate of eval, eval_via_relation and oracle_eval.
+
+    f must be a family and z finite.  Only at order 0 is the family's row
+    read: a family with no value there raises UnsupportedOrderError, and a
+    z within _EXACT_EPS of its lattice JumpPointError or SingularPointError.
+    """
     _require_family(f)
     zf = _finite_z(z)
-    _check_supported(f)
-    _check_singular(f, zf)
+    if f.order == 0:
+        row = _FAMILIES[f.code]
+        if row.at0 is None:
+            raise UnsupportedOrderError(
+                f"family {f.code} has denominator power 0 at order 0; "
+                "the defining series has no value"
+            )
+        s = row.lattice
+        if s.contains(zf, _EXACT_EPS):
+            msg = (
+                f"family {f.code} order 0 is singular on the lattice "
+                f"{s.offset} + {s.period}*Z ({s.kind}); got z={zf!r}"
+            )
+            if s.kind == "jump":
+                raise JumpPointError(msg)
+            raise SingularPointError(msg)
     return zf
 
 
 def eval(f, z):
     """Value of the family f at z through its direct closed form.
 
-    Raises UnsupportedOrderError where the series has no value,
-    JumpPointError on a step discontinuity, and SingularPointError on a
-    pole, log point, or divergence lattice.  z counts as on the lattice
-    of singular_points(f) iff its exact distance to it is below 1e-12,
-    whatever |z| is.  The returned error_bound is a rigorous first-order
-    bound on the floating-point error of the reported value.  An order
-    above MAX_ORDER raises CapacityError.
+    At order 0 raises UnsupportedOrderError where the series has no
+    value, JumpPointError on a step discontinuity, and SingularPointError
+    on a pole, log point, or divergence lattice; no order above 0 has a
+    lattice.  z counts as on the lattice of singular_points(f) iff its
+    distance to it, exact in integers, is below 1e-12, whatever |z| is.
+    A non-finite z raises DomainError.  The returned error_bound is a
+    rigorous first-order bound on the floating-point error of the
+    reported value.  An order above MAX_ORDER raises CapacityError.
     """
     zf = _checked_z(f, z)
     return EvalResult(*_route(f.code, f.order, zf))

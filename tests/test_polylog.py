@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import random
 import types
 from fractions import Fraction
 
@@ -130,6 +131,23 @@ def test_conjugation_symmetry(a, t):
     c = li_on_circle(a, UnitCirclePoint.from_turns(-t))
     assert c.real_part == pytest.approx(v.real_part, abs=1e-13)
     assert c.imag_part == pytest.approx(-v.imag_part, abs=1e-13)
+
+
+def test_an_angle_and_its_negative_read_as_mirror_points():
+    # from_theta(-theta) is the conjugate point of from_theta(theta), with
+    # the same drift, and li_on_circle returns the conjugate bit for bit
+    rng = random.Random(16)
+    thetas = [rng.uniform(0.0, PI) for _ in range(60)]
+    thetas += [5e-324, 1e-310, 1e-300, 1e-15, 0.5, PI / 2.0, 3.0, math.nextafter(PI, 0.0), PI]
+    for theta in thetas:
+        p, q = UnitCirclePoint.from_theta(theta), UnitCirclePoint.from_theta(-theta)
+        assert p.turns + q.turns == 1, theta
+        assert p.drift == q.drift, theta
+        for a in (1, 2, 3, 5, 8, 17):
+            v, c = li_on_circle(a, p), li_on_circle(a, q)
+            assert c.real_part == v.real_part, (a, theta)
+            assert c.imag_part == -v.imag_part, (a, theta)
+            assert c.error_bound == v.error_bound, (a, theta)
 
 
 def test_clausen_derivative_matches_log():

@@ -14,6 +14,7 @@ import pytest
 
 from englert_sums import (
     FAMILY_CODES,
+    SingularSet,
     SumFamily,
     UnitCirclePoint,
     eval_family,
@@ -29,7 +30,9 @@ from englert_sums.errors import (
     SingularPointError,
     UnsupportedOrderError,
 )
+from englert_sums import sums
 from englert_sums.cli import _linspace
+from englert_sums.oracle import oracle_eval
 from englert_sums.sums import _turns
 
 PI = math.pi
@@ -244,6 +247,104 @@ def test_singular_rule_reads_the_exact_distance_at_any_size():
     assert ev("S", 0, 1e15 + 0.25).value == -0.25
     with pytest.raises(SingularPointError):
         ev("tCp", 0, 2.0**60)
+
+
+# every order-0 family lattice, and three sets that are not dyadic, one
+# with a negative period
+LATTICES = sorted(
+    {
+        singular_points(SumFamily.from_code(c, 0))
+        for c in FAMILY_CODES
+        if c not in UNSUPPORTED_AT_ZERO
+    },
+    key=repr,
+) + [
+    SingularSet("pole", F(1, 3), F(2, 3)),
+    SingularSet("log", F(1, 10), F(1, 5)),
+    SingularSet("log", F(-7, 3), F(-1, 6)),
+]
+
+
+def _lattice_zs(s):
+    rng = random.Random(16)
+    zs = [rng.uniform(-4.0, 4.0) for _ in range(200)]
+    for k in range(-12, 13):
+        point = float(s.offset + k * s.period)
+        zs.append(point)
+        for dz in (5e-324, 1e-13, 1e-3):
+            zs += [point + dz, point - dz]
+        zs += [math.nextafter(point, math.inf), math.nextafter(point, -math.inf)]
+    big = [1e308, 2.0**60 + 0.5, 1e15 + 0.25, 2.0**53, 2.0**1023 * 1.5, 12345678.9]
+    return zs + big + [-z for z in big]
+
+
+def _lattice_id(s):
+    return f"{s.kind}:{s.offset}+{s.period}Z"
+
+
+@pytest.mark.parametrize("s", LATTICES, ids=_lattice_id)
+def test_lattice_distance_is_the_exact_distance_rounded_once(s):
+    for z in _lattice_zs(s):
+        period = abs(s.period)
+        d = (F(z) - s.offset) % period
+        assert s.distance(z) == float(min(d, period - d)), z
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("s", LATTICES + [SingularSet("none")], ids=_lattice_id)
+def test_lattice_distance_refuses_non_finite_z(s, z):
+    with pytest.raises(DomainError):
+        s.distance(z)
+    with pytest.raises(DomainError):
+        s.contains(z, 1e-12)
+
+
+def _order_zero_error(call, f, z):
+    with pytest.raises((UnsupportedOrderError, SingularPointError)) as info:
+        call(f, z)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_every_entry_raises_the_same_order_zero_error(code):
+    # eval, eval_via_relation and oracle_eval refuse an order-0 point with
+    # the same error; an unsupported family at any z, a supported one on
+    # its lattice
+    f = SumFamily.from_code(code, 0)
+    s = singular_points(f)
+    z = 0.3 if code in UNSUPPORTED_AT_ZERO else float(s.offset + s.period)
+    got = {
+        _order_zero_error(call, f, z)
+        for call in (eval_family, eval_via_relation, lambda f, z: oracle_eval(f, z, 1e-8))
+    }
+    assert len(got) == 1
+    kind, msg = got.pop()
+    if code in UNSUPPORTED_AT_ZERO:
+        assert kind is UnsupportedOrderError
+        assert msg == (
+            f"family {code} has denominator power 0 at order 0; "
+            "the defining series has no value"
+        )
+    else:
+        assert kind is (JumpPointError if s.kind == "jump" else SingularPointError)
+        assert msg == (
+            f"family {code} order 0 is singular on the lattice "
+            f"{s.offset} + {s.period}*Z ({s.kind}); got z={z!r}"
+        )
+
+
+def test_the_gate_reads_no_lattice_above_order_zero(monkeypatch):
+    def boom(self, z):
+        raise AssertionError("lattice read")
+
+    monkeypatch.setattr(sums.SingularSet, "distance", boom)
+    for code in FAMILY_CODES:
+        for n in (1, 2):
+            f = SumFamily.from_code(code, n)
+            assert math.isfinite(eval_family(f, 0.5).value)
+            assert math.isfinite(eval_via_relation(f, 0.5).value)
+    with pytest.raises(AssertionError):
+        ev("S", 0, 0.3)
 
 
 @pytest.mark.parametrize(

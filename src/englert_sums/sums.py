@@ -36,6 +36,7 @@ singular lattice and its eval_via_relation partner.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,13 +129,34 @@ class EvalResult:
     error_bound: float
 
 
+_LATTICE_KINDS = ("none", "pole", "log", "jump", "divergent")
+
+
 @dataclass(frozen=True)
 class SingularSet:
-    """Periodic lattice offset + period*Z of excluded points, or empty."""
+    """Periodic lattice offset + period*Z of excluded points, or empty.
+
+    An unknown kind, a non-Rational offset or period, or a zero period
+    raises DomainError; the empty set, kind "none", reads neither.
+    """
 
     kind: str  # none | pole | log | jump | divergent
     offset: Fraction = None
     period: Fraction = None
+
+    def __post_init__(self):
+        if self.kind not in _LATTICE_KINDS:
+            raise DomainError(
+                f"unknown lattice kind {self.kind!r}; expected one of "
+                f"{', '.join(_LATTICE_KINDS)}"
+            )
+        if self.kind == "none":
+            return
+        for name, value in (("offset", self.offset), ("period", self.period)):
+            if not isinstance(value, numbers.Rational):
+                raise DomainError(f"lattice {name} must be a Rational, got {value!r}")
+        if self.period == 0:
+            raise DomainError("lattice period must be non-zero")
 
     def distance(self, z):
         """Distance from z to the lattice, math.inf for the empty set.

@@ -299,6 +299,24 @@ def test_lattice_distance_refuses_non_finite_z(s, z):
         s.contains(z, 1e-12)
 
 
+def test_lattice_refuses_an_unknown_kind():
+    with pytest.raises(DomainError, match="unknown lattice kind 'nonsense'"):
+        SingularSet("nonsense", F(0), F(1))
+
+
+@pytest.mark.parametrize(
+    "offset,period", [(None, None), (0.5, F(1)), (F(1, 3), 2.0), (F(0), "1")]
+)
+def test_lattice_refuses_a_non_rational_offset_or_period(offset, period):
+    with pytest.raises(DomainError, match="must be a Rational"):
+        SingularSet("pole", offset, period)
+
+
+def test_lattice_refuses_a_zero_period():
+    with pytest.raises(DomainError, match="period must be non-zero"):
+        SingularSet("pole", F(0), F(0))
+
+
 def _order_zero_error(call, f, z):
     with pytest.raises((UnsupportedOrderError, SingularPointError)) as info:
         call(f, z)

@@ -1,9 +1,9 @@
 """Ground truth by direct summation of the defining series.
 
 This module never looks at the closed forms.  Terms are generated
-straight from the family definition and accumulated with pairwise
-summation inside chunks plus exact fsum across chunks, so the result is
-independent of chunk boundaries to well below 1e-13.
+straight from the family definition and summed in chunks, see below,
+with exact fsum across chunks, so the result is independent of chunk
+boundaries to well below 1e-13.
 
 Absolutely convergent families (denominator power p >= 2) are summed to
 an integral-comparison tail bound when the required term count fits the
@@ -19,42 +19,47 @@ of trailing partial sums, averages it down a fixed depth ladder, and
 reports an envelope, twice the spread of the trailing averaged window,
 as the error estimate.
 
-Phase arithmetic splits frac(z) into a 26-bit head and a small tail so
-that k*frac(z) mod 1 is computed without catastrophic rounding out to
-k around 3e7.
+Phase arithmetic splits frac(z) into a 25-bit head, a 25-bit middle and
+a small tail, so that mult*frac(z) mod 1 rounds only in its last step for
+every mult below 7*2^25, which covers 2k+1 for every k up to _MAX_TERMS.
+Each angle is then taken in [-pi, pi], give or take 2^-19.
 
-Two kernels compute the terms, chosen by how many are asked for.  Below
-_TABLE_MIN = 4096 terms each term takes its own phase and its own sine
-or cosine: frac as x - floor(x), which equals x % 1.0 for x >= 0, times
-2 pi.  From 4096 terms on, k is written k_lo + r*w + j with
-w = min(128, isqrt(n)), and sin and cos are taken once each of the
-phases of the rows, r*w on from k_lo, and of the columns j, the turns
-moved to [-1/2, 1/2) first.  The alternating sign is folded into both
-tables, and each block of about _BLOCK terms, whole rows, is filled by
-angle addition: two outer products of row and column tables, written
-into the output.  The tables' fixed cost, some 20 us, is repaid only
-from 2000 to 4000 terms on; an absolute-mode point of verify needs 4 to
-1270 terms and keeps the per-term kernel.  Both kernels then divide by
-(pi*denom)**p the same way.
+Each chunk holds at most _CHUNK terms.  A chunk of fewer than
+_TABLE_MIN = 4096 terms builds its terms, each with its own phase and
+sine or cosine divided by (pi*denom)**p, and adds them with numpy's
+pairwise sum.  A longer chunk of n terms never builds them.  It writes
+k = k_lo + r*w + j with w = min(128, isqrt(n)) and takes sin and cos
+once each of the phases of the rows and of the columns, the alternating
+sign folded into both.  For each block of at most _BLOCK terms it builds
+the weights g(k) = (pi*denom)**-p once, as a matrix G of whole rows, and
+by angle addition row r sums to a_r*X_r0 +- c_r*X_r1 with
+X = G @ [cos_col, sin_col].  The rows and the n mod w last terms are
+added with numpy's pairwise sum.  The tables' fixed cost, some 20 us, is
+repaid only from 2000 to 4000 terms on; an absolute-mode point of verify
+needs 4 to 1270 terms and builds its terms.
 
 A term's error is held to 16u*g(k) against the exact term at the float
-z, where u = 2^-53 and g(k) = (pi*denom)**-p bounds the term's size:
-tests/test_oracle_kernel.py checks both kernels against 40-digit mpmath.
-Over all 24 families at orders 0-3, seven z and three ranges of 4100
-terms, out to k = 2^20, the worst error measured is 12.1u for the table
-kernel and 12.0u for the per-term one.  The two kernels agree to that
-accuracy, not bit for bit, so a sum differs between them in its last
-digits.
+z, where u = 2^-53 and g(k) bounds the term's size.  A block sum adds at
+most (w + log2(rows))*u*sum g(k) to its terms' errors: the w products of
+a row's dot product, then the pairwise sum of the rows.
+tests/test_oracle_kernel.py checks terms and block sums against 40-digit
+mpmath, out to k = 1e8.
 
 The averaged mode's ladder of depths 4, 16, 64, 256 and 1024 takes each
 step, d passes of adjacent averaging, as one convolution with the
 binomial weights C(d, j)/2^d, built once from exact integers.  It agrees
 with the passes to 1e-14*(1 + |v|) or better.
 
-Memory per call is the output array plus the tables and two scratch
-arrays of at most _BLOCK terms.  The scratch belongs to the call and the
-weights are read-only, so a library caller may run oracle_eval on
-several threads at once: the calls share nothing they write.
+A call allocates no array of its n terms.  The largest arrays are the
+weights of one block and their offsets, _BLOCK entries each, and the
+tables and row sums, n/w entries each: a 10^6-term sum peaks near
+0.6 MB, where its terms alone would take 8 MB.  The averaged mode builds
+its window of 1600 terms.  Every array a call writes is its own, the
+ladder weights are read-only, and the one BLAS call, the product
+G @ [cos_col, sin_col], reads only the call's arrays and gives the same
+digits on one BLAS thread as on several.  So a library caller may run
+oracle_eval on several threads at once: the calls share nothing they
+write.
 """
 
 from __future__ import annotations
@@ -122,117 +127,105 @@ class ArbitrationReport:
 
 
 def _phase_split(zf):
-    # head is a multiple of 2^-26, so k*head is exact for k below 2^25
+    """frac(z) as head + mid + low: head a multiple of 2**-25 and mid one
+    of 2**-50 below 2**-25, so that mult*head and mult*mid are exact for
+    every mult below 2**28."""
     fz = frac(zf)
-    head = math.floor(fz * 67108864.0) / 67108864.0
-    return head, fz - head
+    head = math.floor(fz * 2.0**25) / 2.0**25
+    mid = math.floor((fz - head) * 2.0**50) / 2.0**50
+    return head, mid, fz - head - mid
 
 
-def _scale(f, vals, k, tmp):
-    """Divide the signed trig values at the indices k by (pi*denom)**p,
-    in place; tmp is scratch of the same size."""
-    if f.index_kind == "2k+1":
-        np.multiply(k, 2.0, out=tmp)
-        tmp += 1.0
-        np.multiply(tmp, math.pi, out=tmp)
-    else:
-        np.multiply(k, math.pi, out=tmp)
-    # denominators overflowing to inf at very high order turn the term
-    # into an exact 0.0, which is what the true value rounds to anyway
-    with np.errstate(over="ignore"):
-        tmp **= float(f.power)
-    vals /= tmp
+def _turns(mult, head, mid, low):
+    """The phase mult*frac(z) in turns, for mult >= 0, moved to
+    [-1/2, 1/2] before its last and only rounding step adds mult*low,
+    which is below 2**-22.
 
-
-def _turns(mult, head, low):
-    """frac(frac(mult*head) + mult*low) for mult >= 0: the phase in turns.
-
-    x - floor(x) equals x % 1.0 bit for bit because x >= 0 here.
+    x - floor(x) and x - rint(x) are exact, and for mult below 7*2**25,
+    which every 2k+1 below 2*_MAX_TERMS is, frac(mult*head) + mult*mid is
+    a multiple of 2**-50 below 8 and so exact.  An angle of at most pi in
+    size rounds with half the error of one up to 2 pi.
     """
     turns = mult * head
     turns -= np.floor(turns)
+    turns += mult * mid
+    turns -= np.rint(turns)
     turns += mult * low
-    turns -= np.floor(turns)
     return turns
 
 
-def _terms_per_term(f, zf, k_lo, k_hi):
+def _powers(f, denom):
+    """(pi*denom)**p in place.  Denominators overflowing to inf at very
+    high order make the term an exact 0.0, what the true value rounds to."""
+    denom *= math.pi
+    with np.errstate(over="ignore"):
+        denom **= f.power
+    return denom
+
+
+def _terms(f, zf, k_lo, k_hi):
+    """Terms for index k in [k_lo, k_hi) as a float64 array: sin or cos of
+    2*pi*mult*frac(z), the alternating sign, divided by (pi*denom)**p."""
     k = np.arange(k_lo, k_hi, dtype=np.float64)
-    mult = 2.0 * k + 1.0 if f.index_kind == "2k+1" and f.modified == "none" else k
-    vals = _turns(mult, *_phase_split(zf))
+    denom = 2.0 * k + 1.0 if f.index_kind == "2k+1" else k
+    vals = _turns(denom if f.modified == "none" else k, *_phase_split(zf))
     vals *= TWO_PI
     (np.sin if f.trig == "sin" else np.cos)(vals, out=vals)
     if f.alternating:
         odd = vals[(k_lo + 1) % 2 :: 2]
         np.negative(odd, out=odd)
-    _scale(f, vals, k, np.empty_like(k))
+    vals /= _powers(f, denom)
     return vals
 
 
-def _terms_by_rows(f, zf, k_lo, k_hi):
+def _sum(f, zf, k_lo, k_hi):
+    """Sum of the terms for k in [k_lo, k_hi): the pairwise sum of the
+    terms below _TABLE_MIN of them, from there on the block sum of the
+    module docstring, which never builds them."""
     n = k_hi - k_lo
+    if n < _TABLE_MIN:
+        return float(np.sum(_terms(f, zf, k_lo, k_hi)))
     width = min(128, math.isqrt(n))
-    rows = -(-n // width)
-    # k = k_lo + r*width + j: the angle of row r plus the angle of column j
+    rows = n // width
     k_row = np.arange(rows, dtype=np.float64) * width + k_lo
     col = np.arange(width, dtype=np.float64)
-    if f.index_kind == "2k+1" and f.modified == "none":
-        mult = np.concatenate((2.0 * k_row + 1.0, 2.0 * col))
-    else:
-        mult = np.concatenate((k_row, col))
-    turns = _turns(mult, *_phase_split(zf))
-    # t - 1 is exact for t >= 1/2, and an angle of at most pi in size
-    # rounds with half the error of one up to 2 pi
-    turns[turns >= 0.5] -= 1.0
-    angle = turns * TWO_PI
-    sin, cos = np.sin(angle), np.cos(angle)
+    step = 2.0 if f.index_kind == "2k+1" else 1.0  # denom = step*k + step - 1
+    d_row, d_col = step * k_row + (step - 1.0), step * col
+    mult = (d_row, d_col) if f.modified == "none" else (k_row, col)
+    angle = _turns(np.concatenate(mult), *_phase_split(zf))
+    angle *= TWO_PI
+    sin, cos = np.sin(angle), np.cos(angle, out=angle)
     if f.alternating:
         # (-1)**k is the sign of the row times the sign of the column
         odd = np.concatenate((k_row, col)) % 2.0 == 1.0
         np.negative(sin, out=sin, where=odd)
         np.negative(cos, out=cos, where=odd)
-    sin_row, cos_row, sin_col, cos_col = sin[:rows], cos[:rows], sin[rows:], cos[rows:]
+    cols = np.stack((cos[rows:], sin[rows:]), axis=1)
     if f.trig == "sin":  # sin(a + b) = sin a cos b + cos a sin b
-        (a, b), (c, d), combine = (sin_row, cos_col), (cos_row, sin_col), np.add
+        a, c, combine = sin[:rows], cos[:rows], np.add
     else:  # cos(a + b) = cos a cos b - sin a sin b
-        (a, b), (c, d), combine = (cos_row, cos_col), (sin_row, sin_col), np.subtract
-    per = min(rows, _BLOCK // width)  # rows per block of the output
-    size = per * width
-    out = np.empty(rows * width)
-    k = np.arange(k_lo, k_lo + size, dtype=np.float64)
-    tmp = np.empty(size)
+        a, c, combine = cos[:rows], sin[:rows], np.subtract
+    per = min(rows, _BLOCK // width)  # rows per block
+    # denominators of a block less the first one's, exact integers
+    span = step * np.arange(per * width, dtype=np.float64)
+    weights = np.empty(per * width)
+    parts = np.empty(rows + 1)
     for r0 in range(0, rows, per):
-        vals = out[r0 * width : (r0 + per) * width]
-        if vals.size < size:
-            k, tmp = k[: vals.size], tmp[: vals.size]
-        grid, scratch = vals.reshape(-1, width), tmp.reshape(-1, width)
-        r = slice(r0, r0 + per)
-        np.multiply.outer(a[r], b, out=grid)
-        np.multiply.outer(c[r], d, out=scratch)
-        combine(grid, scratch, out=grid)
-        _scale(f, vals, k, tmp)
-        k += size
-    return out[:n]
-
-
-def _terms(f, zf, k_lo, k_hi):
-    """Terms for index k in [k_lo, k_hi) as a float64 array.
-
-    Each term is sin or cos of 2*pi*frac(mult*z) turns, the alternating
-    sign, and the division by (pi*denom)**p; see the module docstring
-    for the two kernels and the choice between them.
-    """
-    if k_hi - k_lo < _TABLE_MIN:
-        return _terms_per_term(f, zf, k_lo, k_hi)
-    return _terms_by_rows(f, zf, k_lo, k_hi)
+        r = slice(r0, min(r0 + per, rows))
+        g = weights[: (r.stop - r0) * width]
+        np.add(span[: g.size], d_row[r0], out=g)
+        np.divide(1.0, _powers(f, g), out=g)
+        x = g.reshape(-1, width) @ cols
+        combine(a[r] * x[:, 0], c[r] * x[:, 1], out=parts[r])
+    parts[rows] = np.sum(_terms(f, zf, k_lo + rows * width, k_hi))
+    return float(np.sum(parts))
 
 
 def _chunked_sum(f, zf, k_lo, k_hi):
-    """Sum of the terms for k in [k_lo, k_hi): numpy's pairwise sum
-    inside each _CHUNK terms from k_lo on, exact fsum across them."""
+    """Sum of the terms for k in [k_lo, k_hi): one _sum for each _CHUNK
+    terms from k_lo on, exact fsum across them."""
     return math.fsum(
-        float(np.sum(_terms(f, zf, lo, min(lo + _CHUNK, k_hi))))
-        for lo in range(k_lo, k_hi, _CHUNK)
+        _sum(f, zf, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK)
     )
 
 

@@ -70,6 +70,14 @@ def test_partial_sum_chunk_size_is_invisible(monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 1009)
     after = partial_sum(fam("tS", 1), z, 3000)
     assert abs(before - after) <= 1e-15
+    # three chunks of 4099 terms each take the block sum, as does the one
+    # chunk of 12,297 terms they split
+    n = 3 * 4099
+    monkeypatch.setattr(oracle, "_CHUNK", 1 << 20)
+    before = partial_sum(fam("tS", 1), z, n)
+    monkeypatch.setattr(oracle, "_CHUNK", 4099)
+    after = partial_sum(fam("tS", 1), z, n)
+    assert abs(before - after) <= 1e-15
 
 
 def test_oracle_eval_on_two_threads_gives_the_sequential_reports():

@@ -1,22 +1,25 @@
-"""Oracle term kernels and averaging ladder against their references.
+"""Oracle term kernel, block sum and averaging ladder against references.
 
-Below oracle._TABLE_MIN terms the per-term kernel must equal the one-pass
-numpy kernel bit for bit.  Both kernels, the table one adding a row angle
-and a column angle, are held to 40-digit mpmath: every term within
-16u*g(k) of the exact term at the float z, where u = 2**-53 and
-g(k) = (pi*denom)**-p bounds the size of the term.  The convolution
+The per-term kernel must equal the one-pass numpy kernel bit for bit, and
+every term must lie within 16u*g(k) of the exact term at the float z,
+where u = 2**-53 and g(k) = (pi*denom)**-p bounds the size of the term.
+The block sum, which never builds its terms, must lie within
+(16 + w + log2(rows + 1))*u*sum g(k) of the exact partial sum: the
+per-term error plus the row dot products of w terms and the pairwise
+sum of the rows.  The exact values are 40-digit mpmath.  The convolution
 ladder is held to repeated adjacent averaging.
 """
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from englert_sums import FAMILY_CODES, SumFamily, oracle, oracle_eval
+from englert_sums import FAMILY_CODES, SumFamily, oracle, oracle_eval, partial_sum
 from englert_sums.oracle import TWO_PI, _phase_split
 
 U = 2.0**-53
@@ -33,14 +36,14 @@ def terms_reference(f, zf, k_lo, k_hi):
         mult = denom
     else:
         mult = k
-    head, low = _phase_split(zf)
-    phase = ((mult * head) % 1.0 + mult * low) % 1.0
-    angle = phase * TWO_PI
+    head, mid, low = _phase_split(zf)
+    phase = (mult * head) % 1.0 + mult * mid
+    angle = (phase - np.rint(phase) + mult * low) * TWO_PI
     vals = np.sin(angle) if f.trig == "sin" else np.cos(angle)
     if f.alternating:
         vals = vals * np.where((k % 2.0) == 0.0, 1.0, -1.0)
     with np.errstate(over="ignore"):
-        return vals / (math.pi * denom) ** float(f.power)
+        return vals / (math.pi * denom) ** f.power
 
 
 def assert_same_bits(a, b, where):
@@ -52,7 +55,7 @@ ZS = (0.5, 1.5000000000000002, -1.3, 0.123456789, 1e3 + 0.1, -1e15 + 0.25)
 
 
 def ranges(start):
-    # both parities of k_lo, a row of the table cut short, and a range
+    # both parities of k_lo, a row of the block sum cut short, and a range
     # across the k = _CHUNK boundary of partial_sum
     return (
         (start, start + 4),
@@ -82,65 +85,116 @@ def exact_sin_cos(zf, mult):
         return mpmath.sin(angle), mpmath.cos(angle)
 
 
+def exact_scaled_terms(f, zf, k_lo, k_hi):
+    """(exact term * (pi*denom)**p, denom) for k in [k_lo, k_hi)."""
+    odd_index = f.index_kind == "2k+1"
+    for k in range(k_lo, k_hi):
+        denom = 2 * k + 1 if odd_index else k
+        sin, cos = exact_sin_cos(zf, denom if odd_index and f.modified == "none" else k)
+        exact = sin if f.trig == "sin" else cos
+        yield -exact if f.alternating and k % 2 else exact, denom
+
+
 def worst_error(f, zf, k_lo, got):
     """max over k of |term - exact term| / g(k), in units of u."""
-    odd_index = f.index_kind == "2k+1"
     worst = 0
     with mpmath.workdps(40):
         pi_p = mpmath.pi**f.power
-        for k, term in enumerate(got.tolist(), k_lo):
-            denom = 2 * k + 1 if odd_index else k
-            sin, cos = exact_sin_cos(zf, denom if odd_index and f.modified == "none" else k)
-            exact = sin if f.trig == "sin" else cos
-            if f.alternating and k % 2:
-                exact = -exact
+        scaled = exact_scaled_terms(f, zf, k_lo, k_lo + got.size)
+        for term, (exact, denom) in zip(got.tolist(), scaled):
             # |term - exact / D| * D with D = (pi*denom)**p = 1/g(k)
             worst = max(worst, abs(mpmath.mpf(term) * pi_p * denom**f.power - exact))
     return float(worst) / U
 
 
 @pytest.mark.parametrize("code", FAMILY_CODES)
-def test_terms_within_16u_of_40_digit_terms(code, monkeypatch):
-    # small ranges run both kernels directly, the table kernel with blocks
-    # of two rows so that it takes several blocks and a short last one; a
-    # range of 4100 terms across _CHUNK takes the table kernel through
-    # _terms at the real sizes
-    real = oracle._CHUNK - 2000
+def test_terms_within_16u_of_40_digit_terms(code):
     for order in range(4):
         f = SumFamily.from_code(code, order)
-        got = oracle._terms(f, 0.123456789, real, real + 4100)
-        assert got.shape == (4100,)
-        assert worst_error(f, 0.123456789, real, got) <= 16, order
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_BLOCK", 12)
-            for zf in (0.123456789, -1.3, 1e3 + 0.1):
-                for lo, hi in ranges(f.k_start):
-                    for kernel in (oracle._terms_per_term, oracle._terms_by_rows):
-                        got = kernel(f, zf, lo, hi)
-                        assert got.shape == (hi - lo,)
-                        assert worst_error(f, zf, lo, got) <= 16, (kernel, order, zf, lo, hi)
+        for zf in (0.123456789, -1.3, 1e3 + 0.1):
+            for lo, hi in ranges(f.k_start):
+                got = oracle._terms(f, zf, lo, hi)
+                assert got.shape == (hi - lo,)
+                assert worst_error(f, zf, lo, got) <= 16, (order, zf, lo, hi)
+
+
+@pytest.mark.parametrize("code", ["tS", "tbS"])
+@pytest.mark.parametrize("k_lo", [50_000_000, 90_000_000, 100_000_000 - 200])
+def test_terms_keep_16u_out_to_the_term_cap(code, k_lo):
+    # a k family and a 2k+1 family, whose phase multiplier reaches 2e8:
+    # both products of the phase split stay exact, so only the tail rounds
+    f = SumFamily.from_code(code, 0)
+    for zf in (0.123456789, 1e3 + 0.1):
+        got = oracle._terms(f, zf, k_lo, k_lo + 200)
+        assert worst_error(f, zf, k_lo, got) <= 16, zf
+
+
+def exact_sum_and_bound(f, zf, k_lo, k_hi):
+    """(40-digit partial sum, block-sum bound (16 + w + log2(rows+1))*u*sum g)."""
+    n = k_hi - k_lo
+    width = min(128, math.isqrt(n))
+    with mpmath.workdps(40):
+        pi_p = mpmath.pi**f.power
+        total = mpmath.mpf(0)
+        weight = mpmath.mpf(0)
+        for exact, denom in exact_scaled_terms(f, zf, k_lo, k_hi):
+            g = 1 / (pi_p * mpmath.mpf(denom) ** f.power)
+            total += exact * g
+            weight += g
+        rows = n // width
+        return total, float((16 + width + math.log2(rows + 1)) * U * weight)
+
+
+def assert_block_sum_within_bound(f, zf, k_lo, k_hi):
+    got = oracle._sum(f, zf, k_lo, k_hi)
+    exact, bound = exact_sum_and_bound(f, zf, k_lo, k_hi)
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpf(got) - exact))
+    assert err <= bound, (f.code, f.order, zf, k_lo, k_hi, err, bound)
 
 
 @pytest.mark.parametrize("code", FAMILY_CODES)
-def test_terms_match_reference_at_the_real_block_size(code):
-    # above _TABLE_MIN the table kernel fills whole blocks of _BLOCK terms
-    # and a short last one; each of its terms and each of the reference's
-    # is within 16u*g(k) of the exact term, so they differ by at most 32u*g(k)
+def test_block_sum_within_its_bound_at_every_code(code, monkeypatch):
+    # _TABLE_MIN lowered so that short ranges take the block sum, and
+    # _BLOCK so that they take many blocks of two rows and a short last
+    # one: 100 terms are 10 rows of 10, 147 terms 12 rows of 12 and 3 more
+    monkeypatch.setattr(oracle, "_TABLE_MIN", 16)
+    for order in range(4):
+        f = SumFamily.from_code(code, order)
+        for zf in ZS:
+            for lo, hi in ((f.k_start, f.k_start + 100), (f.k_start + 1, f.k_start + 148)):
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_BLOCK", 2 * math.isqrt(hi - lo))
+                    assert_block_sum_within_bound(f, zf, lo, hi)
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_block_sum_matches_exact_sum_at_the_real_block_size(code):
+    # exactly _TABLE_MIN terms (64 rows of 64), a count that is not a
+    # multiple of w (4099 = 64*64 + 3) from an odd k_lo, and a range across
+    # k = _CHUNK, through the real _BLOCK
     f = SumFamily.from_code(code, 1)
-    zf = 0.123456789
-    block = oracle._BLOCK
+    start, n = f.k_start, oracle._TABLE_MIN
     for lo, hi in (
-        (f.k_start, f.k_start + oracle._TABLE_MIN),
-        (f.k_start + 1, f.k_start + 2 * block + 3),
-        (oracle._CHUNK - 5, oracle._CHUNK + block + 6),
+        (start, start + n),
+        (3, 3 + n + 3),
+        (oracle._CHUNK - 2000, oracle._CHUNK + 2100),
     ):
-        got = oracle._terms(f, zf, lo, hi)
-        want = terms_reference(f, zf, lo, hi)
-        k = np.arange(lo, hi, dtype=np.float64)
-        denom = 2.0 * k + 1.0 if f.index_kind == "2k+1" else k
-        g = (math.pi * denom) ** -float(f.power)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 32 * U * g), (code, lo, hi)
+        assert_block_sum_within_bound(f, 0.123456789, lo, hi)
+
+
+def test_block_sum_allocates_no_array_of_its_terms():
+    # 10**6 terms would take 8 MB as an array; the block sum holds one
+    # block of weights and tables of about n/w entries
+    f = SumFamily.from_code("C", 1)
+    partial_sum(f, 0.5, 10**6)
+    tracemalloc.start()
+    try:
+        partial_sum(f, 0.5, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize(
@@ -152,11 +206,14 @@ def test_terms_match_reference_at_the_real_block_size(code):
     ],
 )
 def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, terms, monkeypatch):
-    # the kernels differ by at most 32u*g(k) a term, which over these sums
-    # is below 5e-15 in each partial sum; values and envelopes agree to 1e-13
+    # the reference sums every chunk as an array of reference terms; the
+    # block sum is within (16 + 128 + 14)u*sum g(k) of the exact sum and
+    # each reference term within 16u*g(k), which over these sums, sum g(k)
+    # at most 1.9, is below 4e-14; values and envelopes agree to 1e-13
     f = SumFamily.from_code(code, order)
     got = oracle_eval(f, z, tol, strict=False)
     monkeypatch.setattr(oracle, "_terms", terms_reference)
+    monkeypatch.setattr(oracle, "_TABLE_MIN", oracle._MAX_TERMS + 1)
     reference = oracle_eval(f, z, tol, strict=False)
     assert (got.mode, got.terms_used) == (reference.mode, reference.terms_used) == (mode, terms)
     assert got.value == pytest.approx(reference.value, rel=0, abs=1e-13)

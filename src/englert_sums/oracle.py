@@ -28,22 +28,43 @@ Each chunk holds at most _CHUNK terms.  A chunk of fewer than
 _TABLE_MIN = 4096 terms builds its terms, each with its own phase and
 sine or cosine divided by (pi*denom)**p, and adds them with numpy's
 pairwise sum.  A longer chunk of n terms never builds them.  It writes
-k = k_lo + r*w + j with w = min(128, isqrt(n)) and takes sin and cos
-once each of the phases of the rows and of the columns, the alternating
-sign folded into both.  For each block of at most _BLOCK terms it builds
-the weights g(k) = (pi*denom)**-p once, as a matrix G of whole rows, and
-by angle addition row r sums to a_r*X_r0 +- c_r*X_r1 with
-X = G @ [cos_col, sin_col].  The rows and the n mod w last terms are
-added with numpy's pairwise sum.  The tables' fixed cost, some 20 us, is
-repaid only from 2000 to 4000 terms on; an absolute-mode point of verify
-needs 4 to 1270 terms and builds its terms.
+k = k_lo + r*w + j with w = min(128, isqrt(n)), the n mod w last terms
+a short last row, and takes sin and cos once each of the phases of the
+rows and of the columns, the alternating sign folded into both.  By
+angle addition row r sums to a_r*X_r0 +- c_r*X_r1, where X_r is the sum
+over the row of g(k)*[cos_col, sin_col] and g(k) = (pi*denom)**-p.
+
+Row r's weights are g = (pi*e)**-p * (1 - x*t_j)**-p, with e the row's
+last denominator, x = s*(w-1)/e for the denominator step s (1, or 2 for
+2k+1) and t_j = (w-1-j)/(w-1) in [0, 1].  The near rows, the first ones,
+where x is above _far_reach(p), and the short last row build their
+weights, at most _BLOCK at a time, and X = G @ [cos_col, sin_col].  A
+far row takes the binomial series of (1 - x*t)**-p cut after
+M = _SERIES = 14 terms, X_r = (pi*e)**-p * sum_m x**m * K_m, from the
+column moments K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col],
+taken once per chunk.  The series' terms are all positive and fall at
+least by the factor (p+M)/(M+1)*x from m = M on, so the cut drops at
+most C(p+M-1, M)*x**M / (1 - (p+M)/(M+1)*x) of a sum of at least 1;
+_far_reach solves for the x where that is u/8, once per chunk from p.
+From k = 1, row r has x near 1/(r+1): 19 near rows at p = 2, 125 at
+p = 41 and 337 at p = 121, so a 20,000-term sum at order 60 builds all
+its weights, while one of 10^6 terms at p = 2 builds 2,500 of them.  A
+far row costs M products instead of w weights, the moments M*w per
+chunk.  The tables' fixed cost, some 20 us, is repaid only from 2000
+to 4000 terms on; an absolute-mode point of verify needs 4 to 1270
+terms and builds its terms.
 
 A term's error is held to 16u*g(k) against the exact term at the float
 z, where u = 2^-53 and g(k) bounds the term's size.  A block sum adds at
 most (w + log2(rows))*u*sum g(k) to its terms' errors: the w products of
-a row's dot product, then the pairwise sum of the rows.
+a row's dot product, then the pairwise sum of the rows.  A far row's
+weights are (pi*e)**-p times a sum of positive terms, so its products
+and sums round as a dot product with its exact weights would, give or
+take the 2M or so roundings of the series' terms past the first, whose
+sum, (1 - x)**-p - 1, is below half the first at the cut; the cut adds
+u/8*g(k) per term.
 tests/test_oracle_kernel.py checks terms and block sums against 40-digit
-mpmath, out to k = 1e8.
+mpmath, out to k = 1e8 and to order 60.
 
 The averaged mode's ladder of depths 4, 16, 64, 256 and 1024 takes each
 step, d passes of adjacent averaging, as one convolution with the
@@ -51,12 +72,13 @@ binomial weights C(d, j)/2^d, built once from exact integers.  It agrees
 with the passes to 1e-14*(1 + |v|) or better.
 
 A call allocates no array of its n terms.  The largest arrays are the
-weights of one block and their offsets, _BLOCK entries each, and the
-tables and row sums, n/w entries each: a 10^6-term sum peaks near
-0.6 MB, where its terms alone would take 8 MB.  The averaged mode builds
-its window of 1600 terms.  Every array a call writes is its own, the
-ladder weights are read-only, and the one BLAS call, the product
-G @ [cos_col, sin_col], reads only the call's arrays and gives the same
+weights of a block of near rows and their offsets, the powers x**m of a
+block of far rows, _BLOCK entries each, and the tables and row sums,
+n/w entries each: a 10^6-term sum peaks near 0.7 MB, where its terms
+alone would take 8 MB.  The averaged mode builds its window of 1600
+terms.  Every array a call writes is its own, the ladder weights are
+read-only, and the BLAS calls, the products G @ [cos_col, sin_col], the
+moments and K @ [x**m], read only the call's arrays and give the same
 digits on one BLAS thread as on several.  So a library caller may run
 oracle_eval on several threads at once: the calls share nothing they
 write.
@@ -87,6 +109,8 @@ TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 20
 _BLOCK = 1 << 14
 _TABLE_MIN = 4096
+_SERIES = 14
+_U = 2.0**-53
 _MAX_TERMS = 100_000_000
 _CAP_P2 = 1_000_000
 _CAP_P3 = 10_000
@@ -155,12 +179,45 @@ def _turns(mult, head, mid, low):
 
 
 def _powers(f, denom):
-    """(pi*denom)**p in place.  Denominators overflowing to inf at very
-    high order make the term an exact 0.0, what the true value rounds to."""
+    """(pi*denom)**p in place, for ascending denominators.  A power can
+    overflow only where p*log2(pi*denom[-1]) reaches 1023; there the
+    denominators that overflow to inf make the term an exact 0.0, what the
+    true value rounds to."""
+    p = f.power
     denom *= math.pi
-    with np.errstate(over="ignore"):
-        denom **= f.power
+    if p * math.log2(denom[-1]) < 1023.0:
+        denom **= p
+    else:
+        with np.errstate(over="ignore"):
+            denom **= p
     return denom
+
+
+def _far_reach(p):
+    """An x, within 1% of the largest, at which the first _SERIES terms of
+    the binomial series of (1 - x)**-p fall short of it by at most u/8
+    relative, and so on all of [0, x].
+
+    The terms C(p+m-1, m)*x**m are positive and, from m = M = _SERIES on,
+    shrink at least by the factor (p+M)/(M+1)*x, so the remainder is at
+    most C(p+M-1, M)*x**M / (1 - (p+M)/(M+1)*x), and the sum is at least 1.
+    """
+    m = _SERIES
+    lead = math.comb(p + m - 1, m)
+    if lead == 0:  # p = 0: the series is the constant 1
+        return 1.0
+    x = (_U / 8.0 / lead) ** (1.0 / m)
+    while lead * x**m > _U / 8.0 * (1.0 - (p + m) / (m + 1) * x):
+        x *= 0.99
+    return x
+
+
+def _power_rows(base, out):
+    """out[m] = base**m for each row m of out, by repeated products."""
+    out[0] = 1.0
+    for m in range(1, len(out)):
+        np.multiply(out[m - 1], base, out=out[m])
+    return out
 
 
 def _terms(f, zf, k_lo, k_hi):
@@ -186,8 +243,9 @@ def _sum(f, zf, k_lo, k_hi):
     if n < _TABLE_MIN:
         return float(np.sum(_terms(f, zf, k_lo, k_hi)))
     width = min(128, math.isqrt(n))
-    rows = n // width
-    k_row = np.arange(rows, dtype=np.float64) * width + k_lo
+    rows, rest = divmod(n, width)
+    # the rest terms are a short last row
+    k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
     col = np.arange(width, dtype=np.float64)
     step = 2.0 if f.index_kind == "2k+1" else 1.0  # denom = step*k + step - 1
     d_row, d_col = step * k_row + (step - 1.0), step * col
@@ -195,29 +253,61 @@ def _sum(f, zf, k_lo, k_hi):
     angle = _turns(np.concatenate(mult), *_phase_split(zf))
     angle *= TWO_PI
     sin, cos = np.sin(angle), np.cos(angle, out=angle)
+    n_row = k_row.size
     if f.alternating:
-        # (-1)**k is the sign of the row times the sign of the column
-        odd = np.concatenate((k_row, col)) % 2.0 == 1.0
-        np.negative(sin, out=sin, where=odd)
-        np.negative(cos, out=cos, where=odd)
-    cols = np.stack((cos[rows:], sin[rows:]), axis=1)
+        # (-1)**k is the sign of the row times the sign of the column: the
+        # odd columns, and the rows where k_lo + r*w is odd
+        if width % 2:
+            odd_rows = slice((k_lo + 1) % 2, n_row, 2)
+        else:
+            odd_rows = slice(n_row if k_lo % 2 else 0)
+        for table in (sin, cos):
+            for odd in (table[n_row + 1 :: 2], table[odd_rows]):
+                np.negative(odd, out=odd)
+    cols = np.stack((cos[n_row:], sin[n_row:]), axis=1)
     if f.trig == "sin":  # sin(a + b) = sin a cos b + cos a sin b
-        a, c, combine = sin[:rows], cos[:rows], np.add
+        a, c, combine = sin[:n_row], cos[:n_row], np.add
     else:  # cos(a + b) = cos a cos b - sin a sin b
-        a, c, combine = cos[:rows], sin[:rows], np.subtract
-    per = min(rows, _BLOCK // width)  # rows per block
+        a, c, combine = cos[:n_row], sin[:n_row], np.subtract
+    parts = np.empty(n_row)
+    # a whole row's weights are (pi*d_end)**-p * (1 - ratio*t_j)**-p with
+    # d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
+    span = step * (width - 1)
+    d_end = d_row[:rows] + span
+    ratio = span / d_end
+    near = int(np.count_nonzero(ratio > _far_reach(f.power)))
+    per = max(1, min(near, _BLOCK // width))  # near rows per block
     # denominators of a block less the first one's, exact integers
-    span = step * np.arange(per * width, dtype=np.float64)
+    offsets = step * np.arange(per * width, dtype=np.float64)
     weights = np.empty(per * width)
-    parts = np.empty(rows + 1)
-    for r0 in range(0, rows, per):
-        r = slice(r0, min(r0 + per, rows))
+    for r0 in range(0, near, per):
+        r = slice(r0, min(r0 + per, near))
         g = weights[: (r.stop - r0) * width]
-        np.add(span[: g.size], d_row[r0], out=g)
+        np.add(offsets[: g.size], d_row[r0], out=g)
         np.divide(1.0, _powers(f, g), out=g)
         x = g.reshape(-1, width) @ cols
         combine(a[r] * x[:, 0], c[r] * x[:, 1], out=parts[r])
-    parts[rows] = np.sum(_terms(f, zf, k_lo + rows * width, k_hi))
+    if near < rows:
+        # far rows: the series of (1 - ratio*t_j)**-p cut after `terms`
+        # terms; its column moments K_m = C(p+m-1, m) * sum_j t_j**m * col_j
+        # are taken once, and row r sums to
+        # (pi*d_end)**-p * sum_m ratio_r**m * K_m
+        terms = _SERIES if f.power else 1
+        t = (width - 1.0 - col) / (width - 1)
+        moments = (_power_rows(t, np.empty((terms, width))) @ cols).T
+        moments *= [1.0] + [float(math.comb(f.power + m - 1, m)) for m in range(1, terms)]
+        per = max(1, _BLOCK // terms)  # far rows per block
+        powers = np.empty((terms, min(per, rows - near)))
+        for r0 in range(near, rows, per):
+            r = slice(r0, min(r0 + per, rows))
+            xt = moments @ _power_rows(ratio[r], powers[:, : r.stop - r0])  # X.T
+            xt /= _powers(f, d_end[r])
+            combine(a[r] * xt[0], c[r] * xt[1], out=parts[r])
+    if rest:
+        g = d_row[rows] + d_col[:rest]
+        np.divide(1.0, _powers(f, g), out=g)
+        x = g @ cols[:rest]
+        parts[rows] = combine(a[rows] * x[0], c[rows] * x[1])
     return float(np.sum(parts))
 
 

@@ -6,13 +6,16 @@ where u = 2**-53 and g(k) = (pi*denom)**-p bounds the size of the term.
 The block sum, which never builds its terms, must lie within
 (16 + w + log2(rows + 1))*u*sum g(k) of the exact partial sum: the
 per-term error plus the row dot products of w terms and the pairwise
-sum of the rows.  The exact values are 40-digit mpmath.  The convolution
-ladder is held to repeated adjacent averaging.
+sum of the rows.  Its far rows' weights, a binomial series cut after
+_SERIES terms, must lie within u/8 of the exact weights.  The exact
+values are 40-digit mpmath.  The convolution ladder is held to repeated
+adjacent averaging.
 """
 
 import functools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -157,12 +160,17 @@ def assert_block_sum_within_bound(f, zf, k_lo, k_hi):
 def test_block_sum_within_its_bound_at_every_code(code, monkeypatch):
     # _TABLE_MIN lowered so that short ranges take the block sum, and
     # _BLOCK so that they take many blocks of two rows and a short last
-    # one: 100 terms are 10 rows of 10, 147 terms 12 rows of 12 and 3 more
+    # one: 100 terms are 10 rows of 10, 147 terms 12 rows of 12 and 3 more.
+    # From k = 1000 on every row is far, one row to a block of the series
     monkeypatch.setattr(oracle, "_TABLE_MIN", 16)
     for order in range(4):
         f = SumFamily.from_code(code, order)
         for zf in ZS:
-            for lo, hi in ((f.k_start, f.k_start + 100), (f.k_start + 1, f.k_start + 148)):
+            for lo, hi in (
+                (f.k_start, f.k_start + 100),
+                (f.k_start + 1, f.k_start + 148),
+                (1000, 1147),
+            ):
                 with monkeypatch.context() as m:
                     m.setattr(oracle, "_BLOCK", 2 * math.isqrt(hi - lo))
                     assert_block_sum_within_bound(f, zf, lo, hi)
@@ -183,40 +191,89 @@ def test_block_sum_matches_exact_sum_at_the_real_block_size(code):
         assert_block_sum_within_bound(f, 0.123456789, lo, hi)
 
 
+@pytest.mark.parametrize("code", ["S", "C", "bS"])
+@pytest.mark.parametrize("order", [8, 20, 60])
+def test_block_sum_within_its_bound_at_high_order(code, order):
+    # from k_start, the first rows build their weights (at order 60 all
+    # 156 rows do) and the rest take the series; from k = _CHUNK - 2000
+    # every row is far, and at order 60 every weight there is 0.0
+    f = SumFamily.from_code(code, order)
+    for lo, n in ((f.k_start, 20_000), (oracle._CHUNK - 2000, 4100)):
+        assert_block_sum_within_bound(f, 0.123456789, lo, lo + n)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 7, 41, 121])
+def test_far_row_weights_within_u8_of_40_digit_weights(p):
+    # a row is far when its x = s*(w-1)/d_end is at most _far_reach(p), so
+    # x = _far_reach(p) is the largest x of any far row, the first far row
+    # of any sum included; the cut series at x*t_j, summed exactly, must be
+    # within u/8 relative of the exact (1 - x*t_j)**-p at every column
+    width = 128
+    x = oracle._far_reach(p)
+    terms = oracle._SERIES if p else 1
+    with mpmath.workdps(40):
+        for j in range(width):
+            xt = mpmath.mpf(x) * mpmath.mpf((width - 1.0 - j) / (width - 1))
+            series = sum(math.comb(p + m - 1, m) * xt**m for m in range(1, terms)) + 1
+            exact = (1 - xt) ** -p
+            assert abs(series - exact) <= U / 8 * exact, (p, j)
+
+
+def test_overflowing_denominators_give_exact_zeros_and_no_warning():
+    # order 60, p = 121: (pi*k)**121 overflows from k = 113 on, in the
+    # per-term kernel, the built weights and the far rows alike; the true
+    # terms round to 0.0
+    f = SumFamily.from_code("S", 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = oracle._terms(f, 0.123456789, 100, 300)
+        oracle._sum(f, 0.123456789, 1, 20_001)
+        far = oracle._sum(f, 0.123456789, oracle._CHUNK - 2000, oracle._CHUNK + 2100)
+    assert terms[:13].all() and not terms[13:].any()
+    assert far == 0.0
+
+
 def test_block_sum_allocates_no_array_of_its_terms():
     # 10**6 terms would take 8 MB as an array; the block sum holds one
-    # block of weights and tables of about n/w entries
-    f = SumFamily.from_code("C", 1)
-    partial_sum(f, 0.5, 10**6)
-    tracemalloc.start()
-    try:
+    # block of weights or of far-row powers and tables of about n/w entries
+    for code, order in (("C", 1), ("S", 3)):
+        f = SumFamily.from_code(code, order)
         partial_sum(f, 0.5, 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000, peak
+        tracemalloc.start()
+        try:
+            partial_sum(f, 0.5, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (code, peak)
 
 
 @pytest.mark.parametrize(
     "code,order,z,tol,mode,terms",
     [
         ("C", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped at resonance
+        ("tbC", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped, 2k+1
         ("C", 1, 0.3, 1e-8, "averaged-conditional", 20_000),  # p = 2
         ("Qp", 0, 0.3, 1e-6, "averaged-conditional", 20_000),  # p = 1
+        ("tC", 0, 0.3, 1e-6, "averaged-conditional", 20_000),  # p = 0
     ],
 )
 def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, terms, monkeypatch):
     # the reference sums every chunk as an array of reference terms; the
     # block sum is within (16 + 128 + 14)u*sum g(k) of the exact sum and
-    # each reference term within 16u*g(k), which over these sums, sum g(k)
-    # at most 1.9, is below 4e-14; values and envelopes agree to 1e-13
+    # each reference term within 16u*g(k), which over the sums at p >= 1,
+    # sum g(k) at most 1.9, is below 4e-14; their values agree to 1e-13.
+    # At p = 0 every g(k) is 1 and the 18,400 terms of the base sum give
+    # 174u*18,400 < 4e-10.  An envelope, a spread of window sums, does not
+    # see the base sum: envelopes agree to 1e-13 at every p
     f = SumFamily.from_code(code, order)
+    value_tol = 1e-13 if f.power else 4e-10
     got = oracle_eval(f, z, tol, strict=False)
     monkeypatch.setattr(oracle, "_terms", terms_reference)
     monkeypatch.setattr(oracle, "_TABLE_MIN", oracle._MAX_TERMS + 1)
     reference = oracle_eval(f, z, tol, strict=False)
     assert (got.mode, got.terms_used) == (reference.mode, reference.terms_used) == (mode, terms)
-    assert got.value == pytest.approx(reference.value, rel=0, abs=1e-13)
+    assert got.value == pytest.approx(reference.value, rel=0, abs=value_tol)
     assert got.tail_bound == pytest.approx(reference.tail_bound, rel=0, abs=1e-13)
 
 

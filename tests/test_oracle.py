@@ -1,5 +1,6 @@
 """Brute-force series oracle: partial sums, convergence modes, arbitration."""
 
+import collections
 import math
 import subprocess
 import sys
@@ -136,17 +137,146 @@ def test_averaged_mode_for_slow_series(code, z, tol, want):
     assert abs(r.value - want) <= tol
 
 
-def test_averaged_mode_kicks_in_below_absolute_reach():
-    # p = 3 at tol 1e-10 would need more terms than the absolute cap
+def test_tail_by_parts_below_absolute_reach():
+    # p = 3 at tol 1e-10 would need more terms than the absolute cap; off
+    # resonance a head of 40 terms and the tail by parts reach it
     r = oracle_eval(fam("S", 1), 0.3, 1e-10)
-    assert r.mode == "averaged-conditional"
+    assert r.mode == "absolute"
+    assert r.terms_used == 40
+    assert r.tail_bound <= 1e-10
     assert abs(r.value - (-0.032)) <= 1e-10
+
+
+# (code, orders): one code of each index kind for each parity of p, the
+# orders giving p in {2, 4} or {3, 7}; alternating and not, sin and cos
+BY_PARTS_CODES = [
+    ("C", (1, 2)),
+    ("tS", (1, 3)),
+    ("tbSp", (1, 2)),
+    ("bCp", (1, 3)),
+    ("Q", (1, 2)),
+    ("tP", (1, 3)),
+]
+BY_PARTS_DELTAS = (1.0 / 64.0 + 1e-3, 0.1, 0.25, 0.5)
+
+
+def z_at_delta(f, delta, side):
+    """A z whose phase step is delta turns past (side 1) or short of
+    (side -1) a whole turn."""
+    shift = 0.5 if f.alternating else 0.0
+    scale = 2.0 if f.index_kind == "2k+1" and f.modified == "none" else 1.0
+    return (side * delta - shift) / scale
+
+
+def series_reference(f, z):
+    """The defining series at 40 digits through the Lerch transcendent, as
+    tests/test_reference.py takes the modified families: Re or Im of
+    pref * sum_k u**k * (c*k + d)**-p / pi**p, which is u * Phi(u, p, 1)
+    for k families and Phi(u, p, 1/2) / 2**p for 2k+1 ones."""
+    mpmath = pytest.importorskip("mpmath")
+    p = f.power
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        sign = mpmath.mpf(1) / 2 if f.alternating else 0
+        if f.index_kind == "k":
+            u = mpmath.expjpi(2 * (zm + sign))
+            s = u * mpmath.lerchphi(u, p, 1)
+        else:
+            doubled = f.modified == "none"
+            u = mpmath.expjpi(2 * ((2 if doubled else 1) * zm + sign))
+            pref = mpmath.expjpi(2 * zm) if doubled else 1
+            s = pref * mpmath.lerchphi(u, p, mpmath.mpf(1) / 2) / 2**p
+        part = s.imag if f.trig == "sin" else s.real
+        return part / mpmath.pi**p
+
+
+@pytest.mark.parametrize("code,orders", BY_PARTS_CODES, ids=[c for c, _ in BY_PARTS_CODES])
+@pytest.mark.parametrize("index", range(len(BY_PARTS_DELTAS)))
+def test_tail_by_parts_within_its_bound_against_40_digits(code, orders, index):
+    # the head, the tail's J terms and their rounding, and the remainder
+    # after J steps, against the whole series at 40 digits; orders whose
+    # tol oracle_eval would reach by the integral tail take _by_parts here
+    delta = BY_PARTS_DELTAS[index]
+    for order in orders:
+        f = fam(code, order)
+        cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
+        z = z_at_delta(f, delta, (-1) ** index)
+        assert oracle._osc_distance(f, z) == pytest.approx(delta, abs=1e-12)
+        want = series_reference(f, z)
+        for tol in (1e-8, 1e-10):
+            r = oracle._by_parts(f, z, tol, cap)
+            assert r.mode == "absolute"
+            assert r.tail_bound <= tol
+            assert abs(r.value - want) <= r.tail_bound, (order, tol)
+
+
+@pytest.mark.parametrize("c,d", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("p", [2, 3, 7, 121])
+@pytest.mark.parametrize("k", [41, 1000])
+def test_tail_differences_are_the_correctly_rounded_exact_ones(c, d, p, k):
+    count = oracle._PARTS + 1
+    want = [
+        float(
+            sum(
+                (-1) ** (j - i) * math.comb(j, i) * Fraction(1, (c * (k + i) + d) ** p)
+                for i in range(j + 1)
+            )
+        )
+        for j in range(count)
+    ]
+    assert oracle._differences(c, d, p, k, count) == want
+
+
+@pytest.mark.parametrize("code", ["C", "tS", "tbSp", "bCp", "Q", "tP"])
+def test_tail_by_parts_stays_short_just_off_resonance(code):
+    # the smallest phase step the tail takes: N = ceil(3J/(2 pi delta)),
+    # 367 terms, where the capped sum would take 10^6 or 10^4
+    f = fam(code, 1)
+    delta = oracle._MONOTONE_DELTA * (1.0 + 1e-9)
+    z = z_at_delta(f, delta, 1)
+    assert oracle._osc_distance(f, z) > oracle._MONOTONE_DELTA
+    cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
+    r = oracle._by_parts(f, z, 1e-10, cap)
+    assert r.terms_used == 367
+    assert r.tail_bound <= 1e-10
+    closed = eval_family(f, z)
+    assert abs(r.value - closed.value) <= r.tail_bound + closed.error_bound
+    if f.power == 2:
+        # past the absolute cap at tol 1e-8 too: oracle_eval's route
+        assert oracle_eval(f, z, 1e-8) == oracle._by_parts(f, z, 1e-8, cap)
+        # below any tol oracle_eval takes, where the remainder still
+        # dominates the bound, the head doubles until the bound fits
+        r = oracle._by_parts(f, z, 1e-15, cap)
+        assert (r.terms_used, r.tail_bound <= 1e-15) == (734, True)
+        assert abs(r.value - closed.value) <= r.tail_bound + closed.error_bound
+
+
+def test_verify_still_reports_every_oracle_kind(monkeypatch, capsys):
+    # the benchmark's traced pass declares spans for absolute, capped and
+    # averaged oracle reports of the default verify; an oracle change that
+    # empties one of them fails here too
+    from englert_sums import cli
+
+    kinds = collections.Counter()
+
+    def counting(f, z, tol, strict=True):
+        r = oracle_eval(f, z, tol, strict=strict)
+        if r.mode == "averaged-conditional":
+            kinds["averaged"] += 1
+        else:
+            kinds["absolute" if r.tail_bound <= tol else "capped"] += 1
+        return r
+
+    monkeypatch.setattr(cli, "oracle_eval", counting)
+    assert cli.run(["verify"]) == 0
+    assert capsys.readouterr().out.endswith("PASS 3507/3507\n")
+    assert set(kinds) == {"absolute", "capped", "averaged"}, kinds
 
 
 def test_non_oscillating_point_hits_the_cap():
     # right next to the jump of the square-wave component the series is
-    # effectively monotone, so averaging is refused and the absolute cap
-    # is the best available
+    # effectively monotone, so the tail by parts is refused and the
+    # absolute cap is the best available
     f = fam("C", 1)
     r = oracle_eval(f, 0.499, 1e-8, strict=False)
     assert r.mode == "absolute"

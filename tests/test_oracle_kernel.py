@@ -253,7 +253,7 @@ def test_block_sum_allocates_no_array_of_its_terms():
     [
         ("C", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped at resonance
         ("tbC", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped, 2k+1
-        ("C", 1, 0.3, 1e-8, "averaged-conditional", 20_000),  # p = 2
+        ("C", 1, 0.3, 1e-8, "absolute", 40),  # p = 2, the tail by parts
         ("Qp", 0, 0.3, 1e-6, "averaged-conditional", 20_000),  # p = 1
         ("tC", 0, 0.3, 1e-6, "averaged-conditional", 20_000),  # p = 0
     ],

@@ -1,33 +1,35 @@
 """Ground truth by direct summation of the defining series.
 
-This module never looks at the closed forms.  Terms are generated
-straight from the family definition and summed in chunks, see below,
-with exact fsum across chunks, so the result is independent of chunk
-boundaries to well below 1e-13.
+This module never looks at the closed forms.  Every family is Re or Im
+of pref * sum_{k >= k_start} u**k * g(k), with g(k) = (pi*(c*k + d))**-p
+and |u| = |pref| = 1.  _shape reads that shape in exact integers from
+z = m/q: u turns step/den and pref pref_num/den, with den = 2q.  The k
+families have c, d = 1, 0 and the 2k+1 and modified P/Q families
+c, d = 2, 1.  u turns z for the k and P/Q families and 2z for the other
+2k+1 ones, whose phase (2k+1)z leaves pref turning z; pref is 1
+elsewhere.  An alternating family's (-1)**k is half a turn more in u.
+So term k is the sine or cosine of 2 pi (k*step + pref_num)/den times
+g(k), and the phase advance per term is delta = min(step, den - step)/den
+turns from the nearest integer, exactly.  Terms are summed in chunks,
+see below, with exact fsum across chunks, so the result is independent
+of chunk boundaries to well below 1e-13.
 
 Absolutely convergent families (denominator power p >= 2) are summed to
 an integral-comparison tail bound when the required term count fits the
 mode cap, 10^6 for p = 2 and 10^4 for p >= 3.  When it does not, the
-phase advance per term, delta turns away from the nearest integer,
-decides.  Within _MONOTONE_DELTA = 1/64 of a whole turn the partial sums
-drift one way, and the sum stops at the cap with the honest integral
-tail.  Further off, a head of N terms takes the tail past it by
-summation by parts, below; both report the absolute mode.  At p <= 1,
-where the series converges only conditionally, repeated adjacent
+phase advance delta decides.  Within _MONOTONE_DELTA = 1/64 of a whole
+turn the partial sums drift one way, and the sum stops at the cap with
+the honest integral tail.  Further off, a head of N terms takes the tail
+past it by summation by parts, below; both report the absolute mode.  At
+p <= 1, where the series converges only conditionally, repeated adjacent
 averaging damps the oscillation, each pass multiplying the non-decaying
 mode by |cos(pi delta)|.  The averaged mode keeps a window of trailing
 partial sums, averages it down a fixed depth ladder, and reports an
 envelope, twice the spread of the trailing averaged window, as the error
 estimate.
 
-The tail by parts.  A p >= 2 family is Re or Im of
-pref * sum_{k >= k_start} u**k * g(k), with g(k) = (pi*(c*k + d))**-p
-and |u| = 1.  With a = 1 for alternating families and 0 otherwise,
-u = exp(2 pi i (z + a/2)) for the k families (c, d = 1, 0) and the
-modified P/Q families (c, d = 2, 1), and u = exp(2 pi i (2z + a/2)) with
-pref = exp(2 pi i z) for the other 2k+1 families; pref is 1 elsewhere.
-From K = k_start + N on, J steps of summation by parts give, with
-r = -u/(u - 1),
+The tail by parts.  From K = k_start + N on, J steps of summation by
+parts give, with r = -u/(u - 1),
 
     T = sum_{j<J} r**j * (-u**K * Delta^j g(K) / (u - 1)) + R,
     |R| <= 2 |Delta^J g(K)| |r|**J / |u - 1|,
@@ -35,19 +37,20 @@ r = -u/(u - 1),
 since Delta^J g is sign-definite and shrinks monotonically in size;
 |r| = 1/|u - 1| = 1/(2 sin(pi delta)).  Delta^j (c*k + d)**-p is exact
 in integers over one common denominator, each value rounded once and
-then scaled by pi**-p; u, u**K and pref come from exact integer turns of
-z's integer ratio, read through polylog's _sin_pi and _cos_pi.  The
-bound adds three charges: R, the tail's rounding, (p + 16J)u of the size
-of its terms, and the head's, (16 + ceil(log2 N))u * sum g(k), as below.
+then scaled by pi**-p; u**K and pref come from the shape's exact
+integer turns, read through polylog's _sin_pi and _cos_pi.  The bound
+adds three charges: R, the tail's rounding, (p + 16J)u of the size of
+its terms, and the head's, (16 + ceil(log2 N))u * sum g(k), as below.
 J = _PARTS = 12 and N = max(40, ceil(3J/(2 pi delta))), doubled while
 the bound exceeds tol, never past the cap.  The 444 such points of the
 default verify take 40 or 58 terms, with bounds up to 2.9e-14; N starts
 at 367 at most, just past _MONOTONE_DELTA.
 
-Phase arithmetic splits frac(z) into a 25-bit head, a 25-bit middle and
-a small tail, so that mult*frac(z) mod 1 rounds only in its last step for
-every mult below 7*2^25, which covers 2k+1 for every k up to _MAX_TERMS.
-Each angle is then taken in [-pi, pi], give or take 2^-19.
+Phase arithmetic splits step/den, from the integers, into a 25-bit
+head, a 25-bit middle and a rest rounded once, and pref_num/den the same
+way, so that term k's phase mod 1 rounds only in its last step for every
+k below 2^27, which covers every k up to _MAX_TERMS.  Each angle is then
+taken in [-pi, pi], give or take 2^-20.
 
 Each chunk holds at most _CHUNK terms.  A chunk of fewer than
 _TABLE_MIN = 4096 terms builds its terms, each with its own phase and
@@ -55,19 +58,20 @@ sine or cosine divided by (pi*denom)**p, and adds them with numpy's
 pairwise sum.  A longer chunk of n terms never builds them.  It writes
 k = k_lo + r*w + j with w = min(128, isqrt(n)), the n mod w last terms
 a short last row, and takes sin and cos once each of the phases of the
-rows and of the columns, the alternating sign folded into both.  By
-angle addition row r sums to a_r*X_r0 +- c_r*X_r1, where X_r is the sum
-over the row of g(k)*[cos_col, sin_col] and g(k) = (pi*denom)**-p.
+rows, (k_row*step + pref_num/2)/den, and of the columns,
+(j*step + pref_num/2)/den, each taking half of pref.  By angle addition
+row r sums to a_r*X_r0 +- b_r*X_r1, where X_r is the sum over the row
+of g(k)*[cos_col, sin_col].
 
 Row r's weights are g = (pi*e)**-p * (1 - x*t_j)**-p, with e the row's
-last denominator, x = s*(w-1)/e for the denominator step s (1, or 2 for
-2k+1) and t_j = (w-1-j)/(w-1) in [0, 1].  The near rows, the first ones,
-where x is above _far_reach(p), and the short last row build their
-weights, at most _BLOCK at a time, and X = G @ [cos_col, sin_col].  A
-far row takes the binomial series of (1 - x*t)**-p cut after
-M = _SERIES = 14 terms, X_r = (pi*e)**-p * sum_m x**m * K_m, from the
-column moments K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col],
-taken once per chunk.  The series' terms are all positive and fall at
+last denominator, x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].
+The near rows, the first ones, where x is above _far_reach(p), and the
+short last row build their weights, at most _BLOCK at a time, and
+X = G @ [cos_col, sin_col].  A far row takes the binomial series of
+(1 - x*t)**-p cut after M = _SERIES = 14 terms,
+X_r = (pi*e)**-p * sum_m x**m * K_m, from the column moments
+K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col], taken once per
+chunk.  The series' terms are all positive and fall at
 least by the factor (p+M)/(M+1)*x from m = M on, so the cut drops at
 most C(p+M-1, M)*x**M / (1 - (p+M)/(M+1)*x) of a sum of at least 1;
 _far_reach solves for the x where that is u/8, once per chunk from p.
@@ -117,7 +121,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import frac
 from .errors import DomainError, ToleranceNotReachedError, check_int
 from .polylog import _cos_pi, _sin_pi
 from .sums import SumFamily, _checked_z, _finite_z, _require_family
@@ -179,31 +182,47 @@ class ArbitrationReport:
     winner: str  # a | b | both | neither
 
 
-def _phase_split(zf):
-    """frac(z) as head + mid + low: head a multiple of 2**-25 and mid one
-    of 2**-50 below 2**-25, so that mult*head and mult*mid are exact for
-    every mult below 2**28."""
-    fz = frac(zf)
-    head = math.floor(fz * 2.0**25) / 2.0**25
-    mid = math.floor((fz - head) * 2.0**50) / 2.0**50
-    return head, mid, fz - head - mid
+def _shape(f, zf):
+    """(c, d, step, den, pref_num): the family f at zf as Re or Im of
+    pref * sum_k u**k * (pi*(c*k + d))**-p, with u turning step/den and
+    pref pref_num/den, both in [0, 1), exact from zf = m/q; see the module
+    docstring.  The one place that reads f's index pattern and sign."""
+    m, q = zf.as_integer_ratio()
+    den = 2 * q
+    c, d = (2, 1) if f.index_kind == "2k+1" else (1, 0)
+    doubled = c == 2 and f.modified == "none"
+    step = ((4 if doubled else 2) * m + (q if f.alternating else 0)) % den
+    return c, d, step, den, 2 * m % den if doubled else 0
 
 
-def _turns(mult, head, mid, low):
-    """The phase mult*frac(z) in turns, for mult >= 0, moved to
-    [-1/2, 1/2] before its last and only rounding step adds mult*low,
-    which is below 2**-22.
+def _split(num, den):
+    """num/den turns as head + mid + low: head a multiple of 2**-25, mid
+    one of 2**-50 below 2**-25, and low, below 2**-50, rounded once."""
+    hm, rest = divmod(num << 50, den)
+    return (hm >> 25) * 2.0**-25, (hm & 0x1FFFFFF) * 2.0**-50, rest / (den << 50)
 
-    x - floor(x) and x - rint(x) are exact, and for mult below 7*2**25,
-    which every 2k+1 below 2*_MAX_TERMS is, frac(mult*head) + mult*mid is
-    a multiple of 2**-50 below 8 and so exact.  An angle of at most pi in
-    size rounds with half the error of one up to 2 pi.
+
+def _turns(k, step, den, pref_num):
+    """The phases (k*step + pref_num)/den in turns for the array k >= 0,
+    moved to [-1/2, 1/2] before the last and only rounding step adds the
+    low parts, below 2**-22.
+
+    x - floor(x) and x - rint(x) are exact.  For k below 2**27, k*head is
+    a multiple of 2**-25 below 2**27 and frac(k*head) + k*mid plus pref's
+    head and mid one of 2**-50 below 8, so both are exact.  An angle of at
+    most pi in size rounds with half the error of one up to 2 pi.
     """
-    turns = mult * head
+    head, mid, low = _split(step, den)
+    turns = k * head
     turns -= np.floor(turns)
-    turns += mult * mid
+    turns += k * mid
+    low = k * low
+    if pref_num:
+        p_head, p_mid, p_low = _split(pref_num, den)
+        turns += p_head + p_mid
+        low += p_low
     turns -= np.rint(turns)
-    turns += mult * low
+    turns += low
     return turns
 
 
@@ -251,15 +270,14 @@ def _power_rows(base, out):
 
 def _terms(f, zf, k_lo, k_hi):
     """Terms for index k in [k_lo, k_hi) as a float64 array: sin or cos of
-    2*pi*mult*frac(z), the alternating sign, divided by (pi*denom)**p."""
+    2*pi*(k*step + pref_num)/den divided by (pi*(c*k + d))**p."""
+    c, d, step, den, pref_num = _shape(f, zf)
     k = np.arange(k_lo, k_hi, dtype=np.float64)
-    denom = 2.0 * k + 1.0 if f.index_kind == "2k+1" else k
-    vals = _turns(denom if f.modified == "none" else k, *_phase_split(zf))
+    vals = _turns(k, step, den, pref_num)
     vals *= TWO_PI
     (np.sin if f.trig == "sin" else np.cos)(vals, out=vals)
-    if f.alternating:
-        odd = vals[(k_lo + 1) % 2 :: 2]
-        np.negative(odd, out=odd)
+    # the denominators c*k + d, k itself for the k families
+    denom = k if c == 1 else np.arange(c * k_lo + d, c * k_hi + d, c, dtype=np.float64)
     vals /= _powers(f, denom)
     return vals
 
@@ -276,38 +294,29 @@ def _sum(f, zf, k_lo, k_hi):
     # the rest terms are a short last row
     k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
     col = np.arange(width, dtype=np.float64)
-    step = 2.0 if f.index_kind == "2k+1" else 1.0  # denom = step*k + step - 1
-    d_row, d_col = step * k_row + (step - 1.0), step * col
-    mult = (d_row, d_col) if f.modified == "none" else (k_row, col)
-    angle = _turns(np.concatenate(mult), *_phase_split(zf))
+    c, d, step, den, pref_num = _shape(f, zf)
+    d_row, d_col = c * k_row + d, c * col
+    # rows and columns take half of pref each, so that their phases add up
+    # to (k*step + pref_num)/den
+    angle = _turns(np.concatenate((k_row, col)), 2 * step, 2 * den, pref_num)
     angle *= TWO_PI
     sin, cos = np.sin(angle), np.cos(angle, out=angle)
     n_row = k_row.size
-    if f.alternating:
-        # (-1)**k is the sign of the row times the sign of the column: the
-        # odd columns, and the rows where k_lo + r*w is odd
-        if width % 2:
-            odd_rows = slice((k_lo + 1) % 2, n_row, 2)
-        else:
-            odd_rows = slice(n_row if k_lo % 2 else 0)
-        for table in (sin, cos):
-            for odd in (table[n_row + 1 :: 2], table[odd_rows]):
-                np.negative(odd, out=odd)
     cols = np.stack((cos[n_row:], sin[n_row:]), axis=1)
-    if f.trig == "sin":  # sin(a + b) = sin a cos b + cos a sin b
-        a, c, combine = sin[:n_row], cos[:n_row], np.add
-    else:  # cos(a + b) = cos a cos b - sin a sin b
-        a, c, combine = cos[:n_row], sin[:n_row], np.subtract
+    if f.trig == "sin":  # sin(A + B) = sin A cos B + cos A sin B
+        a, b, combine = sin[:n_row], cos[:n_row], np.add
+    else:  # cos(A + B) = cos A cos B - sin A sin B
+        a, b, combine = cos[:n_row], sin[:n_row], np.subtract
     parts = np.empty(n_row)
     # a whole row's weights are (pi*d_end)**-p * (1 - ratio*t_j)**-p with
     # d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
-    span = step * (width - 1)
+    span = c * (width - 1)
     d_end = d_row[:rows] + span
     ratio = span / d_end
     near = int(np.count_nonzero(ratio > _far_reach(f.power)))
     per = max(1, min(near, _BLOCK // width))  # near rows per block
     # denominators of a block less the first one's, exact integers
-    offsets = step * np.arange(per * width, dtype=np.float64)
+    offsets = c * np.arange(per * width, dtype=np.float64)
     weights = np.empty(per * width)
     for r0 in range(0, near, per):
         r = slice(r0, min(r0 + per, near))
@@ -315,7 +324,7 @@ def _sum(f, zf, k_lo, k_hi):
         np.add(offsets[: g.size], d_row[r0], out=g)
         np.divide(1.0, _powers(f, g), out=g)
         x = g.reshape(-1, width) @ cols
-        combine(a[r] * x[:, 0], c[r] * x[:, 1], out=parts[r])
+        combine(a[r] * x[:, 0], b[r] * x[:, 1], out=parts[r])
     if near < rows:
         # far rows: the series of (1 - ratio*t_j)**-p cut after `terms`
         # terms; its column moments K_m = C(p+m-1, m) * sum_j t_j**m * col_j
@@ -331,12 +340,12 @@ def _sum(f, zf, k_lo, k_hi):
             r = slice(r0, min(r0 + per, rows))
             xt = moments @ _power_rows(ratio[r], powers[:, : r.stop - r0])  # X.T
             xt /= _powers(f, d_end[r])
-            combine(a[r] * xt[0], c[r] * xt[1], out=parts[r])
+            combine(a[r] * xt[0], b[r] * xt[1], out=parts[r])
     if rest:
         g = d_row[rows] + d_col[:rest]
         np.divide(1.0, _powers(f, g), out=g)
         x = g @ cols[:rest]
-        parts[rows] = combine(a[rows] * x[0], c[rows] * x[1])
+        parts[rows] = combine(a[rows] * x[0], b[rows] * x[1])
     return float(np.sum(parts))
 
 
@@ -360,36 +369,22 @@ def partial_sum(f, z, n_terms):
     return _chunked_sum(f, zf, f.k_start, f.k_start + n_terms)
 
 
-def _tail_bound(f, n_terms):
-    # integral comparison; odd-index sums take half the integral with the
-    # lower limit pulled back one spacing
+def _tail_bound(f, c, n_terms):
+    """Integral comparison: past the first n_terms terms, whose
+    denominators run from 1 in steps of c, the tail is below the integral
+    of (pi*x)**-p from the last denominator on, over c."""
     p = f.power
-    if f.index_kind == "2k+1":
-        return (2.0 * n_terms - 1.0) ** (1 - p) / (2.0 * (p - 1) * math.pi**p)
-    return float(n_terms) ** (1 - p) / ((p - 1) * math.pi**p)
+    return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1) * math.pi**p)
 
 
-def _n_for_tol(f, tol):
+def _n_for_tol(f, c, tol):
+    """The fewest terms whose _tail_bound is at most tol, at least 4."""
     p = f.power
     scale = (p - 1) * math.pi**p * tol
     if not math.isfinite(scale) or scale <= 0.0:
         return 4
-    if f.index_kind == "2k+1":
-        x = (1.0 / (2.0 * scale)) ** (1.0 / (p - 1))
-        return max(4, math.ceil((x + 1.0) / 2.0))
-    return max(4, math.ceil((1.0 / scale) ** (1.0 / (p - 1))))
-
-
-def _osc_distance(f, zf):
-    """Distance of the per-term phase step from the nearest whole turn."""
-    fz = frac(zf)
-    if f.index_kind == "2k+1" and f.modified == "none":
-        u = frac(2.0 * fz)
-    else:
-        u = fz
-    if f.alternating:
-        u = frac(u + 0.5)
-    return min(u, 1.0 - u)
+    x = (1.0 / (c * scale)) ** (1.0 / (p - 1))  # the last denominator
+    return max(4, math.ceil((x - 1.0) / c) + 1)
 
 
 def _differences(c, d, p, k, count):
@@ -410,14 +405,7 @@ def _by_parts(f, zf, tol, cap):
     """Head of n terms plus the summation-by-parts tail of a p >= 2 family
     off resonance, as an absolute report; see the module docstring."""
     p = f.power
-    c, d = (2, 1) if f.index_kind == "2k+1" else (1, 0)
-    # the series is Re or Im of pref * sum_k u**k * g(k); u's turns are
-    # step/den and pref's pref_num/den, both exact from z = m/q
-    m, q = zf.as_integer_ratio()
-    den = 2 * q
-    doubled = f.index_kind == "2k+1" and f.modified == "none"
-    step = ((4 if doubled else 2) * m + (q if f.alternating else 0)) % den
-    pref_num = 2 * m if doubled else 0
+    c, d, step, den, pref_num = _shape(f, zf)
     # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2 sin(pi t),
     # read at the turns nearer to 0 or 1, and r = -u/(u - 1) = -1/2 +
     # i cot(pi t)/2
@@ -533,15 +521,16 @@ def oracle_eval(f, z, tol, strict=True):
 
     if p >= 2:
         cap = _CAP_P2 if p == 2 else _CAP_P3
-        need = _n_for_tol(f, tol)
+        c, _, step, den, _ = _shape(f, zf)
+        need = _n_for_tol(f, c, tol)
         if need <= cap:
             value = partial_sum(f, zf, need)
-            return OracleReport(value, need, _tail_bound(f, need), "absolute")
-        if _osc_distance(f, zf) <= _MONOTONE_DELTA:
+            return OracleReport(value, need, _tail_bound(f, c, need), "absolute")
+        if min(step, den - step) / den <= _MONOTONE_DELTA:
             # phase near resonance: partial sums move one way, so report
             # the capped absolute sum honestly
             value = partial_sum(f, zf, cap)
-            report = OracleReport(value, cap, _tail_bound(f, cap), "absolute")
+            report = OracleReport(value, cap, _tail_bound(f, c, cap), "absolute")
         else:
             report = _by_parts(f, zf, tol, cap)
         if report.tail_bound <= tol:
@@ -581,7 +570,7 @@ def arbitrate(claim_a, claim_b, f, grid):
     """Score two closed-form candidates for f against the oracle.
 
     claim_a and claim_b map z to a float.  Each grid point is compared
-    at max(base, tail_bound) where base is 1e-8 for absolutely
+    at max(base, tail_bound + 1e-12) where base is 1e-8 for absolutely
     convergent families and 1e-5 otherwise.  The winner is the candidate
     that passes everywhere when the other does not.
     """

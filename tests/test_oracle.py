@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from englert_sums import (
+    FAMILY_CODES,
     SumFamily,
     arbitrate,
     eval_family,
@@ -168,6 +169,43 @@ def z_at_delta(f, delta, side):
     return (side * delta - shift) / scale
 
 
+def shape_delta(f, z):
+    """The phase step's distance from a whole turn, read from the shape."""
+    _, _, step, den, _ = oracle._shape(f, z)
+    return min(step, den - step) / den
+
+
+SHAPE_ZS = (-0.4, 0.49999999999999994, 1.5000000000000002, 5e-324, -1e15 + 0.25)
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_shape_is_the_exact_series_shape(code):
+    # against Fraction turns: term k of the defining series turns k*z, or
+    # (2k+1)*z for the 2k+1 families other than P/Q, plus k/2 when the
+    # family alternates; its denominator is k or 2k+1
+    f = fam(code, 1)
+    odd = f.index_kind == "2k+1"
+    for z in SHAPE_ZS:
+        zq = Fraction(z)
+        c, d, step, den, pref_num = oracle._shape(f, z)
+        assert (c, d, den) == ((2, 1) if odd else (1, 0)) + (2 * zq.denominator,)
+        assert 0 <= step < den and 0 <= pref_num < den
+        for k in (0, 1, 2, 3, 10**8):
+            mult = 2 * k + 1 if odd and f.modified == "none" else k
+            want = (mult * zq + (Fraction(k, 2) if f.alternating else 0)) % 1
+            assert Fraction(k * step + pref_num, den) % 1 == want, (z, k)
+
+
+def test_shape_delta_is_exact_where_float_turns_round():
+    # the alternating families' frac(z + 1/2) in floats reads
+    # 0.10000000000000009 at z = -0.4, and 0 at z = 0.5 - 2**-54, one ulp
+    # below a half turn
+    for code in ("S", "Cp", "P", "Qp"):
+        assert shape_delta(fam(code, 1), -0.4) == 0.09999999999999998
+    assert shape_delta(fam("S", 1), 0.49999999999999994) == 2.0**-54
+    assert shape_delta(fam("tS", 1), 5e-324) == 5e-324
+
+
 def series_reference(f, z):
     """The defining series at 40 digits through the Lerch transcendent, as
     tests/test_reference.py takes the modified families: Re or Im of
@@ -201,7 +239,7 @@ def test_tail_by_parts_within_its_bound_against_40_digits(code, orders, index):
         f = fam(code, order)
         cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
         z = z_at_delta(f, delta, (-1) ** index)
-        assert oracle._osc_distance(f, z) == pytest.approx(delta, abs=1e-12)
+        assert shape_delta(f, z) == pytest.approx(delta, abs=1e-12)
         want = series_reference(f, z)
         for tol in (1e-8, 1e-10):
             r = oracle._by_parts(f, z, tol, cap)
@@ -234,7 +272,7 @@ def test_tail_by_parts_stays_short_just_off_resonance(code):
     f = fam(code, 1)
     delta = oracle._MONOTONE_DELTA * (1.0 + 1e-9)
     z = z_at_delta(f, delta, 1)
-    assert oracle._osc_distance(f, z) > oracle._MONOTONE_DELTA
+    assert shape_delta(f, z) > oracle._MONOTONE_DELTA
     cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
     r = oracle._by_parts(f, z, 1e-10, cap)
     assert r.terms_used == 367

@@ -1,8 +1,9 @@
 """Oracle term kernel, block sum and averaging ladder against references.
 
-The per-term kernel must equal the one-pass numpy kernel bit for bit, and
-every term must lie within 16u*g(k) of the exact term at the float z,
-where u = 2**-53 and g(k) = (pi*denom)**-p bounds the size of the term.
+The per-term kernel must equal a one-pass numpy kernel, whose phase split
+comes from Fraction turns, bit for bit, and every term must lie within
+16u*g(k) of the exact term at the float z, where u = 2**-53 and
+g(k) = (pi*denom)**-p bounds the size of the term.
 The block sum, which never builds its terms, must lie within
 (16 + w + log2(rows + 1))*u*sum g(k) of the exact partial sum: the
 per-term error plus the row dot products of w terms and the pairwise
@@ -23,28 +24,34 @@ import numpy as np
 import pytest
 
 from englert_sums import FAMILY_CODES, SumFamily, oracle, oracle_eval, partial_sum
-from englert_sums.oracle import TWO_PI, _phase_split
 
 U = 2.0**-53
 
 
+def fraction_split(turns):
+    """turns in [0, 1) as head + mid + low: head and mid the first two
+    25-bit pieces, low the rest rounded once."""
+    head = Fraction(math.floor(turns * 2**25), 2**25)
+    mid = Fraction(math.floor((turns - head) * 2**50), 2**50)
+    return float(head), float(mid), float(turns - head - mid)
+
+
 def terms_reference(f, zf, k_lo, k_hi):
-    """Whole-range kernel: every step is one numpy pass over all terms."""
+    """Whole-range kernel: every step is one numpy pass over all terms.
+
+    Term k's phase is k*step + pref turns, with step = z (2z where the
+    2k+1 phase (2k+1)z leaves pref = z), plus half a turn when the family
+    alternates."""
+    z = Fraction(zf)
+    doubled = f.index_kind == "2k+1" and f.modified == "none"
+    half = Fraction(1, 2) if f.alternating else 0
+    head, mid, low = fraction_split(((2 if doubled else 1) * z + half) % 1)
+    p_head, p_mid, p_low = fraction_split(z % 1 if doubled else Fraction(0))
     k = np.arange(k_lo, k_hi, dtype=np.float64)
-    if f.index_kind == "2k+1":
-        denom = 2.0 * k + 1.0
-    else:
-        denom = k
-    if f.index_kind == "2k+1" and f.modified == "none":
-        mult = denom
-    else:
-        mult = k
-    head, mid, low = _phase_split(zf)
-    phase = (mult * head) % 1.0 + mult * mid
-    angle = (phase - np.rint(phase) + mult * low) * TWO_PI
+    denom = 2.0 * k + 1.0 if f.index_kind == "2k+1" else k
+    phase = (k * head) % 1.0 + k * mid + (p_head + p_mid)
+    angle = (phase - np.rint(phase) + (k * low + p_low)) * (2.0 * math.pi)
     vals = np.sin(angle) if f.trig == "sin" else np.cos(angle)
-    if f.alternating:
-        vals = vals * np.where((k % 2.0) == 0.0, 1.0, -1.0)
     with np.errstate(over="ignore"):
         return vals / (math.pi * denom) ** f.power
 

@@ -2,17 +2,19 @@
 
 This module never looks at the closed forms.  Every family is Re or Im
 of pref * sum_{k >= k_start} u**k * g(k), with g(k) = (pi*(c*k + d))**-p
-and |u| = |pref| = 1.  _shape reads that shape in exact integers from
-z = m/q: u turns step/den and pref pref_num/den, with den = 2q.  The k
+and |u| = |pref| = 1.  _series reads that shape in exact integers from
+z = m/q, once per oracle_eval or partial_sum call, into a _Series record
+that every kernel takes in place of the family: u turns step/den and
+pref pref_num/den, with den = 2q, and k_start is k0 = 1 - d.  The k
 families have c, d = 1, 0 and the 2k+1 and modified P/Q families
 c, d = 2, 1.  u turns z for the k and P/Q families and 2z for the other
 2k+1 ones, whose phase (2k+1)z leaves pref turning z; pref is 1
 elsewhere.  An alternating family's (-1)**k is half a turn more in u.
 So term k is the sine or cosine of 2 pi (k*step + pref_num)/den times
 g(k), and the phase advance per term is delta = min(step, den - step)/den
-turns from the nearest integer, exactly.  Terms are summed in chunks,
-see below, with exact fsum across chunks, so the result is independent
-of chunk boundaries to well below 1e-13.
+turns from the nearest integer, exactly.  _sum splits a range into
+chunks, see below, and adds their sums by exact fsum, so the result is
+independent of chunk boundaries to well below 1e-13.
 
 Absolutely convergent families (denominator power p >= 2) are summed to
 an integral-comparison tail bound when the required term count fits the
@@ -115,6 +117,7 @@ write.
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 from dataclasses import dataclass
@@ -182,17 +185,22 @@ class ArbitrationReport:
     winner: str  # a | b | both | neither
 
 
-def _shape(f, zf):
-    """(c, d, step, den, pref_num): the family f at zf as Re or Im of
-    pref * sum_k u**k * (pi*(c*k + d))**-p, with u turning step/den and
-    pref pref_num/den, both in [0, 1), exact from zf = m/q; see the module
-    docstring.  The one place that reads f's index pattern and sign."""
+# a family at one z as Re (sin false) or Im (sin true) of pref *
+# sum_{k >= k0} u**k * (pi*(c*k + d))**-p, u turning step/den and pref
+# pref_num/den, both in [0, 1), in exact integers; k0 = 1 - d
+_Series = collections.namedtuple("_Series", "c d step den pref_num p sin k0")
+
+
+def _series(f, zf):
+    """The _Series of the family f at zf = m/q: the one place that reads
+    f's index pattern, sign, trig and power."""
     m, q = zf.as_integer_ratio()
     den = 2 * q
     c, d = (2, 1) if f.index_kind == "2k+1" else (1, 0)
     doubled = c == 2 and f.modified == "none"
     step = ((4 if doubled else 2) * m + (q if f.alternating else 0)) % den
-    return c, d, step, den, 2 * m % den if doubled else 0
+    pref_num = 2 * m % den if doubled else 0
+    return _Series(c, d, step, den, pref_num, f.power, f.trig == "sin", 1 - d)
 
 
 def _split(num, den):
@@ -226,12 +234,11 @@ def _turns(k, step, den, pref_num):
     return turns
 
 
-def _powers(f, denom):
+def _powers(p, denom):
     """(pi*denom)**p in place, for ascending denominators.  A power can
     overflow only where p*log2(pi*denom[-1]) reaches 1023; there the
     denominators that overflow to inf make the term an exact 0.0, what the
     true value rounds to."""
-    p = f.power
     denom *= math.pi
     if p * math.log2(denom[-1]) < 1023.0:
         denom **= p
@@ -268,33 +275,36 @@ def _power_rows(base, out):
     return out
 
 
-def _terms(f, zf, k_lo, k_hi):
-    """Terms for index k in [k_lo, k_hi) as a float64 array: sin or cos of
-    2*pi*(k*step + pref_num)/den divided by (pi*(c*k + d))**p."""
-    c, d, step, den, pref_num = _shape(f, zf)
+def _terms(s, k_lo, k_hi):
+    """Terms of s for index k in [k_lo, k_hi) as a float64 array: sin or
+    cos of 2*pi*(k*step + pref_num)/den divided by (pi*(c*k + d))**p."""
+    c, d, step, den, pref_num, p, sin, _ = s
     k = np.arange(k_lo, k_hi, dtype=np.float64)
     vals = _turns(k, step, den, pref_num)
     vals *= TWO_PI
-    (np.sin if f.trig == "sin" else np.cos)(vals, out=vals)
+    (np.sin if sin else np.cos)(vals, out=vals)
     # the denominators c*k + d, k itself for the k families
     denom = k if c == 1 else np.arange(c * k_lo + d, c * k_hi + d, c, dtype=np.float64)
-    vals /= _powers(f, denom)
+    vals /= _powers(p, denom)
     return vals
 
 
-def _sum(f, zf, k_lo, k_hi):
-    """Sum of the terms for k in [k_lo, k_hi): the pairwise sum of the
-    terms below _TABLE_MIN of them, from there on the block sum of the
-    module docstring, which never builds them."""
+def _sum(s, k_lo, k_hi):
+    """Sum of the terms of s for k in [k_lo, k_hi): one sum for each
+    _CHUNK terms from k_lo on, exact fsum across them.  A chunk takes the
+    pairwise sum of its terms below _TABLE_MIN of them, from there on the
+    block sum of the module docstring, which never builds them."""
     n = k_hi - k_lo
+    if n > _CHUNK:
+        return math.fsum(_sum(s, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK))
     if n < _TABLE_MIN:
-        return float(np.sum(_terms(f, zf, k_lo, k_hi)))
+        return float(np.sum(_terms(s, k_lo, k_hi)))
     width = min(128, math.isqrt(n))
     rows, rest = divmod(n, width)
     # the rest terms are a short last row
     k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
     col = np.arange(width, dtype=np.float64)
-    c, d, step, den, pref_num = _shape(f, zf)
+    c, d, step, den, pref_num, p, _, _ = s
     d_row, d_col = c * k_row + d, c * col
     # rows and columns take half of pref each, so that their phases add up
     # to (k*step + pref_num)/den
@@ -303,7 +313,7 @@ def _sum(f, zf, k_lo, k_hi):
     sin, cos = np.sin(angle), np.cos(angle, out=angle)
     n_row = k_row.size
     cols = np.stack((cos[n_row:], sin[n_row:]), axis=1)
-    if f.trig == "sin":  # sin(A + B) = sin A cos B + cos A sin B
+    if s.sin:  # sin(A + B) = sin A cos B + cos A sin B
         a, b, combine = sin[:n_row], cos[:n_row], np.add
     else:  # cos(A + B) = cos A cos B - sin A sin B
         a, b, combine = cos[:n_row], sin[:n_row], np.subtract
@@ -313,7 +323,7 @@ def _sum(f, zf, k_lo, k_hi):
     span = c * (width - 1)
     d_end = d_row[:rows] + span
     ratio = span / d_end
-    near = int(np.count_nonzero(ratio > _far_reach(f.power)))
+    near = int(np.count_nonzero(ratio > _far_reach(p)))
     per = max(1, min(near, _BLOCK // width))  # near rows per block
     # denominators of a block less the first one's, exact integers
     offsets = c * np.arange(per * width, dtype=np.float64)
@@ -322,7 +332,7 @@ def _sum(f, zf, k_lo, k_hi):
         r = slice(r0, min(r0 + per, near))
         g = weights[: (r.stop - r0) * width]
         np.add(offsets[: g.size], d_row[r0], out=g)
-        np.divide(1.0, _powers(f, g), out=g)
+        np.divide(1.0, _powers(p, g), out=g)
         x = g.reshape(-1, width) @ cols
         combine(a[r] * x[:, 0], b[r] * x[:, 1], out=parts[r])
     if near < rows:
@@ -330,31 +340,23 @@ def _sum(f, zf, k_lo, k_hi):
         # terms; its column moments K_m = C(p+m-1, m) * sum_j t_j**m * col_j
         # are taken once, and row r sums to
         # (pi*d_end)**-p * sum_m ratio_r**m * K_m
-        terms = _SERIES if f.power else 1
+        terms = _SERIES if p else 1
         t = (width - 1.0 - col) / (width - 1)
         moments = (_power_rows(t, np.empty((terms, width))) @ cols).T
-        moments *= [1.0] + [float(math.comb(f.power + m - 1, m)) for m in range(1, terms)]
+        moments *= [1.0] + [float(math.comb(p + m - 1, m)) for m in range(1, terms)]
         per = max(1, _BLOCK // terms)  # far rows per block
         powers = np.empty((terms, min(per, rows - near)))
         for r0 in range(near, rows, per):
             r = slice(r0, min(r0 + per, rows))
             xt = moments @ _power_rows(ratio[r], powers[:, : r.stop - r0])  # X.T
-            xt /= _powers(f, d_end[r])
+            xt /= _powers(p, d_end[r])
             combine(a[r] * xt[0], b[r] * xt[1], out=parts[r])
     if rest:
         g = d_row[rows] + d_col[:rest]
-        np.divide(1.0, _powers(f, g), out=g)
+        np.divide(1.0, _powers(p, g), out=g)
         x = g @ cols[:rest]
         parts[rows] = combine(a[rows] * x[0], b[rows] * x[1])
     return float(np.sum(parts))
-
-
-def _chunked_sum(f, zf, k_lo, k_hi):
-    """Sum of the terms for k in [k_lo, k_hi): one _sum for each _CHUNK
-    terms from k_lo on, exact fsum across them."""
-    return math.fsum(
-        _sum(f, zf, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK)
-    )
 
 
 def partial_sum(f, z, n_terms):
@@ -366,21 +368,28 @@ def partial_sum(f, z, n_terms):
     _require_family(f)
     zf = _finite_z(z)
     check_int(n_terms, "n_terms", 1, _MAX_TERMS)
-    return _chunked_sum(f, zf, f.k_start, f.k_start + n_terms)
+    s = _series(f, zf)
+    return _sum(s, s.k0, s.k0 + n_terms)
 
 
-def _tail_bound(f, c, n_terms):
+def _pi_power(p):
+    """pi**p, or inf past pi**620, the last below 2**1024, where float **
+    raises OverflowError."""
+    return math.pi**p if p <= 620 else math.inf
+
+
+def _tail_bound(s, n_terms):
     """Integral comparison: past the first n_terms terms, whose
     denominators run from 1 in steps of c, the tail is below the integral
-    of (pi*x)**-p from the last denominator on, over c."""
-    p = f.power
-    return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1) * math.pi**p)
+    of (pi*x)**-p from the last denominator on, over c (0.0 past pi**620)."""
+    c, p = s.c, s.p
+    return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1) * _pi_power(p))
 
 
-def _n_for_tol(f, c, tol):
+def _n_for_tol(s, tol):
     """The fewest terms whose _tail_bound is at most tol, at least 4."""
-    p = f.power
-    scale = (p - 1) * math.pi**p * tol
+    c, p = s.c, s.p
+    scale = (p - 1) * _pi_power(p) * tol
     if not math.isfinite(scale) or scale <= 0.0:
         return 4
     x = (1.0 / (c * scale)) ** (1.0 / (p - 1))  # the last denominator
@@ -401,11 +410,10 @@ def _differences(c, d, p, k, count):
     return out
 
 
-def _by_parts(f, zf, tol, cap):
-    """Head of n terms plus the summation-by-parts tail of a p >= 2 family
+def _by_parts(s, tol, cap):
+    """Head of n terms plus the summation-by-parts tail of a p >= 2 series
     off resonance, as an absolute report; see the module docstring."""
-    p = f.power
-    c, d, step, den, pref_num = _shape(f, zf)
+    c, d, step, den, pref_num, p, sin, k0 = s
     # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2 sin(pi t),
     # read at the turns nearer to 0 or 1, and r = -u/(u - 1) = -1/2 +
     # i cot(pi t)/2
@@ -416,7 +424,7 @@ def _by_parts(f, zf, tol, cap):
     sum_g = pi_p * (1.0 + 1.0 / (c * (p - 1)))  # sum of g(k) from k_start
     n = max(40, math.ceil(3 * _PARTS / (TWO_PI * delta)))
     while True:
-        k = f.k_start + n
+        k = k0 + n
         diffs = _differences(c, d, p, k, _PARTS + 1)
         acc, size = 0j, 0.0
         for dj in reversed(diffs[:_PARTS]):
@@ -441,19 +449,16 @@ def _by_parts(f, zf, tol, cap):
         if bound <= tol or 2 * n > cap:
             break
         n *= 2
-    part = tail.imag if f.trig == "sin" else tail.real
-    head = _chunked_sum(f, zf, f.k_start, f.k_start + n)
+    part = tail.imag if sin else tail.real
+    head = _sum(s, k0, k0 + n)
     return OracleReport(head + part, n, bound, "absolute")
 
 
-def _window_sums(f, zf, n_terms, width):
-    """Trailing `width` partial sums S_{n_terms-width+1} .. S_{n_terms}."""
-    start = f.k_start
-    w = min(width, n_terms)
-    base_count = n_terms - w
-    base = _chunked_sum(f, zf, start, start + base_count)
-    window = _terms(f, zf, start + base_count, start + n_terms)
-    return base + np.cumsum(window)
+def _window_sums(s, n_terms, width):
+    """Trailing `width` partial sums S_{n_terms-width+1} .. S_{n_terms},
+    for n_terms >= width."""
+    base = s.k0 + n_terms - width
+    return _sum(s, s.k0, base) + np.cumsum(_terms(s, base, s.k0 + n_terms))
 
 
 def _binomial_weights(d):
@@ -479,10 +484,12 @@ def _ladder(series):
         yield series
 
 
-def _averaged(f, zf, tol):
+def _averaged(s, tol):
+    """The first report of the ladder whose envelope is at most tol, or
+    else the one with the smallest envelope."""
     best = None
     for n_terms in _STAGES:
-        for series in _ladder(_window_sums(f, zf, n_terms, _WINDOW)):
+        for series in _ladder(_window_sums(s, n_terms, _WINDOW)):
             trail = series[-min(512, series.size):]
             value = float(series[-1])
             env = 2.0 * float(np.max(trail) - np.min(trail)) + 1e-13 * (
@@ -492,8 +499,8 @@ def _averaged(f, zf, tol):
             if best is None or env < best.tail_bound:
                 best = report
             if env <= tol:
-                return report, True
-    return best, False
+                return report
+    return best
 
 
 def oracle_eval(f, z, tol, strict=True):
@@ -517,44 +524,35 @@ def oracle_eval(f, z, tol, strict=True):
     # here too; the power-zero families that remain, the constant cosine
     # and the two tangent/cotangent forms, average to their Abel values
     zf = _checked_z(f, z)
-    p = f.power
+    s = _series(f, zf)
+    cap = _CAP_P2 if s.p == 2 else _CAP_P3
 
-    if p >= 2:
-        cap = _CAP_P2 if p == 2 else _CAP_P3
-        c, _, step, den, _ = _shape(f, zf)
-        need = _n_for_tol(f, c, tol)
+    if s.p >= 2:
+        need = _n_for_tol(s, tol)
         if need <= cap:
-            value = partial_sum(f, zf, need)
-            return OracleReport(value, need, _tail_bound(f, c, need), "absolute")
-        if min(step, den - step) / den <= _MONOTONE_DELTA:
+            value = _sum(s, s.k0, s.k0 + need)
+            return OracleReport(value, need, _tail_bound(s, need), "absolute")
+        if min(s.step, s.den - s.step) / s.den <= _MONOTONE_DELTA:
             # phase near resonance: partial sums move one way, so report
             # the capped absolute sum honestly
-            value = partial_sum(f, zf, cap)
-            report = OracleReport(value, cap, _tail_bound(f, c, cap), "absolute")
+            value = _sum(s, s.k0, s.k0 + cap)
+            report = OracleReport(value, cap, _tail_bound(s, cap), "absolute")
         else:
-            report = _by_parts(f, zf, tol, cap)
-        if report.tail_bound <= tol:
-            return report
-        if strict:
-            raise ToleranceNotReachedError(
-                f"tail bound {report.tail_bound:.3e} exceeds tol {tol:.3e} "
-                f"at the {cap}-term cap for {f.code} order {f.order}",
-                best=report,
-                error_estimate=report.tail_bound,
-            )
+            report = _by_parts(s, tol, cap)
+    else:
+        report = _averaged(s, tol)
+    if report.tail_bound <= tol or not strict:
         return report
-
-    report, converged = _averaged(f, zf, tol)
-    if converged:
-        return report
-    if strict:
-        raise ToleranceNotReachedError(
-            f"averaged envelope {report.tail_bound:.3e} exceeds tol {tol:.3e} "
-            f"after {report.terms_used} terms for {f.code} order {f.order}",
-            best=report,
-            error_estimate=report.tail_bound,
-        )
-    return report
+    if s.p >= 2:
+        what, where = "tail bound", f"at the {cap}-term cap"
+    else:
+        what, where = "averaged envelope", f"after {report.terms_used} terms"
+    raise ToleranceNotReachedError(
+        f"{what} {report.tail_bound:.3e} exceeds tol {tol:.3e} {where} "
+        f"for {f.code} order {f.order}",
+        best=report,
+        error_estimate=report.tail_bound,
+    )
 
 
 def _point_tols(f, tol):

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -170,9 +171,10 @@ def z_at_delta(f, delta, side):
 
 
 def shape_delta(f, z):
-    """The phase step's distance from a whole turn, read from the shape."""
-    _, _, step, den, _ = oracle._shape(f, z)
-    return min(step, den - step) / den
+    """The phase step's distance from a whole turn, read from the series
+    record."""
+    s = oracle._series(f, z)
+    return min(s.step, s.den - s.step) / s.den
 
 
 SHAPE_ZS = (-0.4, 0.49999999999999994, 1.5000000000000002, 5e-324, -1e15 + 0.25)
@@ -182,18 +184,20 @@ SHAPE_ZS = (-0.4, 0.49999999999999994, 1.5000000000000002, 5e-324, -1e15 + 0.25)
 def test_shape_is_the_exact_series_shape(code):
     # against Fraction turns: term k of the defining series turns k*z, or
     # (2k+1)*z for the 2k+1 families other than P/Q, plus k/2 when the
-    # family alternates; its denominator is k or 2k+1
+    # family alternates; its denominator is k or 2k+1, its first index
+    # k_start, and it is the sine or cosine of its turns over pi**power
     f = fam(code, 1)
     odd = f.index_kind == "2k+1"
     for z in SHAPE_ZS:
         zq = Fraction(z)
-        c, d, step, den, pref_num = oracle._shape(f, z)
-        assert (c, d, den) == ((2, 1) if odd else (1, 0)) + (2 * zq.denominator,)
-        assert 0 <= step < den and 0 <= pref_num < den
+        s = oracle._series(f, z)
+        assert (s.c, s.d, s.den) == ((2, 1) if odd else (1, 0)) + (2 * zq.denominator,)
+        assert (s.p, s.sin, s.k0) == (f.power, f.trig == "sin", f.k_start)
+        assert 0 <= s.step < s.den and 0 <= s.pref_num < s.den
         for k in (0, 1, 2, 3, 10**8):
             mult = 2 * k + 1 if odd and f.modified == "none" else k
             want = (mult * zq + (Fraction(k, 2) if f.alternating else 0)) % 1
-            assert Fraction(k * step + pref_num, den) % 1 == want, (z, k)
+            assert Fraction(k * s.step + s.pref_num, s.den) % 1 == want, (z, k)
 
 
 def test_shape_delta_is_exact_where_float_turns_round():
@@ -242,7 +246,7 @@ def test_tail_by_parts_within_its_bound_against_40_digits(code, orders, index):
         assert shape_delta(f, z) == pytest.approx(delta, abs=1e-12)
         want = series_reference(f, z)
         for tol in (1e-8, 1e-10):
-            r = oracle._by_parts(f, z, tol, cap)
+            r = oracle._by_parts(oracle._series(f, z), tol, cap)
             assert r.mode == "absolute"
             assert r.tail_bound <= tol
             assert abs(r.value - want) <= r.tail_bound, (order, tol)
@@ -274,17 +278,18 @@ def test_tail_by_parts_stays_short_just_off_resonance(code):
     z = z_at_delta(f, delta, 1)
     assert shape_delta(f, z) > oracle._MONOTONE_DELTA
     cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
-    r = oracle._by_parts(f, z, 1e-10, cap)
+    s = oracle._series(f, z)
+    r = oracle._by_parts(s, 1e-10, cap)
     assert r.terms_used == 367
     assert r.tail_bound <= 1e-10
     closed = eval_family(f, z)
     assert abs(r.value - closed.value) <= r.tail_bound + closed.error_bound
     if f.power == 2:
         # past the absolute cap at tol 1e-8 too: oracle_eval's route
-        assert oracle_eval(f, z, 1e-8) == oracle._by_parts(f, z, 1e-8, cap)
+        assert oracle_eval(f, z, 1e-8) == oracle._by_parts(s, 1e-8, cap)
         # below any tol oracle_eval takes, where the remainder still
         # dominates the bound, the head doubles until the bound fits
-        r = oracle._by_parts(f, z, 1e-15, cap)
+        r = oracle._by_parts(s, 1e-15, cap)
         assert (r.terms_used, r.tail_bound <= 1e-15) == (734, True)
         assert abs(r.value - closed.value) <= r.tail_bound + closed.error_bound
 
@@ -329,6 +334,55 @@ def test_non_oscillating_point_hits_the_cap():
     assert err.best is not None
     assert err.best.terms_used == 1_000_000
     assert err.error_estimate == pytest.approx(r.tail_bound)
+
+
+@pytest.mark.parametrize("order", [309, 310, 400, 1000])
+def test_orders_past_the_float_range_of_pi_power(order):
+    # S order 309, p = 619, is the last with pi**p below 2**1024; from
+    # p = 621 on float ** raises OverflowError.  At each order the
+    # integral tail needs its 4 terms, its bound underflowing to 0.0.  At
+    # p = 619 (pi*k)**p carries p times float pi's 0.351u; from p = 621 on
+    # every (pi*k)**p overflows and its term reads 0.0, within the
+    # smallest normal float of the series
+    f = fam("S", order)
+    want = float(series_reference(f, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = oracle_eval(f, 0.3, 1e-8)
+        head = partial_sum(f, 0.3, 4)
+        longer = partial_sum(f, 0.3, 5000)
+    assert (r.mode, r.terms_used, r.tail_bound) == ("absolute", 4, 0.0)
+    assert r.value == head == longer
+    if order == 309:
+        assert abs(r.value - want) <= (16 + 0.36 * f.power) * 2.0**-53 * abs(want)
+    else:
+        assert r.value == 0.0 and abs(want) < 2.0**-1022
+
+
+@pytest.mark.parametrize(
+    "code,order,z,tol,mode,terms",
+    [
+        ("S", 3, 0.3, 1e-8, "absolute", 5),  # the integral tail
+        ("C", 1, 0.3, 1e-8, "absolute", 40),  # the tail by parts
+        ("C", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped at resonance
+        ("tSp", 0, 0.3, 1e-6, "averaged-conditional", 20_000),
+    ],
+)
+def test_each_call_reads_its_family_once(code, order, z, tol, mode, terms, monkeypatch):
+    # one series record per oracle_eval or partial_sum call, on every route
+    series, calls = oracle._series, []
+
+    def counting(f, zf):
+        calls.append((f, zf))
+        return series(f, zf)
+
+    monkeypatch.setattr(oracle, "_series", counting)
+    f = fam(code, order)
+    r = oracle_eval(f, z, tol, strict=False)
+    assert (r.mode, r.terms_used) == (mode, terms)
+    assert calls == [(f, z)]
+    partial_sum(f, z, terms)
+    assert calls == [(f, z)] * 2
 
 
 def test_partial_sum_validation():

@@ -82,7 +82,7 @@ def test_terms_match_reference_bit_for_bit(code):
         f = SumFamily.from_code(code, order)
         for zf in ZS:
             for lo, hi in ranges(f.k_start) + ((f.k_start, f.k_start + oracle._TABLE_MIN - 1),):
-                got = oracle._terms(f, zf, lo, hi)
+                got = oracle._terms(oracle._series(f, zf), lo, hi)
                 assert_same_bits(got, terms_reference(f, zf, lo, hi), (code, order, zf, lo, hi))
 
 
@@ -123,7 +123,7 @@ def test_terms_within_16u_of_40_digit_terms(code):
         f = SumFamily.from_code(code, order)
         for zf in (0.123456789, -1.3, 1e3 + 0.1):
             for lo, hi in ranges(f.k_start):
-                got = oracle._terms(f, zf, lo, hi)
+                got = oracle._terms(oracle._series(f, zf), lo, hi)
                 assert got.shape == (hi - lo,)
                 assert worst_error(f, zf, lo, got) <= 16, (order, zf, lo, hi)
 
@@ -135,7 +135,7 @@ def test_terms_keep_16u_out_to_the_term_cap(code, k_lo):
     # both products of the phase split stay exact, so only the tail rounds
     f = SumFamily.from_code(code, 0)
     for zf in (0.123456789, 1e3 + 0.1):
-        got = oracle._terms(f, zf, k_lo, k_lo + 200)
+        got = oracle._terms(oracle._series(f, zf), k_lo, k_lo + 200)
         assert worst_error(f, zf, k_lo, got) <= 16, zf
 
 
@@ -156,7 +156,7 @@ def exact_sum_and_bound(f, zf, k_lo, k_hi):
 
 
 def assert_block_sum_within_bound(f, zf, k_lo, k_hi):
-    got = oracle._sum(f, zf, k_lo, k_hi)
+    got = oracle._sum(oracle._series(f, zf), k_lo, k_hi)
     exact, bound = exact_sum_and_bound(f, zf, k_lo, k_hi)
     with mpmath.workdps(40):
         err = float(abs(mpmath.mpf(got) - exact))
@@ -233,9 +233,10 @@ def test_overflowing_denominators_give_exact_zeros_and_no_warning():
     f = SumFamily.from_code("S", 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        terms = oracle._terms(f, 0.123456789, 100, 300)
-        oracle._sum(f, 0.123456789, 1, 20_001)
-        far = oracle._sum(f, 0.123456789, oracle._CHUNK - 2000, oracle._CHUNK + 2100)
+        s = oracle._series(f, 0.123456789)
+        terms = oracle._terms(s, 100, 300)
+        oracle._sum(s, 1, 20_001)
+        far = oracle._sum(s, oracle._CHUNK - 2000, oracle._CHUNK + 2100)
     assert terms[:13].all() and not terms[13:].any()
     assert far == 0.0
 
@@ -276,7 +277,8 @@ def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, te
     f = SumFamily.from_code(code, order)
     value_tol = 1e-13 if f.power else 4e-10
     got = oracle_eval(f, z, tol, strict=False)
-    monkeypatch.setattr(oracle, "_terms", terms_reference)
+    # the reference reads its own f and z, never the series record
+    monkeypatch.setattr(oracle, "_terms", lambda s, lo, hi: terms_reference(f, z, lo, hi))
     monkeypatch.setattr(oracle, "_TABLE_MIN", oracle._MAX_TERMS + 1)
     reference = oracle_eval(f, z, tol, strict=False)
     assert (got.mode, got.terms_used) == (reference.mode, reference.terms_used) == (mode, terms)
@@ -296,7 +298,7 @@ def averaged_reference(series, passes):
 )
 def test_ladder_matches_repeated_averaging_at_every_checkpoint(code, order, z):
     f = SumFamily.from_code(code, order)
-    series = oracle._window_sums(f, z, 20_000, oracle._WINDOW)
+    series = oracle._window_sums(oracle._series(f, z), 20_000, oracle._WINDOW)
     want, done = series, 0
     checkpoints = list(oracle._ladder(series))
     assert len(checkpoints) == len(oracle._DEPTHS)

@@ -12,17 +12,22 @@ c, d = 2, 1.  u turns z for the k and P/Q families and 2z for the other
 elsewhere.  An alternating family's (-1)**k is half a turn more in u.
 So term k is the sine or cosine of 2 pi (k*step + pref_num)/den times
 g(k), and the phase advance per term is delta = min(step, den - step)/den
-turns from the nearest integer, exactly.  _sum splits a range into
-chunks, see below, and adds their sums by exact fsum, so the result is
-independent of chunk boundaries to well below 1e-13.
+turns from the nearest integer, exactly.  The record's scale = pi**-p,
+0.0 where it underflows, is the one place pi**-p is formed: the kernels
+raise only the exact integer denominators, (c*k + d)**-p, which cannot
+overflow, and multiply by scale once, each term or each block sum.
+_sum splits a range into chunks, see below, and adds their sums by
+exact fsum, so the result is independent of chunk boundaries to well
+below 1e-13.
 
-Absolutely convergent families (denominator power p >= 2) are summed to
-an integral-comparison tail bound when the required term count fits the
-mode cap, 10^6 for p = 2 and 10^4 for p >= 3.  When it does not, the
-phase advance delta decides.  Within _MONOTONE_DELTA = 1/64 of a whole
-turn the partial sums drift one way, and the sum stops at the cap with
-the honest integral tail.  Further off, a head of N terms takes the tail
-past it by summation by parts, below; both report the absolute mode.  At
+Absolutely convergent families (denominator power p >= 2) are summed
+directly, need terms for an integral-comparison tail bound of tol, but
+at most the mode cap, 10^6 for p = 2 and 10^4 for p >= 3, whose tail
+bound may then exceed tol: within _MONOTONE_DELTA = 1/64 of a whole
+turn the partial sums drift one way.  Further off, a need past the cap
+takes a head of N terms and the tail past it by summation by parts,
+below.  Both report the absolute mode; the direct route's tail_bound
+covers the tail only, by parts it also covers the rounding.  At
 p <= 1, where the series converges only conditionally, repeated adjacent
 averaging damps the oscillation, each pass multiplying the non-decaying
 mode by |cos(pi delta)|.  The averaged mode keeps a window of trailing
@@ -39,10 +44,10 @@ parts give, with r = -u/(u - 1),
 since Delta^J g is sign-definite and shrinks monotonically in size;
 |r| = 1/|u - 1| = 1/(2 sin(pi delta)).  Delta^j (c*k + d)**-p is exact
 in integers over one common denominator, each value rounded once and
-then scaled by pi**-p; u**K and pref come from the shape's exact
+then multiplied by scale; u**K and pref come from the shape's exact
 integer turns, read through polylog's _sin_pi and _cos_pi.  The bound
 adds three charges: R, the tail's rounding, (p + 16J)u of the size of
-its terms, and the head's, (16 + ceil(log2 N))u * sum g(k), as below.
+its terms, and the head's, (16 + 0.36p + ceil(log2 N))u * sum g(k).
 J = _PARTS = 12 and N = max(40, ceil(3J/(2 pi delta))), doubled while
 the bound exceeds tol, never past the cap.  The 444 such points of the
 default verify take 40 or 58 terms, with bounds up to 2.9e-14; N starts
@@ -56,22 +61,22 @@ taken in [-pi, pi], give or take 2^-20.
 
 Each chunk holds at most _CHUNK terms.  A chunk of fewer than
 _TABLE_MIN = 4096 terms builds its terms, each with its own phase and
-sine or cosine divided by (pi*denom)**p, and adds them with numpy's
+sine or cosine times denom**-p and scale, and adds them with numpy's
 pairwise sum.  A longer chunk of n terms never builds them.  It writes
 k = k_lo + r*w + j with w = min(128, isqrt(n)), the n mod w last terms
 a short last row, and takes sin and cos once each of the phases of the
 rows, (k_row*step + pref_num/2)/den, and of the columns,
 (j*step + pref_num/2)/den, each taking half of pref.  By angle addition
 row r sums to a_r*X_r0 +- b_r*X_r1, where X_r is the sum over the row
-of g(k)*[cos_col, sin_col].
+of denom**-p*[cos_col, sin_col], and the sum of the rows is scaled once.
 
-Row r's weights are g = (pi*e)**-p * (1 - x*t_j)**-p, with e the row's
-last denominator, x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].
+Row r's weights are e**-p * (1 - x*t_j)**-p, with e the row's last
+denominator, x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].
 The near rows, the first ones, where x is above _far_reach(p), and the
 short last row build their weights, at most _BLOCK at a time, and
 X = G @ [cos_col, sin_col].  A far row takes the binomial series of
 (1 - x*t)**-p cut after M = _SERIES = 14 terms,
-X_r = (pi*e)**-p * sum_m x**m * K_m, from the column moments
+X_r = e**-p * sum_m x**m * K_m, from the column moments
 K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col], taken once per
 chunk.  The series' terms are all positive and fall at
 least by the factor (p+M)/(M+1)*x from m = M on, so the cut drops at
@@ -85,12 +90,14 @@ chunk.  The tables' fixed cost, some 20 us, is repaid only from 2000
 to 4000 terms on; an absolute-mode point of verify needs 4 to 1270
 terms and builds its terms.
 
-A term's error is held to 16u*g(k) against the exact term at the float
-z, where u = 2^-53 and g(k) bounds the term's size.  A block sum adds at
-most (w + log2(rows))*u*sum g(k) to its terms' errors: the w products of
-a row's dot product, then the pairwise sum of the rows.  A far row's
-weights are (pi*e)**-p times a sum of positive terms, so its products
-and sums round as a dot product with its exact weights would, give or
+A term's error is held to (16 + 0.36p)u*g(k) against the exact term at
+the float z, plus 2^-1074 where it is subnormal, where u = 2^-53 and
+g(k) bounds the term's size: float pi**-p carries p times float pi's
+0.351u, most of the 42u measured at p = 121.  A block sum adds at most
+(w + log2(rows))*u*sum g(k) to its terms' errors: the w products of a
+row's dot product, then the pairwise sum of the rows.  A far row's
+weights are e**-p times a sum of positive terms, so its products and
+sums round as a dot product with its exact weights would, give or
 take the 2M or so roundings of the series' terms past the first, whose
 sum, (1 - x)**-p - 1, is below half the first at the cut; the cut adds
 u/8*g(k) per term.
@@ -186,21 +193,23 @@ class ArbitrationReport:
 
 
 # a family at one z as Re (sin false) or Im (sin true) of pref *
-# sum_{k >= k0} u**k * (pi*(c*k + d))**-p, u turning step/den and pref
-# pref_num/den, both in [0, 1), in exact integers; k0 = 1 - d
-_Series = collections.namedtuple("_Series", "c d step den pref_num p sin k0")
+# sum_{k >= k0} u**k * (c*k + d)**-p * scale, u turning step/den and pref
+# pref_num/den, both in [0, 1), in exact integers; k0 = 1 - d and
+# scale = pi**-p, 0.0 where it underflows
+_Series = collections.namedtuple("_Series", "c d step den pref_num p sin k0 scale")
 
 
 def _series(f, zf):
     """The _Series of the family f at zf = m/q: the one place that reads
-    f's index pattern, sign, trig and power."""
+    f's index pattern, sign, trig and power, and that forms pi**-p."""
     m, q = zf.as_integer_ratio()
     den = 2 * q
     c, d = (2, 1) if f.index_kind == "2k+1" else (1, 0)
     doubled = c == 2 and f.modified == "none"
     step = ((4 if doubled else 2) * m + (q if f.alternating else 0)) % den
     pref_num = 2 * m % den if doubled else 0
-    return _Series(c, d, step, den, pref_num, f.power, f.trig == "sin", 1 - d)
+    p = f.power
+    return _Series(c, d, step, den, pref_num, p, f.trig == "sin", 1 - d, math.pi**-p)
 
 
 def _split(num, den):
@@ -234,20 +243,6 @@ def _turns(k, step, den, pref_num):
     return turns
 
 
-def _powers(p, denom):
-    """(pi*denom)**p in place, for ascending denominators.  A power can
-    overflow only where p*log2(pi*denom[-1]) reaches 1023; there the
-    denominators that overflow to inf make the term an exact 0.0, what the
-    true value rounds to."""
-    denom *= math.pi
-    if p * math.log2(denom[-1]) < 1023.0:
-        denom **= p
-    else:
-        with np.errstate(over="ignore"):
-            denom **= p
-    return denom
-
-
 def _far_reach(p):
     """An x, within 1% of the largest, at which the first _SERIES terms of
     the binomial series of (1 - x)**-p fall short of it by at most u/8
@@ -277,15 +272,17 @@ def _power_rows(base, out):
 
 def _terms(s, k_lo, k_hi):
     """Terms of s for index k in [k_lo, k_hi) as a float64 array: sin or
-    cos of 2*pi*(k*step + pref_num)/den divided by (pi*(c*k + d))**p."""
-    c, d, step, den, pref_num, p, sin, _ = s
+    cos of 2*pi*(k*step + pref_num)/den times (c*k + d)**-p, then scale."""
+    c, d, step, den, pref_num, p, sin, _, scale = s
     k = np.arange(k_lo, k_hi, dtype=np.float64)
     vals = _turns(k, step, den, pref_num)
     vals *= TWO_PI
     (np.sin if sin else np.cos)(vals, out=vals)
     # the denominators c*k + d, k itself for the k families
     denom = k if c == 1 else np.arange(c * k_lo + d, c * k_hi + d, c, dtype=np.float64)
-    vals /= _powers(p, denom)
+    denom **= -p
+    vals *= denom
+    vals *= scale
     return vals
 
 
@@ -304,7 +301,7 @@ def _sum(s, k_lo, k_hi):
     # the rest terms are a short last row
     k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
     col = np.arange(width, dtype=np.float64)
-    c, d, step, den, pref_num, p, _, _ = s
+    c, d, step, den, pref_num, p, _, _, _ = s
     d_row, d_col = c * k_row + d, c * col
     # rows and columns take half of pref each, so that their phases add up
     # to (k*step + pref_num)/den
@@ -318,8 +315,8 @@ def _sum(s, k_lo, k_hi):
     else:  # cos(A + B) = cos A cos B - sin A sin B
         a, b, combine = cos[:n_row], sin[:n_row], np.subtract
     parts = np.empty(n_row)
-    # a whole row's weights are (pi*d_end)**-p * (1 - ratio*t_j)**-p with
-    # d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
+    # a whole row's weights, before scale, are d_end**-p * (1 - ratio*t_j)**-p
+    # with d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
     span = c * (width - 1)
     d_end = d_row[:rows] + span
     ratio = span / d_end
@@ -332,14 +329,14 @@ def _sum(s, k_lo, k_hi):
         r = slice(r0, min(r0 + per, near))
         g = weights[: (r.stop - r0) * width]
         np.add(offsets[: g.size], d_row[r0], out=g)
-        np.divide(1.0, _powers(p, g), out=g)
+        g **= -p
         x = g.reshape(-1, width) @ cols
         combine(a[r] * x[:, 0], b[r] * x[:, 1], out=parts[r])
     if near < rows:
         # far rows: the series of (1 - ratio*t_j)**-p cut after `terms`
         # terms; its column moments K_m = C(p+m-1, m) * sum_j t_j**m * col_j
         # are taken once, and row r sums to
-        # (pi*d_end)**-p * sum_m ratio_r**m * K_m
+        # d_end**-p * sum_m ratio_r**m * K_m
         terms = _SERIES if p else 1
         t = (width - 1.0 - col) / (width - 1)
         moments = (_power_rows(t, np.empty((terms, width))) @ cols).T
@@ -349,14 +346,14 @@ def _sum(s, k_lo, k_hi):
         for r0 in range(near, rows, per):
             r = slice(r0, min(r0 + per, rows))
             xt = moments @ _power_rows(ratio[r], powers[:, : r.stop - r0])  # X.T
-            xt /= _powers(p, d_end[r])
+            xt *= d_end[r] ** -p
             combine(a[r] * xt[0], b[r] * xt[1], out=parts[r])
     if rest:
         g = d_row[rows] + d_col[:rest]
-        np.divide(1.0, _powers(p, g), out=g)
+        g **= -p
         x = g @ cols[:rest]
         parts[rows] = combine(a[rows] * x[0], b[rows] * x[1])
-    return float(np.sum(parts))
+    return float(np.sum(parts)) * s.scale
 
 
 def partial_sum(f, z, n_terms):
@@ -372,27 +369,18 @@ def partial_sum(f, z, n_terms):
     return _sum(s, s.k0, s.k0 + n_terms)
 
 
-def _pi_power(p):
-    """pi**p, or inf past pi**620, the last below 2**1024, where float **
-    raises OverflowError."""
-    return math.pi**p if p <= 620 else math.inf
-
-
 def _tail_bound(s, n_terms):
     """Integral comparison: past the first n_terms terms, whose
     denominators run from 1 in steps of c, the tail is below the integral
-    of (pi*x)**-p from the last denominator on, over c (0.0 past pi**620)."""
+    of (pi*x)**-p from the last denominator on, over c."""
     c, p = s.c, s.p
-    return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1) * _pi_power(p))
+    return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1)) * s.scale
 
 
 def _n_for_tol(s, tol):
     """The fewest terms whose _tail_bound is at most tol, at least 4."""
     c, p = s.c, s.p
-    scale = (p - 1) * _pi_power(p) * tol
-    if not math.isfinite(scale) or scale <= 0.0:
-        return 4
-    x = (1.0 / (c * scale)) ** (1.0 / (p - 1))  # the last denominator
+    x = (s.scale / (c * (p - 1) * tol)) ** (1.0 / (p - 1))  # the last denominator
     return max(4, math.ceil((x - 1.0) / c) + 1)
 
 
@@ -413,15 +401,14 @@ def _differences(c, d, p, k, count):
 def _by_parts(s, tol, cap):
     """Head of n terms plus the summation-by-parts tail of a p >= 2 series
     off resonance, as an absolute report; see the module docstring."""
-    c, d, step, den, pref_num, p, sin, k0 = s
+    c, d, step, den, pref_num, p, sin, k0, scale = s
     # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2 sin(pi t),
     # read at the turns nearer to 0 or 1, and r = -u/(u - 1) = -1/2 +
     # i cot(pi t)/2
     delta = min(step, den - step) / den
     rho = 0.5 / _sin_pi(delta)  # |r| = 1/|u - 1|
     r = complex(-0.5, _cos_pi(step / den) * rho)
-    pi_p = math.pi**-p
-    sum_g = pi_p * (1.0 + 1.0 / (c * (p - 1)))  # sum of g(k) from k_start
+    sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))  # sum of g(k) from k_start
     n = max(40, math.ceil(3 * _PARTS / (TWO_PI * delta)))
     while True:
         k = k0 + n
@@ -434,17 +421,18 @@ def _by_parts(s, tol, cap):
         # turns, over 4*den, reduced exactly and rounded once in half turns
         turns = (2 * (2 * k - 1) * step + den + 4 * pref_num) % (4 * den)
         angle = turns / (2 * den)
-        tail = rho * pi_p * complex(_cos_pi(angle), _sin_pi(angle)) * acc
+        tail = rho * scale * complex(_cos_pi(angle), _sin_pi(angle)) * acc
         # the remainder after J steps, 2|Delta^J g(k)| |r|**J / |u - 1|;
         # the tail's rounding, charged (p + 16J)u of its terms' sizes where
-        # its roundings reach some (110 + p/2)u; the head's, 16u*g(k) per
-        # term and log2(n)u*sum g for the pairwise sum, plus w + 1 more
+        # its roundings reach some (110 + p/2)u; the head's, (16 + 0.36p)u
+        # *g(k) per term and log2(n)u*sum g for the pairwise sum, w + 1 more
         # for a block sum.  The bound's own roundings are a few dozen u of
         # the first two charges, far below the head's
         bound = (
-            2.0 * abs(diffs[_PARTS]) * rho ** (_PARTS + 1) * pi_p
-            + (p + 16 * _PARTS) * _U * rho * size * pi_p
-            + (16 + math.ceil(math.log2(n)) + (129 if n >= _TABLE_MIN else 0)) * _U * sum_g
+            2.0 * abs(diffs[_PARTS]) * rho ** (_PARTS + 1) * scale
+            + (p + 16 * _PARTS) * _U * rho * size * scale
+            + (16 + 0.36 * p + math.ceil(math.log2(n)) + (129 if n >= _TABLE_MIN else 0))
+            * _U * sum_g
         )
         if bound <= tol or 2 * n > cap:
             break
@@ -508,12 +496,13 @@ def oracle_eval(f, z, tol, strict=True):
 
     Returns an OracleReport whose tail_bound is a rigorous tail estimate
     in absolute mode and an empirical oscillation envelope in averaged
-    mode.  At p >= 2 the mode is absolute: the integral tail when the
-    terms it needs fit the cap; otherwise, within _MONOTONE_DELTA of
-    resonance, the sum stopped at the cap, and further off, a head of
-    N = max(40, ceil(3J/(2 pi delta))) terms and the tail by J = 12 steps
-    of summation by parts, whose bound holds the remainder and the
-    roundings of the tail and head (module docstring).  Only p <= 1
+    mode.  At p >= 2 the mode is absolute: the sum of the terms its
+    integral tail needs, stopped at the cap within _MONOTONE_DELTA of
+    resonance, with that tail as bound; further off, a need past the cap
+    takes a head of N = max(40, ceil(3J/(2 pi delta))) terms and the tail
+    by J = 12 steps of summation by parts, whose bound holds the
+    remainder and the roundings of the tail and head (module docstring).
+    Only p <= 1
     averages.  With strict=True a result whose estimate exceeds tol
     raises ToleranceNotReachedError carrying the best report found.
     """
@@ -529,16 +518,13 @@ def oracle_eval(f, z, tol, strict=True):
 
     if s.p >= 2:
         need = _n_for_tol(s, tol)
-        if need <= cap:
-            value = _sum(s, s.k0, s.k0 + need)
-            return OracleReport(value, need, _tail_bound(s, need), "absolute")
-        if min(s.step, s.den - s.step) / s.den <= _MONOTONE_DELTA:
-            # phase near resonance: partial sums move one way, so report
-            # the capped absolute sum honestly
-            value = _sum(s, s.k0, s.k0 + cap)
-            report = OracleReport(value, cap, _tail_bound(s, cap), "absolute")
-        else:
+        if need > cap and min(s.step, s.den - s.step) / s.den > _MONOTONE_DELTA:
             report = _by_parts(s, tol, cap)
+        else:
+            # the integral tail, or near resonance, where partial sums move
+            # one way, the sum stopped at the cap with its honest tail
+            n = min(need, cap)
+            report = OracleReport(_sum(s, s.k0, s.k0 + n), n, _tail_bound(s, n), "absolute")
     else:
         report = _averaged(s, tol)
     if report.tail_bound <= tol or not strict:

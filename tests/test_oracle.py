@@ -252,6 +252,21 @@ def test_tail_by_parts_within_its_bound_against_40_digits(code, orders, index):
             assert abs(r.value - want) <= r.tail_bound, (order, tol)
 
 
+@pytest.mark.parametrize("code,order", [("C", 8), ("bCp", 30), ("S", 60), ("C", 60)])
+def test_tail_by_parts_within_its_bound_at_high_order(code, order):
+    # each term of the head carries float pi**-p's 0.351u*p; the bound
+    # charges (16 + 0.36p)u*g(k) per term.  At order 60 a bound charging
+    # 16u per term is below the error of S and C
+    f = fam(code, order)
+    cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
+    z = z_at_delta(f, 0.1, 1)
+    want = series_reference(f, z)
+    r = oracle._by_parts(oracle._series(f, z), 1e-10, cap)
+    # N = ceil(3J/(2 pi delta)) = 58 at delta = 0.1
+    assert (r.mode, r.terms_used) == ("absolute", 58)
+    assert abs(r.value - want) <= r.tail_bound, (r, want)
+
+
 @pytest.mark.parametrize("c,d", [(1, 0), (2, 1)])
 @pytest.mark.parametrize("p", [2, 3, 7, 121])
 @pytest.mark.parametrize("k", [41, 1000])
@@ -338,14 +353,15 @@ def test_non_oscillating_point_hits_the_cap():
 
 @pytest.mark.parametrize("order", [309, 310, 400, 1000])
 def test_orders_past_the_float_range_of_pi_power(order):
-    # S order 309, p = 619, is the last with pi**p below 2**1024; from
-    # p = 621 on float ** raises OverflowError.  At each order the
-    # integral tail needs its 4 terms, its bound underflowing to 0.0.  At
-    # p = 619 (pi*k)**p carries p times float pi's 0.351u; from p = 621 on
-    # every (pi*k)**p overflows and its term reads 0.0, within the
-    # smallest normal float of the series
+    # S order 309, p = 619, is the last with pi**p below 2**1024.  The
+    # oracle never forms pi**p: float pi**-p, which carries p times float
+    # pi's 0.351u, scales the sums once, a subnormal from p = 619 on and
+    # 0.0 from p = 651 on.  At each order the integral tail needs its
+    # 4 terms, its bound underflowing to 0.0, and the value, the same as
+    # the block sum of 5000 terms gives, lies within (16 + 0.36p)u of the
+    # 40-digit series, plus a few 2**-1074 where it is subnormal
     f = fam("S", order)
-    want = float(series_reference(f, 0.3))
+    want = series_reference(f, 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = oracle_eval(f, 0.3, 1e-8)
@@ -353,10 +369,10 @@ def test_orders_past_the_float_range_of_pi_power(order):
         longer = partial_sum(f, 0.3, 5000)
     assert (r.mode, r.terms_used, r.tail_bound) == ("absolute", 4, 0.0)
     assert r.value == head == longer
-    if order == 309:
-        assert abs(r.value - want) <= (16 + 0.36 * f.power) * 2.0**-53 * abs(want)
-    else:
-        assert r.value == 0.0 and abs(want) < 2.0**-1022
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        allowed = (16 + 0.36 * f.power) * 2.0**-53 * abs(want) + 4 * mpmath.ldexp(1, -1074)
+        assert abs(r.value - want) <= allowed, (r.value, want)
 
 
 @pytest.mark.parametrize(

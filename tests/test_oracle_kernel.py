@@ -2,8 +2,10 @@
 
 The per-term kernel must equal a one-pass numpy kernel, whose phase split
 comes from Fraction turns, bit for bit, and every term must lie within
-16u*g(k) of the exact term at the float z, where u = 2**-53 and
-g(k) = (pi*denom)**-p bounds the size of the term.
+(16 + 0.36p)u*g(k) of the exact term at the float z, plus 2**-1074 where
+it is subnormal, where u = 2**-53 and g(k) = (pi*denom)**-p bounds the
+size of the term: float pi**-p, which scales every term, carries p times
+float pi's 0.351u.
 The block sum, which never builds its terms, must lie within
 (16 + w + log2(rows + 1))*u*sum g(k) of the exact partial sum: the
 per-term error plus the row dot products of w terms and the pairwise
@@ -52,8 +54,7 @@ def terms_reference(f, zf, k_lo, k_hi):
     phase = (k * head) % 1.0 + k * mid + (p_head + p_mid)
     angle = (phase - np.rint(phase) + (k * low + p_low)) * (2.0 * math.pi)
     vals = np.sin(angle) if f.trig == "sin" else np.cos(angle)
-    with np.errstate(over="ignore"):
-        return vals / (math.pi * denom) ** f.power
+    return vals * denom**-f.power * math.pi**-f.power
 
 
 def assert_same_bits(a, b, where):
@@ -106,14 +107,17 @@ def exact_scaled_terms(f, zf, k_lo, k_hi):
 
 
 def worst_error(f, zf, k_lo, got):
-    """max over k of |term - exact term| / g(k), in units of u."""
+    """max over k of |term - exact term| less 2**-1074, over g(k), in
+    units of u: the error beyond what a subnormal term rounds by."""
     worst = 0
     with mpmath.workdps(40):
         pi_p = mpmath.pi**f.power
         scaled = exact_scaled_terms(f, zf, k_lo, k_lo + got.size)
         for term, (exact, denom) in zip(got.tolist(), scaled):
-            # |term - exact / D| * D with D = (pi*denom)**p = 1/g(k)
-            worst = max(worst, abs(mpmath.mpf(term) * pi_p * denom**f.power - exact))
+            # D = (pi*denom)**p = 1/g(k)
+            d = pi_p * mpmath.mpf(denom) ** f.power
+            err = abs(mpmath.mpf(term) - exact / d) - mpmath.ldexp(1, -1074)
+            worst = max(worst, err * d)
     return float(worst) / U
 
 
@@ -126,6 +130,18 @@ def test_terms_within_16u_of_40_digit_terms(code):
                 got = oracle._terms(oracle._series(f, zf), lo, hi)
                 assert got.shape == (hi - lo,)
                 assert worst_error(f, zf, lo, got) <= 16, (order, zf, lo, hi)
+
+
+@pytest.mark.parametrize("code", ["S", "C", "bS", "tbCp", "P", "Qp"])
+@pytest.mark.parametrize("order", [8, 20, 60])
+def test_terms_at_high_order_within_16u_plus_0_36pu_of_40_digit_terms(code, order):
+    # float pi**-p carries p times float pi's 0.351u into every term; the
+    # terms from k near _CHUNK on are 0.0, within 2**-1074 of exact ones
+    f = SumFamily.from_code(code, order)
+    for zf in (0.123456789, -1.3):
+        for lo, hi in ranges(f.k_start):
+            got = oracle._terms(oracle._series(f, zf), lo, hi)
+            assert worst_error(f, zf, lo, got) <= 16 + 0.36 * f.power, (order, zf, lo, hi)
 
 
 @pytest.mark.parametrize("code", ["tS", "tbS"])
@@ -226,18 +242,22 @@ def test_far_row_weights_within_u8_of_40_digit_weights(p):
             assert abs(series - exact) <= U / 8 * exact, (p, j)
 
 
-def test_overflowing_denominators_give_exact_zeros_and_no_warning():
-    # order 60, p = 121: (pi*k)**121 overflows from k = 113 on, in the
-    # per-term kernel, the built weights and the far rows alike; the true
-    # terms round to 0.0
+def test_subnormal_terms_match_40_digit_terms_with_no_warning():
+    # order 60, p = 121: (pi*k)**-121 leaves the normal floats from k = 113
+    # on and the subnormals past k = 149.  The kernels raise only the
+    # integer k and scale by pi**-p once, so nothing overflows, in the
+    # per-term kernel, the built weights and the far rows alike, and the
+    # terms of k = 113..149 are the subnormals they round to, not 0.0
     f = SumFamily.from_code("S", 60)
+    zf = 0.123456789
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = oracle._series(f, 0.123456789)
+        s = oracle._series(f, zf)
         terms = oracle._terms(s, 100, 300)
         oracle._sum(s, 1, 20_001)
         far = oracle._sum(s, oracle._CHUNK - 2000, oracle._CHUNK + 2100)
-    assert terms[:13].all() and not terms[13:].any()
+    assert worst_error(f, zf, 100, terms) <= 16 + 0.36 * f.power
+    assert terms[:50].all() and not terms[50:].any()
     assert far == 0.0
 
 

@@ -27,13 +27,15 @@ bound may then exceed tol: within _MONOTONE_DELTA = 1/64 of a whole
 turn the partial sums drift one way.  Further off, a need past the cap
 takes a head of N terms and the tail past it by summation by parts,
 below.  Both report the absolute mode; the direct route's tail_bound
-covers the tail only, by parts it also covers the rounding.  At
-p <= 1, where the series converges only conditionally, repeated adjacent
-averaging damps the oscillation, each pass multiplying the non-decaying
-mode by |cos(pi delta)|.  The averaged mode keeps a window of trailing
-partial sums, averages it down a fixed depth ladder, and reports an
-envelope, twice the spread of the trailing averaged window, as the error
-estimate.
+covers the tail only, by parts it also covers the rounding.  At p = 1,
+where the series converges only conditionally, every point takes the
+tail by parts, with N up to _MAX_TERMS; delta > 0 there, as _checked_z
+refuses each of the twelve p = 1 families where u = 1.  Only at p = 0
+does repeated adjacent averaging damp the oscillation, each pass
+multiplying the non-decaying mode by |cos(pi delta)|.  The averaged
+mode keeps a window of trailing partial sums, averages it down a fixed
+depth ladder, and reports an envelope, twice the spread of the trailing
+averaged window, as the error estimate.
 
 The tail by parts.  From K = k_start + N on, J steps of summation by
 parts give, with r = -u/(u - 1),
@@ -47,11 +49,20 @@ in integers over one common denominator, each value rounded once and
 then multiplied by scale; u**K and pref come from the shape's exact
 integer turns, read through polylog's _sin_pi and _cos_pi.  The bound
 adds three charges: R, the tail's rounding, (p + 16J)u of the size of
-its terms, and the head's, (16 + 0.36p + ceil(log2 N))u * sum g(k).
-J = _PARTS = 12 and N = max(40, ceil(3J/(2 pi delta))), doubled while
-the bound exceeds tol, never past the cap.  The 444 such points of the
-default verify take 40 or 58 terms, with bounds up to 2.9e-14; N starts
-at 367 at most, just past _MONOTONE_DELTA.
+its terms, and the head's, (16 + 0.36p + ceil(log2 N))u * sum g(k).  At
+p >= 2 that sum runs from k_start on, at most scale*(1 + 1/(c(p - 1))).
+At p = 1 it diverges, so the head's own sum over k0 <= k < K is
+charged, scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1), anew as N grows.
+Delta^J (c*k + d)**-1 is sign-definite and monotone too, so R and the
+tail's charge hold at p = 1 as they stand.  J = _PARTS = 12 and
+N = min(max(40, ceil(3J/(2 pi delta))), cap), doubled while the bound
+exceeds tol, never past the cap, where the bound is reported as it is.
+Of the default verify's points, 444 at p >= 2 and 444 at p = 1 take 40
+or 58 terms, with bounds up to 2.9e-14 and 4.4e-13; at p >= 2 N starts
+at 367 at most, just past _MONOTONE_DELTA, while at p = 1 it grows as
+1/delta: 57,295,780 terms at Qp order 0, z = 0.4999999.
+_differences is cached: the default verify's 888 points by parts call it
+at 8 distinct arguments.
 
 Phase arithmetic splits step/den, from the integers, into a 25-bit
 head, a 25-bit middle and a rest rounded once, and pref_num/den the same
@@ -118,13 +129,15 @@ terms.  Every array a call writes is its own, the ladder weights are
 read-only, and the BLAS calls, the products G @ [cos_col, sin_col], the
 moments and K @ [x**m], read only the call's arrays and give the same
 digits on one BLAS thread as on several.  So a library caller may run
-oracle_eval on several threads at once: the calls share nothing they
-write.
+oracle_eval on several threads at once: the one thing the calls share
+and write is the lru_cache of _differences, which is safe under threads
+and holds immutable tuples.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -159,7 +172,8 @@ _DEPTHS = (4, 16, 64, 256, 1024)
 _WINDOW = 1600
 # phase step this close to resonance counts as monotone rather than oscillatory
 _MONOTONE_DELTA = 1.0 / 64.0
-# J: steps of summation by parts in the p >= 2 tail past the absolute cap
+# J: steps of summation by parts in the tail at p = 1, and at p >= 2 past
+# the absolute cap
 _PARTS = 12
 
 
@@ -384,10 +398,12 @@ def _n_for_tol(s, tol):
     return max(4, math.ceil((x - 1.0) / c) + 1)
 
 
+# a pure function of integers, called at few distinct arguments
+@functools.lru_cache(maxsize=256)
 def _differences(c, d, p, k, count):
     """Delta^j of (c*i + d)**-p at i = k for j < count, each correctly
-    rounded: the differences of the numerators over the common
-    denominator prod_i (c*(k+i) + d)**p are exact integers."""
+    rounded, as a tuple: the differences of the numerators over the
+    common denominator prod_i (c*(k+i) + d)**p are exact integers."""
     dens = [(c * (k + i) + d) ** p for i in range(count)]
     common = math.prod(dens)
     row = [common // e for e in dens]
@@ -395,11 +411,11 @@ def _differences(c, d, p, k, count):
     for _ in range(count):
         out.append(row[0] / common)  # int / int rounds once
         row = list(map(operator.sub, row[1:], row))
-    return out
+    return tuple(out)
 
 
 def _by_parts(s, tol, cap):
-    """Head of n terms plus the summation-by-parts tail of a p >= 2 series
+    """Head of n terms plus the summation-by-parts tail of a p >= 1 series
     off resonance, as an absolute report; see the module docstring."""
     c, d, step, den, pref_num, p, sin, k0, scale = s
     # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2 sin(pi t),
@@ -408,10 +424,16 @@ def _by_parts(s, tol, cap):
     delta = min(step, den - step) / den
     rho = 0.5 / _sin_pi(delta)  # |r| = 1/|u - 1|
     r = complex(-0.5, _cos_pi(step / den) * rho)
-    sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))  # sum of g(k) from k_start
-    n = max(40, math.ceil(3 * _PARTS / (TWO_PI * delta)))
+    n = min(max(40, math.ceil(3 * _PARTS / (TWO_PI * delta))), cap)
     while True:
         k = k0 + n
+        if p == 1:
+            # the head's sum of g(k), which diverges with it: the sum of
+            # 1/(c*i + d) for k0 <= i < k is at most 1/(c*k0 + d) plus the
+            # integral, ln(c*k + d)/c, as c*k0 + d = 1; and 1 to spare
+            sum_g = scale * (1.0 / (c * k0 + d) + math.log(c * k + d) / c + 1.0)
+        else:
+            sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))  # sum of g(k) from k_start
         diffs = _differences(c, d, p, k, _PARTS + 1)
         acc, size = 0j, 0.0
         for dj in reversed(diffs[:_PARTS]):
@@ -502,9 +524,10 @@ def oracle_eval(f, z, tol, strict=True):
     takes a head of N = max(40, ceil(3J/(2 pi delta))) terms and the tail
     by J = 12 steps of summation by parts, whose bound holds the
     remainder and the roundings of the tail and head (module docstring).
-    Only p <= 1
-    averages.  With strict=True a result whose estimate exceeds tol
-    raises ToleranceNotReachedError carrying the best report found.
+    At p = 1 every point takes the tail by parts, its head at most
+    _MAX_TERMS terms.  Only p = 0 averages.  With strict=True a result
+    whose estimate exceeds tol raises ToleranceNotReachedError carrying
+    the best report found.
     """
     tol = float(tol)
     if not math.isfinite(tol) or tol < 1e-10:
@@ -514,7 +537,7 @@ def oracle_eval(f, z, tol, strict=True):
     # and the two tangent/cotangent forms, average to their Abel values
     zf = _checked_z(f, z)
     s = _series(f, zf)
-    cap = _CAP_P2 if s.p == 2 else _CAP_P3
+    cap = _CAP_P2 if s.p == 2 else _CAP_P3 if s.p >= 3 else _MAX_TERMS
 
     if s.p >= 2:
         need = _n_for_tol(s, tol)
@@ -525,14 +548,15 @@ def oracle_eval(f, z, tol, strict=True):
             # one way, the sum stopped at the cap with its honest tail
             n = min(need, cap)
             report = OracleReport(_sum(s, s.k0, s.k0 + n), n, _tail_bound(s, n), "absolute")
+    elif s.p == 1:
+        # delta > 0: _checked_z refuses every p = 1 family where u = 1
+        report = _by_parts(s, tol, cap)
     else:
         report = _averaged(s, tol)
     if report.tail_bound <= tol or not strict:
         return report
-    if s.p >= 2:
-        what, where = "tail bound", f"at the {cap}-term cap"
-    else:
-        what, where = "averaged envelope", f"after {report.terms_used} terms"
+    what = "tail bound" if s.p else "averaged envelope"
+    where = f"at the {cap}-term cap" if s.p >= 2 else f"after {report.terms_used} terms"
     raise ToleranceNotReachedError(
         f"{what} {report.tail_bound:.3e} exceeds tol {tol:.3e} {where} "
         f"for {f.code} order {f.order}",

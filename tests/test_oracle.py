@@ -24,6 +24,7 @@ from englert_sums.errors import (
     CapacityError,
     DomainError,
     JumpPointError,
+    SingularPointError,
     ToleranceNotReachedError,
     UnsupportedOrderError,
 )
@@ -86,8 +87,8 @@ def test_partial_sum_chunk_size_is_invisible(monkeypatch):
 def test_oracle_eval_on_two_threads_gives_the_sequential_reports():
     # each call allocates its own scratch arrays, so library callers may
     # run the oracle on threads: a capped resonant point and an averaged
-    # p <= 1 point start together and must not disturb each other
-    points = [(fam("C", 1), 0.5, 1e-8), (fam("Qp", 0), 0.3, 1e-6)]
+    # p = 0 point start together and must not disturb each other
+    points = [(fam("C", 1), 0.5, 1e-8), (fam("tSp", 0), 0.3, 1e-6)]
     sequential = [oracle_eval(f, z, tol, strict=False) for f, z, tol in points]
     start = threading.Barrier(len(points), timeout=60)
 
@@ -125,18 +126,26 @@ def test_absolute_mode_tightens_with_tolerance():
 @pytest.mark.parametrize(
     "code,z,tol,want",
     [
-        ("S", 0.3, 1e-8, -0.3),
         ("tC", 0.3, 1e-6, -0.5),
         ("tSp", 0.25, 1e-6, 0.5),
         ("Sp", 0.25, 1e-6, -0.5),
     ],
 )
 def test_averaged_mode_for_slow_series(code, z, tol, want):
-    # p <= 1 series never meet an absolute tail bound; acceleration by
+    # p = 0 series never meet an absolute tail bound; acceleration by
     # iterated averaging of partial sums takes over
     r = oracle_eval(fam(code, 0), z, tol)
     assert r.mode == "averaged-conditional"
     assert abs(r.value - want) <= tol
+
+
+def test_sawtooth_takes_the_tail_by_parts():
+    # the p = 1 sawtooth converges only conditionally; off resonance a
+    # head of 40 terms and the tail by parts reach 1e-8
+    r = oracle_eval(fam("S", 0), 0.3, 1e-8)
+    assert (r.mode, r.terms_used) == ("absolute", 40)
+    assert r.tail_bound <= 1e-8
+    assert abs(r.value - (-0.3)) <= 1e-8
 
 
 def test_tail_by_parts_below_absolute_reach():
@@ -268,7 +277,7 @@ def test_tail_by_parts_within_its_bound_at_high_order(code, order):
 
 
 @pytest.mark.parametrize("c,d", [(1, 0), (2, 1)])
-@pytest.mark.parametrize("p", [2, 3, 7, 121])
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 121])
 @pytest.mark.parametrize("k", [41, 1000])
 def test_tail_differences_are_the_correctly_rounded_exact_ones(c, d, p, k):
     count = oracle._PARTS + 1
@@ -281,7 +290,95 @@ def test_tail_differences_are_the_correctly_rounded_exact_ones(c, d, p, k):
         )
         for j in range(count)
     ]
-    assert oracle._differences(c, d, p, k, count) == want
+    assert oracle._differences(c, d, p, k, count) == tuple(want)
+
+
+# one order-0 code of each index kind, sin and cos, alternating and not:
+# every one has p = 1
+P1_CODES = ("S", "Cp", "bS", "tbCp", "P", "Qp")
+P1_DELTAS = (1e-5, 1e-3, 1.0 / 64.0 + 1e-3, 0.1, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("code", P1_CODES)
+@pytest.mark.parametrize("index", range(len(P1_DELTAS)))
+def test_p1_tail_by_parts_within_its_bound_against_40_digits(code, index):
+    # oracle_eval's route at p = 1, at every delta: a head of
+    # N = ceil(3J/(2 pi delta)) terms, the head's rounding charged over its
+    # own sum of g(k), which grows as ln N
+    delta = P1_DELTAS[index]
+    f = fam(code, 0)
+    assert f.power == 1
+    z = z_at_delta(f, delta, (-1) ** index)
+    assert shape_delta(f, z) == pytest.approx(delta, rel=1e-9)
+    want = series_reference(f, z)
+    for tol in (1e-6, 1e-8):
+        r = oracle_eval(f, z, tol)
+        assert r.mode == "absolute"
+        n = math.ceil(3 * oracle._PARTS / (2 * PI * shape_delta(f, z)))
+        assert r.terms_used == max(40, n)
+        assert r.tail_bound <= tol
+        assert abs(r.value - want) <= r.tail_bound, (tol, r, want)
+
+
+@pytest.mark.parametrize(
+    "code,z",
+    [
+        # averaged envelopes of 1.12e-6 and below whose errors were up to
+        # 82.8 times as large
+        ("tP", -1.0000893888718405),
+        ("tQp", 0.999947016746523),
+        # 1e-7 turns from resonance: 57,295,780 terms, 55 chunks of block sums
+        ("Qp", 0.4999999),
+    ],
+)
+def test_p1_tail_by_parts_near_resonance_within_its_bound(code, z):
+    f = fam(code, 0)
+    r = oracle_eval(f, z, 1e-6)
+    assert r.mode == "absolute"
+    assert r.tail_bound <= 1e-6
+    assert abs(r.value - series_reference(f, z)) <= r.tail_bound, r
+
+
+def test_p1_tail_by_parts_past_its_cap_raises_with_the_tail_bound(monkeypatch):
+    # N = 57,295,780 at Qp 0, z = 0.4999999, clamped to a cap of 1000
+    # terms: the bound there is honest, and strict raises
+    monkeypatch.setattr(oracle, "_MAX_TERMS", 1000)
+    f = fam("Qp", 0)
+    loose = oracle_eval(f, 0.4999999, 1e-6, strict=False)
+    assert (loose.mode, loose.terms_used) == ("absolute", 1000)
+    assert loose.tail_bound > 1e-6
+    message = r"^tail bound .* exceeds tol .* after 1000 terms for Qp order 0$"
+    with pytest.raises(ToleranceNotReachedError, match=message) as info:
+        oracle_eval(f, 0.4999999, 1e-6)
+    assert info.value.best == loose
+    assert info.value.error_estimate == loose.tail_bound
+
+
+@pytest.mark.parametrize("code", [c for c in FAMILY_CODES if fam(c, 0).power == 1])
+def test_p1_resonance_never_reaches_the_tail_by_parts(code):
+    # the tail by parts divides by |u - 1|: every z of the grid where the
+    # phase step is a whole turn is refused at the gate, as a jump
+    # (JumpPointError is a SingularPointError) or as a log point
+    f = fam(code, 0)
+    resonant = [z / 8 for z in range(-16, 17) if shape_delta(f, z / 8) == 0]
+    assert resonant
+    for z in resonant:
+        with pytest.raises(SingularPointError):
+            oracle_eval(f, z, 1e-6)
+
+
+def test_tail_differences_are_cached_on_the_default_verify(capsys):
+    # the default verify takes the tail by parts at 888 points, 444 of
+    # them at p = 1, all at 8 distinct arguments; the cached rows are
+    # tuples (test_tail_differences_are_the_correctly_rounded_exact_ones),
+    # so no caller can change one
+    from englert_sums import cli
+
+    oracle._differences.cache_clear()
+    assert cli.run(["verify"]) == 0
+    assert capsys.readouterr().out.endswith("PASS 3507/3507\n")
+    info = oracle._differences.cache_info()
+    assert (info.hits, info.misses) == (880, 8)
 
 
 @pytest.mark.parametrize("code", ["C", "tS", "tbSp", "bCp", "Q", "tP"])
@@ -381,6 +478,7 @@ def test_orders_past_the_float_range_of_pi_power(order):
         ("S", 3, 0.3, 1e-8, "absolute", 5),  # the integral tail
         ("C", 1, 0.3, 1e-8, "absolute", 40),  # the tail by parts
         ("C", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped at resonance
+        ("S", 0, 0.3, 1e-6, "absolute", 40),  # p = 1, the tail by parts
         ("tSp", 0, 0.3, 1e-6, "averaged-conditional", 20_000),
     ],
 )

@@ -282,15 +282,17 @@ def test_block_sum_allocates_no_array_of_its_terms():
         ("C", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped at resonance
         ("tbC", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped, 2k+1
         ("C", 1, 0.3, 1e-8, "absolute", 40),  # p = 2, the tail by parts
-        ("Qp", 0, 0.3, 1e-6, "averaged-conditional", 20_000),  # p = 1
+        ("Qp", 0, 0.3, 1e-6, "absolute", 40),  # p = 1, the tail by parts
+        ("Qp", 0, 0.4999, 1e-6, "absolute", 57_296),  # p = 1, block sums
         ("tC", 0, 0.3, 1e-6, "averaged-conditional", 20_000),  # p = 0
     ],
 )
 def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, terms, monkeypatch):
     # the reference sums every chunk as an array of reference terms; the
     # block sum is within (16 + 128 + 14)u*sum g(k) of the exact sum and
-    # each reference term within 16u*g(k), which over the sums at p >= 1,
-    # sum g(k) at most 1.9, is below 4e-14; their values agree to 1e-13.
+    # each reference term within 16u*g(k), which over the sums at p >= 2,
+    # sum g(k) at most 1.9, and over the 57,296 terms at p = 1, sum g(k)
+    # below 2.2, is below 4e-14; their values agree to 1e-13.
     # At p = 0 every g(k) is 1 and the 18,400 terms of the base sum give
     # 174u*18,400 < 4e-10.  An envelope, a spread of window sums, does not
     # see the base sum: envelopes agree to 1e-13 at every p

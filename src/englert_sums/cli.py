@@ -26,7 +26,7 @@ from .errors import (
     EnglertSumsError,
     UsageError,
 )
-from .oracle import ArbitrationRow, _point_tols, arbitrate, oracle_eval
+from .oracle import ArbitrationRow, arbitrate, oracle_eval
 from .polylog import UnitCirclePoint, li_on_circle
 from .sums import FAMILY_CODES, SumFamily, is_supported, singular_points
 from .sums import eval as eval_family
@@ -243,9 +243,8 @@ def _parse_orders(text):
 
 def _verify_point(f, z, tol):
     closed = eval_family(f, z)
-    oracle_tol, base = _point_tols(f, tol)
-    report = oracle_eval(f, z, oracle_tol, strict=False)
-    allowed = max(base, report.tail_bound + closed.error_bound)
+    report = oracle_eval(f, z, tol, strict=False)
+    allowed = max(tol, report.tail_bound + closed.error_bound)
     diff = abs(closed.value - report.value)
     return {
         "family": f.code,

@@ -30,12 +30,16 @@ below.  Both report the absolute mode; the direct route's tail_bound
 covers the tail only, by parts it also covers the rounding.  At p = 1,
 where the series converges only conditionally, every point takes the
 tail by parts, with N up to _MAX_TERMS; delta > 0 there, as _checked_z
-refuses each of the twelve p = 1 families where u = 1.  Only at p = 0
-does repeated adjacent averaging damp the oscillation, each pass
-multiplying the non-decaying mode by |cos(pi delta)|.  The averaged
-mode keeps a window of trailing partial sums, averages it down a fixed
-depth ladder, and reports an envelope, twice the spread of the trailing
-averaged window, as the error estimate.
+refuses each of the twelve p = 1 families where u = 1.  Averaging
+serves p = 0 alone: the constant cosine and the tangent and cotangent
+forms, which have only Abel values A.  Their partial sums are
+S_n = A - pref*u**(n+1)/(1 - u), which oscillate about A with the
+amplitude 1/(2 sin(pi delta)) at every n, so a longer sum gains only
+rounding.  The averaged mode takes the first _WINDOW = 1600 partial
+sums, averages them down a fixed depth ladder, each pass multiplying
+the oscillation by |cos(pi delta)|, and reports an envelope, twice the
+spread of the trailing averaged sums, as the error estimate, with 1600
+terms whether or not it meets tol.
 
 The tail by parts.  From K = k_start + N on, J steps of summation by
 parts give, with r = -u/(u - 1),
@@ -94,12 +98,11 @@ least by the factor (p+M)/(M+1)*x from m = M on, so the cut drops at
 most C(p+M-1, M)*x**M / (1 - (p+M)/(M+1)*x) of a sum of at least 1;
 _far_reach solves for the x where that is u/8, once per chunk from p.
 From k = 1, row r has x near 1/(r+1): 19 near rows at p = 2, 125 at
-p = 41 and 337 at p = 121, so a 20,000-term sum at order 60 builds all
-its weights, while one of 10^6 terms at p = 2 builds 2,500 of them.  A
-far row costs M products instead of w weights, the moments M*w per
-chunk.  The tables' fixed cost, some 20 us, is repaid only from 2000
-to 4000 terms on; an absolute-mode point of verify needs 4 to 1270
-terms and builds its terms.
+p = 41 and 337 at p = 121, so a sum of 10^6 terms at p = 2 builds
+2,500 of its weights.  A far row costs M products instead of w
+weights, the moments M*w per chunk.  The tables' fixed cost, some
+20 us, is repaid only from 2000 to 4000 terms on; an absolute-mode
+point of verify needs 4 to 1270 terms and builds its terms.
 
 A term's error is held to (16 + 0.36p)u*g(k) against the exact term at
 the float z, plus 2^-1074 where it is subnormal, where u = 2^-53 and
@@ -124,11 +127,12 @@ A call allocates no array of its n terms.  The largest arrays are the
 weights of a block of near rows and their offsets, the powers x**m of a
 block of far rows, _BLOCK entries each, and the tables and row sums,
 n/w entries each: a 10^6-term sum peaks near 0.7 MB, where its terms
-alone would take 8 MB.  The averaged mode builds its window of 1600
-terms.  Every array a call writes is its own, the ladder weights are
-read-only, and the BLAS calls, the products G @ [cos_col, sin_col], the
-moments and K @ [x**m], read only the call's arrays and give the same
-digits on one BLAS thread as on several.  So a library caller may run
+alone would take 8 MB.  The averaged mode builds its 1600 terms and
+their partial sums and takes no block sum.  Every array a call writes
+is its own, the ladder weights are read-only, and the BLAS calls, the
+products G @ [cos_col, sin_col], the moments and K @ [x**m], read only
+the call's arrays and give the same digits on one BLAS thread as on
+several.  So a library caller may run
 oracle_eval on several threads at once: the one thing the calls share
 and write is the lru_cache of _differences, which is safe under threads
 and holds immutable tuples.
@@ -167,7 +171,6 @@ _U = 2.0**-53
 _MAX_TERMS = 100_000_000
 _CAP_P2 = 1_000_000
 _CAP_P3 = 10_000
-_STAGES = (20_000, 80_000, 320_000, 1_280_000, 5_120_000, 10_000_000)
 _DEPTHS = (4, 16, 64, 256, 1024)
 _WINDOW = 1600
 # phase step this close to resonance counts as monotone rather than oscillatory
@@ -464,13 +467,6 @@ def _by_parts(s, tol, cap):
     return OracleReport(head + part, n, bound, "absolute")
 
 
-def _window_sums(s, n_terms, width):
-    """Trailing `width` partial sums S_{n_terms-width+1} .. S_{n_terms},
-    for n_terms >= width."""
-    base = s.k0 + n_terms - width
-    return _sum(s, s.k0, base) + np.cumsum(_terms(s, base, s.k0 + n_terms))
-
-
 def _binomial_weights(d):
     """C(d, j) / 2**d for j = 0..d, each correctly rounded, read-only."""
     weights, c = np.empty(d + 1), 1
@@ -495,21 +491,19 @@ def _ladder(series):
 
 
 def _averaged(s, tol):
-    """The first report of the ladder whose envelope is at most tol, or
-    else the one with the smallest envelope."""
+    """The first report of the ladder over the first _WINDOW partial sums
+    whose envelope is at most tol, or else the one with the smallest
+    envelope."""
     best = None
-    for n_terms in _STAGES:
-        for series in _ladder(_window_sums(s, n_terms, _WINDOW)):
-            trail = series[-min(512, series.size):]
-            value = float(series[-1])
-            env = 2.0 * float(np.max(trail) - np.min(trail)) + 1e-13 * (
-                1.0 + abs(value)
-            )
-            report = OracleReport(value, n_terms, env, "averaged-conditional")
-            if best is None or env < best.tail_bound:
-                best = report
-            if env <= tol:
-                return report
+    for series in _ladder(np.cumsum(_terms(s, s.k0, s.k0 + _WINDOW))):
+        trail = series[-512:]
+        value = float(series[-1])
+        env = 2.0 * float(np.max(trail) - np.min(trail)) + 1e-13 * (1.0 + abs(value))
+        report = OracleReport(value, _WINDOW, env, "averaged-conditional")
+        if best is None or env < best.tail_bound:
+            best = report
+        if env <= tol:
+            return report
     return best
 
 
@@ -525,9 +519,10 @@ def oracle_eval(f, z, tol, strict=True):
     by J = 12 steps of summation by parts, whose bound holds the
     remainder and the roundings of the tail and head (module docstring).
     At p = 1 every point takes the tail by parts, its head at most
-    _MAX_TERMS terms.  Only p = 0 averages.  With strict=True a result
-    whose estimate exceeds tol raises ToleranceNotReachedError carrying
-    the best report found.
+    _MAX_TERMS terms.  Only p = 0 averages, over the first 1600 partial
+    sums, the terms it reports whether or not its envelope meets tol.
+    With strict=True a result whose estimate exceeds tol raises
+    ToleranceNotReachedError carrying the best report found.
     """
     tol = float(tol)
     if not math.isfinite(tol) or tol < 1e-10:
@@ -565,22 +560,13 @@ def oracle_eval(f, z, tol, strict=True):
     )
 
 
-def _point_tols(f, tol):
-    """(oracle tol, base tol) of a verify or arbitration point: tol, or at
-    least 1e-6 and 1e-5 where power <= 1 and the series converges only
-    conditionally."""
-    if f.power >= 2:
-        return tol, tol
-    return max(tol, 1e-6), max(tol, 1e-5)
-
-
 def arbitrate(claim_a, claim_b, f, grid):
     """Score two closed-form candidates for f against the oracle.
 
-    claim_a and claim_b map z to a float.  Each grid point is compared
-    at max(base, tail_bound + 1e-12) where base is 1e-8 for absolutely
-    convergent families and 1e-5 otherwise.  The winner is the candidate
-    that passes everywhere when the other does not.
+    claim_a and claim_b map z to a float.  At every power the oracle is
+    asked for 1e-8 and each grid point is compared at
+    max(1e-8, tail_bound + 1e-12).  The winner is the candidate that
+    passes everywhere when the other does not.
     """
     _require_family(f)
     if not callable(claim_a) or not callable(claim_b):
@@ -588,11 +574,10 @@ def arbitrate(claim_a, claim_b, f, grid):
     points = [float(z) for z in grid]
     if not points:
         raise DomainError("arbitration grid must be non-empty")
-    oracle_tol, base = _point_tols(f, 1e-8)
     rows = []
     for zf in points:
-        report = oracle_eval(f, zf, oracle_tol, strict=False)
-        tol_here = max(base, report.tail_bound + 1e-12)
+        report = oracle_eval(f, zf, 1e-8, strict=False)
+        tol_here = max(1e-8, report.tail_bound + 1e-12)
         va = float(claim_a(zf))
         vb = float(claim_b(zf))
         da = abs(va - report.value)

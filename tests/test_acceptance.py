@@ -91,12 +91,8 @@ def test_criterion_3_closed_forms_match_oracle(capsys):
                 if lattice.distance(z) < 1e-3:
                     continue
                 closed = eval_family(f, z)
-                oracle_tol = 1e-8 if f.power >= 2 else 1e-6
-                rep = oracle_eval(f, z, oracle_tol, strict=False)
-                allowed = max(
-                    1e-8 if f.power >= 2 else 1e-5,
-                    rep.tail_bound + closed.error_bound,
-                )
+                rep = oracle_eval(f, z, 1e-8, strict=False)
+                allowed = max(1e-8, rep.tail_bound + closed.error_bound)
                 diff = abs(closed.value - rep.value)
                 checked += 1
                 if diff > allowed:

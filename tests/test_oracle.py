@@ -102,7 +102,7 @@ def test_oracle_eval_on_two_threads_gives_the_sequential_reports():
     assert threaded == sequential
     assert [(r.mode, r.terms_used) for r in threaded] == [
         ("absolute", 1_000_000),
-        ("averaged-conditional", 20_000),
+        ("averaged-conditional", 1600),
     ]
 
 
@@ -367,6 +367,80 @@ def test_p1_resonance_never_reaches_the_tail_by_parts(code):
             oracle_eval(f, z, 1e-6)
 
 
+# 200 z from -2 in steps of 1/41, 0.0013 past the grid so that some lie
+# within 1.3e-3 of a pole, where 1600 terms cannot damp the oscillation
+P0_ZS = tuple(-2.0 + k / 41.0 + 0.0013 for k in range(200))
+
+
+def test_converged_averaged_envelopes_hold_against_40_digits(monkeypatch, capsys):
+    # at p = 0 the partial sums oscillate about the Abel value with the
+    # same amplitude at every n, so the ladder over the first 1600 sums is
+    # all the averaged mode needs; a report whose envelope meets tol must
+    # hold against the 40-digit series, which lerchphi reads at p = 0 too
+    from englert_sums import cli
+
+    verify_points = []
+
+    def recording(f, z, tol, strict=True):
+        if f.power == 0:
+            verify_points.append((f, z))
+        return oracle_eval(f, z, tol, strict=strict)
+
+    monkeypatch.setattr(cli, "oracle_eval", recording)
+    assert cli.run(["verify"]) == 0
+    assert capsys.readouterr().out.endswith("PASS 3507/3507\n")
+    assert len(verify_points) == 111
+    cases = [(f, z, 1e-8) for f, z in verify_points]
+    for code in ("tC", "Sp", "tSp"):
+        cases += [(fam(code, 0), z, tol) for z in P0_ZS for tol in (1e-6, 1e-8, 1e-10)]
+    certified = collections.Counter()
+    for f, z, tol in cases:
+        r = oracle_eval(f, z, tol, strict=False)
+        assert (r.mode, r.terms_used) == ("averaged-conditional", 1600)
+        if r.tail_bound <= tol:
+            certified[f.code, tol] += 1
+            want = series_reference(f, z)
+            assert abs(r.value - want) <= r.tail_bound, (f.code, z, tol, r, want)
+    # most of the grid converges, at every tol
+    assert len(certified) == 9 and min(certified.values()) >= 150, certified
+    # an unconverged report is not certified: at Sp 0, 4e-4 turns from a
+    # pole, the smallest envelope, 200, is below the error, 337
+    f = fam("Sp", 0)
+    r = oracle_eval(f, -1.5004, 1e-6, strict=False)
+    assert r.tail_bound > 1e-6
+    assert abs(r.value - series_reference(f, -1.5004)) > r.tail_bound
+
+
+def test_unconverged_averaging_stops_at_its_window(monkeypatch):
+    # tSp 0 at z = 1e-3 turns its phase by 1e-3 a term: the ladder cannot
+    # damp that in 1600 terms, and no longer sum would, as the
+    # oscillation's amplitude 1/(2 sin(pi delta)) does not shrink with n
+    calls = collections.Counter()
+    terms, block = oracle._terms, oracle._sum
+
+    def counting_terms(*args):
+        calls["_terms"] += 1
+        return terms(*args)
+
+    def counting_sum(*args):
+        calls["_sum"] += 1
+        return block(*args)
+
+    monkeypatch.setattr(oracle, "_terms", counting_terms)
+    monkeypatch.setattr(oracle, "_sum", counting_sum)
+    f = fam("tSp", 0)
+    loose = oracle_eval(f, 1e-3, 1e-6, strict=False)
+    assert calls == {"_terms": 1}
+    assert (loose.mode, loose.terms_used) == ("averaged-conditional", 1600)
+    assert loose.tail_bound > 1e-6
+    message = r"^averaged envelope .* exceeds tol .* after 1600 terms for tSp order 0$"
+    with pytest.raises(ToleranceNotReachedError, match=message) as info:
+        oracle_eval(f, 1e-3, 1e-6)
+    assert info.value.best == loose
+    assert info.value.error_estimate == loose.tail_bound
+    assert calls == {"_terms": 2}
+
+
 def test_tail_differences_are_cached_on_the_default_verify(capsys):
     # the default verify takes the tail by parts at 888 points, 444 of
     # them at p = 1, all at 8 distinct arguments; the cached rows are
@@ -479,7 +553,7 @@ def test_orders_past_the_float_range_of_pi_power(order):
         ("C", 1, 0.3, 1e-8, "absolute", 40),  # the tail by parts
         ("C", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped at resonance
         ("S", 0, 0.3, 1e-6, "absolute", 40),  # p = 1, the tail by parts
-        ("tSp", 0, 0.3, 1e-6, "averaged-conditional", 20_000),
+        ("tSp", 0, 0.3, 1e-6, "averaged-conditional", 1600),
     ],
 )
 def test_each_call_reads_its_family_once(code, order, z, tol, mode, terms, monkeypatch):

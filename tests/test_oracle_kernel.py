@@ -284,7 +284,7 @@ def test_block_sum_allocates_no_array_of_its_terms():
         ("C", 1, 0.3, 1e-8, "absolute", 40),  # p = 2, the tail by parts
         ("Qp", 0, 0.3, 1e-6, "absolute", 40),  # p = 1, the tail by parts
         ("Qp", 0, 0.4999, 1e-6, "absolute", 57_296),  # p = 1, block sums
-        ("tC", 0, 0.3, 1e-6, "averaged-conditional", 20_000),  # p = 0
+        ("tC", 0, 0.3, 1e-6, "averaged-conditional", 1600),  # p = 0
     ],
 )
 def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, terms, monkeypatch):
@@ -292,19 +292,17 @@ def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, te
     # block sum is within (16 + 128 + 14)u*sum g(k) of the exact sum and
     # each reference term within 16u*g(k), which over the sums at p >= 2,
     # sum g(k) at most 1.9, and over the 57,296 terms at p = 1, sum g(k)
-    # below 2.2, is below 4e-14; their values agree to 1e-13.
-    # At p = 0 every g(k) is 1 and the 18,400 terms of the base sum give
-    # 174u*18,400 < 4e-10.  An envelope, a spread of window sums, does not
-    # see the base sum: envelopes agree to 1e-13 at every p
+    # below 2.2, is below 4e-14; their values agree to 1e-13.  At p = 0
+    # the averaged mode builds its 1600 terms with the per-term kernel
+    # alone, so values and envelopes agree to 1e-13 at every p
     f = SumFamily.from_code(code, order)
-    value_tol = 1e-13 if f.power else 4e-10
     got = oracle_eval(f, z, tol, strict=False)
     # the reference reads its own f and z, never the series record
     monkeypatch.setattr(oracle, "_terms", lambda s, lo, hi: terms_reference(f, z, lo, hi))
     monkeypatch.setattr(oracle, "_TABLE_MIN", oracle._MAX_TERMS + 1)
     reference = oracle_eval(f, z, tol, strict=False)
     assert (got.mode, got.terms_used) == (reference.mode, reference.terms_used) == (mode, terms)
-    assert got.value == pytest.approx(reference.value, rel=0, abs=value_tol)
+    assert got.value == pytest.approx(reference.value, rel=0, abs=1e-13)
     assert got.tail_bound == pytest.approx(reference.tail_bound, rel=0, abs=1e-13)
 
 
@@ -320,7 +318,8 @@ def averaged_reference(series, passes):
 )
 def test_ladder_matches_repeated_averaging_at_every_checkpoint(code, order, z):
     f = SumFamily.from_code(code, order)
-    series = oracle._window_sums(oracle._series(f, z), 20_000, oracle._WINDOW)
+    s = oracle._series(f, z)
+    series = np.cumsum(oracle._terms(s, s.k0, s.k0 + oracle._WINDOW))
     want, done = series, 0
     checkpoints = list(oracle._ladder(series))
     assert len(checkpoints) == len(oracle._DEPTHS)

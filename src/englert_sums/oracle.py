@@ -15,9 +15,10 @@ g(k), and the phase advance per term is delta = min(step, den - step)/den
 turns from the nearest integer, exactly.  The record's scale = pi**-p,
 0.0 where it underflows, is the one place pi**-p is formed: the kernels
 raise only the exact integer denominators, (c*k + d)**-p, which cannot
-overflow, and multiply by scale once, each term or each block sum.
-_sum splits a range into chunks, see below, and adds their sums by
-exact fsum, so the result is independent of chunk boundaries to well
+overflow, and multiply by scale once, each term, each short sum or each
+block sum.  _sum takes a range of fewer than _SHORT = 24 terms in plain
+Python, below; a longer one it splits into chunks, and adds their sums
+by exact fsum, so the result is independent of chunk boundaries to well
 below 1e-13.
 
 Absolutely convergent families (denominator power p >= 2) are summed
@@ -26,11 +27,16 @@ at most the mode cap, 10^6 for p = 2 and 10^4 for p >= 3, whose tail
 bound may then exceed tol: within _MONOTONE_DELTA = 1/64 of a whole
 turn the partial sums drift one way.  Further off, a need past the cap
 takes a head of N terms and the tail past it by summation by parts,
-below.  Both report the absolute mode; the direct route's tail_bound
-covers the tail only, by parts it also covers the rounding.  At p = 1,
-where the series converges only conditionally, every point takes the
-tail by parts, with N up to _MAX_TERMS; delta > 0 there, as _checked_z
-refuses each of the twelve p = 1 families where u = 1.  Averaging
+below.  Both report the absolute mode, and both bounds charge the
+rounding of the head, _head_charge below, besides the tail: from order
+9 on the integral tail of the direct route's 4 or so terms falls below
+that rounding.  The direct route asks the integral tail for tol less
+the charge of a head at the cap, the largest, so that the two meet tol
+together; the charge is some 1e-14 at most, and the tol floor 1e-10.
+At p = 1, where the series converges only conditionally, every point
+takes the tail by parts, with N up to _MAX_TERMS; delta > 0 there, as
+_checked_z refuses each of the twelve p = 1 families where u = 1.
+Averaging
 serves p = 0 alone: the constant cosine and the tangent and cotangent
 forms, which have only Abel values A.  Their partial sums are
 S_n = A - pref*u**(n+1)/(1 - u), which oscillate about A with the
@@ -53,14 +59,14 @@ in integers over one common denominator, each value rounded once and
 then multiplied by scale; u**K and pref come from the shape's exact
 integer turns, read through polylog's _sin_pi and _cos_pi.  The bound
 adds three charges: R, the tail's rounding, (p + 16J)u of the size of
-its terms, and the head's, (16 + 0.36p + ceil(log2 N))u * sum g(k).  At
-p >= 2 that sum runs from k_start on, at most scale*(1 + 1/(c(p - 1))).
-At p = 1 it diverges, so the head's own sum over k0 <= k < K is
-charged, scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1), anew as N grows.
+its terms, and the head's, _head_charge below, over the head's sum of
+g(k); at p = 1 that sum diverges, so it is charged anew as N grows.
 Delta^J (c*k + d)**-1 is sign-definite and monotone too, so R and the
 tail's charge hold at p = 1 as they stand.  J = _PARTS = 12 and
 N = min(max(40, ceil(3J/(2 pi delta))), cap), doubled while the bound
-exceeds tol, never past the cap, where the bound is reported as it is.
+exceeds tol, never past the cap, where the bound is reported as it is;
+the bound needs no term of the head, so a strict call that the bound
+there refuses is refused before the head is summed.
 Of the default verify's points, 444 at p >= 2 and 444 at p = 1 take 40
 or 58 terms, with bounds up to 2.9e-14 and 4.4e-13; at p >= 2 N starts
 at 367 at most, just past _MONOTONE_DELTA, while at p = 1 it grows as
@@ -68,7 +74,19 @@ at 367 at most, just past _MONOTONE_DELTA, while at p = 1 it grows as
 _differences is cached: the default verify's 888 points by parts call it
 at 8 distinct arguments.
 
-Phase arithmetic splits step/den, from the integers, into a 25-bit
+The short kernel, _short_terms, builds each term in plain Python from
+the integers: t = (k*step + pref_num) mod den, stepped exactly, taken in
+[-den/2, den/2], the angle 2 pi * (t/den) with t/den rounded once, its
+sine or cosine times float(c*k + d)**-p.  math.fsum adds the terms, and
+the sum is multiplied by scale.  Numpy costs some 7.5 us a call whatever
+its length, so below _SHORT terms the plain loop, some 0.3 us a term,
+is faster; measured (2 vCPU, Python 3.11.7, numpy 2.4.6) at 8 terms
+2.9 us against 7.7 us, and the two break even at 26 terms for z = 0.3
+(den = 2^55), 34 for bS at 0.3, and 58 for z = 0.5 (den = 4), where the
+integers are short.  1476 of the default verify's 2460 direct points
+sum fewer than _SHORT terms, 1312 of them 8 or fewer.
+
+The numpy kernels split step/den, from the integers, into a 25-bit
 head, a 25-bit middle and a rest rounded once, and pref_num/den the same
 way, so that term k's phase mod 1 rounds only in its last step for every
 k below 2^27, which covers every k up to _MAX_TERMS.  Each angle is then
@@ -102,12 +120,15 @@ p = 41 and 337 at p = 121, so a sum of 10^6 terms at p = 2 builds
 2,500 of its weights.  A far row costs M products instead of w
 weights, the moments M*w per chunk.  The tables' fixed cost, some
 20 us, is repaid only from 2000 to 4000 terms on; an absolute-mode
-point of verify needs 4 to 1270 terms and builds its terms.
+point of verify needs 4 to 1270 terms, and those of _SHORT terms or
+more build their terms.
 
 A term's error is held to (16 + 0.36p)u*g(k) against the exact term at
 the float z, plus 2^-1074 where it is subnormal, where u = 2^-53 and
 g(k) bounds the term's size: float pi**-p carries p times float pi's
-0.351u, most of the 42u measured at p = 121.  A block sum adds at most
+0.351u, most of the 42u measured at p = 121; a short term, the exact
+product of its float and scale, is within (4 + 0.36p)u, measured over
+every code at orders up to 120.  A block sum adds at most
 (w + log2(rows))*u*sum g(k) to its terms' errors: the w products of a
 row's dot product, then the pairwise sum of the rows.  A far row's
 weights are e**-p times a sum of positive terms, so its products and
@@ -115,16 +136,27 @@ sums round as a dot product with its exact weights would, give or
 take the 2M or so roundings of the series' terms past the first, whose
 sum, (1 - x)**-p - 1, is below half the first at the cut; the cut adds
 u/8*g(k) per term.
-tests/test_oracle_kernel.py checks terms and block sums against 40-digit
-mpmath, out to k = 1e8 and to order 60.
+
+_head_charge, the charge for a head of n terms in both routes' bounds,
+is the per-term error over sum g(k), plus 2^-1074 a term, and what the
+kernel that summed the head adds: 2u*sum g(k) below _SHORT terms, for
+the fsum's one rounding and the product by scale; ceil(log2(n))u*sum
+g(k) for the pairwise sum; and 129u*sum g(k) more for a block sum, with
+w <= 128 and one more for the product by scale.  At p >= 2 sum g(k)
+runs from k_start on, at most scale*(1 + 1/(c(p - 1))); at p = 1 it is
+the head's own, at most scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1) with
+K = k0 + n, as c*k0 + d = 1.
+tests/test_oracle_kernel.py checks terms, short sums and block sums
+against 40-digit mpmath, out to k = 1e8 and to order 120.
 
 The averaged mode's ladder of depths 4, 16, 64, 256 and 1024 takes each
 step, d passes of adjacent averaging, as one convolution with the
 binomial weights C(d, j)/2^d, built once from exact integers.  It agrees
 with the passes to 1e-14*(1 + |v|) or better.
 
-A call allocates no array of its n terms.  The largest arrays are the
-weights of a block of near rows and their offsets, the powers x**m of a
+A call allocates no array of its n terms, but for the short kernel's
+list of fewer than _SHORT.  The largest arrays are the weights of a
+block of near rows and their offsets, the powers x**m of a
 block of far rows, _BLOCK entries each, and the tables and row sums,
 n/w entries each: a 10^6-term sum peaks near 0.7 MB, where its terms
 alone would take 8 MB.  The averaged mode builds its 1600 terms and
@@ -164,6 +196,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _CHUNK = 1 << 20
+_SHORT = 24
 _BLOCK = 1 << 14
 _TABLE_MIN = 4096
 _SERIES = 14
@@ -303,12 +336,35 @@ def _terms(s, k_lo, k_hi):
     return vals
 
 
+def _short_terms(s, k_lo, k_hi):
+    """Terms of s for k in [k_lo, k_hi) as a list, before scale: sin or cos
+    of 2*pi*t/den times (c*k + d)**-p, where t = (k*step + pref_num) mod den,
+    stepped exactly in integers, is taken in [-den/2, den/2] and t/den
+    rounds once."""
+    c, d, step, den, pref_num, p, sin, _, _ = s
+    trig = math.sin if sin else math.cos
+    half = den >> 1
+    t = (k_lo * step + pref_num) % den
+    terms = []
+    for k in range(k_lo, k_hi):
+        angle = TWO_PI * ((t - den if t > half else t) / den)
+        terms.append(trig(angle) * float(c * k + d) ** -p)
+        t += step
+        if t >= den:
+            t -= den
+    return terms
+
+
 def _sum(s, k_lo, k_hi):
-    """Sum of the terms of s for k in [k_lo, k_hi): one sum for each
-    _CHUNK terms from k_lo on, exact fsum across them.  A chunk takes the
-    pairwise sum of its terms below _TABLE_MIN of them, from there on the
-    block sum of the module docstring, which never builds them."""
+    """Sum of the terms of s for k in [k_lo, k_hi).  Below _SHORT terms
+    the exact fsum of _short_terms, times scale, with no numpy call; from
+    there on one sum for each _CHUNK terms from k_lo on, exact fsum across
+    them.  A chunk takes the pairwise sum of its terms below _TABLE_MIN of
+    them, from there on the block sum of the module docstring, which never
+    builds them."""
     n = k_hi - k_lo
+    if n < _SHORT:
+        return math.fsum(_short_terms(s, k_lo, k_hi)) * s.scale
     if n > _CHUNK:
         return math.fsum(_sum(s, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK))
     if n < _TABLE_MIN:
@@ -394,6 +450,20 @@ def _tail_bound(s, n_terms):
     return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1)) * s.scale
 
 
+def _head_charge(s, n):
+    """The charge for the rounding of the head _sum(s, k0, k0 + n), per
+    term and for the kernel that sums it, over the head's sum of g(k); see
+    the module docstring."""
+    c, d, _, _, _, p, _, k0, scale = s
+    if p == 1:
+        sum_g = scale * (1.0 / (c * k0 + d) + math.log(c * (k0 + n) + d) / c + 1.0)
+    else:
+        sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))
+    # (n - 1).bit_length() is ceil(log2(n))
+    kernel = 2 if n < _SHORT else (n - 1).bit_length() + (129 if n >= _TABLE_MIN else 0)
+    return (16 + 0.36 * p + kernel) * _U * sum_g + n * 2.0**-1074
+
+
 def _n_for_tol(s, tol):
     """The fewest terms whose _tail_bound is at most tol, at least 4."""
     c, p = s.c, s.p
@@ -417,9 +487,12 @@ def _differences(c, d, p, k, count):
     return tuple(out)
 
 
-def _by_parts(s, tol, cap):
+def _by_parts(s, tol, cap, strict):
     """Head of n terms plus the summation-by-parts tail of a p >= 1 series
-    off resonance, as an absolute report; see the module docstring."""
+    off resonance, as an absolute report; see the module docstring.  When
+    the bound at the last n, at most cap, exceeds tol and strict is set,
+    the head is not summed: the report holds that n and bound, and the
+    value nan."""
     c, d, step, den, pref_num, p, sin, k0, scale = s
     # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2 sin(pi t),
     # read at the turns nearer to 0 or 1, and r = -u/(u - 1) = -1/2 +
@@ -430,13 +503,6 @@ def _by_parts(s, tol, cap):
     n = min(max(40, math.ceil(3 * _PARTS / (TWO_PI * delta))), cap)
     while True:
         k = k0 + n
-        if p == 1:
-            # the head's sum of g(k), which diverges with it: the sum of
-            # 1/(c*i + d) for k0 <= i < k is at most 1/(c*k0 + d) plus the
-            # integral, ln(c*k + d)/c, as c*k0 + d = 1; and 1 to spare
-            sum_g = scale * (1.0 / (c * k0 + d) + math.log(c * k + d) / c + 1.0)
-        else:
-            sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))  # sum of g(k) from k_start
         diffs = _differences(c, d, p, k, _PARTS + 1)
         acc, size = 0j, 0.0
         for dj in reversed(diffs[:_PARTS]):
@@ -449,21 +515,20 @@ def _by_parts(s, tol, cap):
         tail = rho * scale * complex(_cos_pi(angle), _sin_pi(angle)) * acc
         # the remainder after J steps, 2|Delta^J g(k)| |r|**J / |u - 1|;
         # the tail's rounding, charged (p + 16J)u of its terms' sizes where
-        # its roundings reach some (110 + p/2)u; the head's, (16 + 0.36p)u
-        # *g(k) per term and log2(n)u*sum g for the pairwise sum, w + 1 more
-        # for a block sum.  The bound's own roundings are a few dozen u of
-        # the first two charges, far below the head's
+        # its roundings reach some (110 + p/2)u; and the head's.  The
+        # bound's own roundings are a few dozen u of the first two charges,
+        # far below the head's
         bound = (
             2.0 * abs(diffs[_PARTS]) * rho ** (_PARTS + 1) * scale
             + (p + 16 * _PARTS) * _U * rho * size * scale
-            + (16 + 0.36 * p + math.ceil(math.log2(n)) + (129 if n >= _TABLE_MIN else 0))
-            * _U * sum_g
+            + _head_charge(s, n)
         )
         if bound <= tol or 2 * n > cap:
             break
         n *= 2
     part = tail.imag if sin else tail.real
-    head = _sum(s, k0, k0 + n)
+    # a strict caller is refused the head that cannot meet tol
+    head = math.nan if strict and bound > tol else _sum(s, k0, k0 + n)
     return OracleReport(head + part, n, bound, "absolute")
 
 
@@ -514,15 +579,18 @@ def oracle_eval(f, z, tol, strict=True):
     in absolute mode and an empirical oscillation envelope in averaged
     mode.  At p >= 2 the mode is absolute: the sum of the terms its
     integral tail needs, stopped at the cap within _MONOTONE_DELTA of
-    resonance, with that tail as bound; further off, a need past the cap
-    takes a head of N = max(40, ceil(3J/(2 pi delta))) terms and the tail
-    by J = 12 steps of summation by parts, whose bound holds the
-    remainder and the roundings of the tail and head (module docstring).
+    resonance, with that tail and the head's rounding as bound; further
+    off, a need past the cap takes a head of
+    N = max(40, ceil(3J/(2 pi delta))) terms and the tail by J = 12 steps
+    of summation by parts, whose bound holds the remainder and the
+    roundings of the tail and head (module docstring).
     At p = 1 every point takes the tail by parts, its head at most
     _MAX_TERMS terms.  Only p = 0 averages, over the first 1600 partial
     sums, the terms it reports whether or not its envelope meets tol.
     With strict=True a result whose estimate exceeds tol raises
-    ToleranceNotReachedError carrying the best report found.
+    ToleranceNotReachedError carrying the best report found; by parts,
+    whose bound is known before the head is summed, that report's value
+    is nan, and its terms and bound are those at the last N tried.
     """
     tol = float(tol)
     if not math.isfinite(tol) or tol < 1e-10:
@@ -535,17 +603,20 @@ def oracle_eval(f, z, tol, strict=True):
     cap = _CAP_P2 if s.p == 2 else _CAP_P3 if s.p >= 3 else _MAX_TERMS
 
     if s.p >= 2:
-        need = _n_for_tol(s, tol)
+        # the tail aims at tol less the head's charge, largest at the cap,
+        # so that the two meet tol together
+        need = _n_for_tol(s, tol - _head_charge(s, cap))
         if need > cap and min(s.step, s.den - s.step) / s.den > _MONOTONE_DELTA:
-            report = _by_parts(s, tol, cap)
+            report = _by_parts(s, tol, cap, strict)
         else:
             # the integral tail, or near resonance, where partial sums move
             # one way, the sum stopped at the cap with its honest tail
             n = min(need, cap)
-            report = OracleReport(_sum(s, s.k0, s.k0 + n), n, _tail_bound(s, n), "absolute")
+            bound = _tail_bound(s, n) + _head_charge(s, n)
+            report = OracleReport(_sum(s, s.k0, s.k0 + n), n, bound, "absolute")
     elif s.p == 1:
         # delta > 0: _checked_z refuses every p = 1 family where u = 1
-        report = _by_parts(s, tol, cap)
+        report = _by_parts(s, tol, cap, strict)
     else:
         report = _averaged(s, tol)
     if report.tail_bound <= tol or not strict:

@@ -255,7 +255,7 @@ def test_tail_by_parts_within_its_bound_against_40_digits(code, orders, index):
         assert shape_delta(f, z) == pytest.approx(delta, abs=1e-12)
         want = series_reference(f, z)
         for tol in (1e-8, 1e-10):
-            r = oracle._by_parts(oracle._series(f, z), tol, cap)
+            r = oracle._by_parts(oracle._series(f, z), tol, cap, True)
             assert r.mode == "absolute"
             assert r.tail_bound <= tol
             assert abs(r.value - want) <= r.tail_bound, (order, tol)
@@ -270,7 +270,7 @@ def test_tail_by_parts_within_its_bound_at_high_order(code, order):
     cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
     z = z_at_delta(f, 0.1, 1)
     want = series_reference(f, z)
-    r = oracle._by_parts(oracle._series(f, z), 1e-10, cap)
+    r = oracle._by_parts(oracle._series(f, z), 1e-10, cap, True)
     # N = ceil(3J/(2 pi delta)) = 58 at delta = 0.1
     assert (r.mode, r.terms_used) == ("absolute", 58)
     assert abs(r.value - want) <= r.tail_bound, (r, want)
@@ -339,19 +339,50 @@ def test_p1_tail_by_parts_near_resonance_within_its_bound(code, z):
     assert abs(r.value - series_reference(f, z)) <= r.tail_bound, r
 
 
-def test_p1_tail_by_parts_past_its_cap_raises_with_the_tail_bound(monkeypatch):
+def counting_sums(monkeypatch):
+    """A list that grows by one for each oracle._sum call from here on."""
+    calls, block = [], oracle._sum
+
+    def counting(*args):
+        calls.append(args[1:])
+        return block(*args)
+
+    monkeypatch.setattr(oracle, "_sum", counting)
+    return calls
+
+
+def test_p1_tail_by_parts_past_its_cap_refuses_before_summing(monkeypatch):
     # N = 57,295,780 at Qp 0, z = 0.4999999, clamped to a cap of 1000
-    # terms: the bound there is honest, and strict raises
+    # terms: the bound there is honest.  Without strict the head is summed
+    # and reported; strict raises before any sum, its best report holding
+    # the same terms and bound and the value nan
     monkeypatch.setattr(oracle, "_MAX_TERMS", 1000)
+    calls = counting_sums(monkeypatch)
     f = fam("Qp", 0)
     loose = oracle_eval(f, 0.4999999, 1e-6, strict=False)
     assert (loose.mode, loose.terms_used) == ("absolute", 1000)
-    assert loose.tail_bound > 1e-6
+    assert loose.tail_bound > 1e-6 and math.isfinite(loose.value)
+    assert len(calls) == 1
     message = r"^tail bound .* exceeds tol .* after 1000 terms for Qp order 0$"
     with pytest.raises(ToleranceNotReachedError, match=message) as info:
         oracle_eval(f, 0.4999999, 1e-6)
-    assert info.value.best == loose
+    assert len(calls) == 1
+    best = info.value.best
+    assert (best.mode, best.terms_used, best.tail_bound) == ("absolute", 1000, loose.tail_bound)
+    assert math.isnan(best.value)
     assert info.value.error_estimate == loose.tail_bound
+
+
+def test_strict_refusal_at_the_term_cap_sums_nothing(monkeypatch):
+    # P 0 at z = 0.49999999, 1e-8 turns from resonance, needs
+    # N = 572,957,796 terms; at the 10^8-term cap the bound is 6.4e-3, so a
+    # strict call raises without summing the head
+    calls = counting_sums(monkeypatch)
+    message = r"^tail bound 6\.4\d\de-03 exceeds tol 1\.000e-08 after 100000000 terms for P"
+    with pytest.raises(ToleranceNotReachedError, match=message) as info:
+        oracle_eval(fam("P", 0), 0.49999999, 1e-8)
+    assert calls == []
+    assert info.value.best.terms_used == oracle._MAX_TERMS
 
 
 @pytest.mark.parametrize("code", [c for c in FAMILY_CODES if fam(c, 0).power == 1])
@@ -465,17 +496,17 @@ def test_tail_by_parts_stays_short_just_off_resonance(code):
     assert shape_delta(f, z) > oracle._MONOTONE_DELTA
     cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
     s = oracle._series(f, z)
-    r = oracle._by_parts(s, 1e-10, cap)
+    r = oracle._by_parts(s, 1e-10, cap, True)
     assert r.terms_used == 367
     assert r.tail_bound <= 1e-10
     closed = eval_family(f, z)
     assert abs(r.value - closed.value) <= r.tail_bound + closed.error_bound
     if f.power == 2:
         # past the absolute cap at tol 1e-8 too: oracle_eval's route
-        assert oracle_eval(f, z, 1e-8) == oracle._by_parts(s, 1e-8, cap)
+        assert oracle_eval(f, z, 1e-8) == oracle._by_parts(s, 1e-8, cap, True)
         # below any tol oracle_eval takes, where the remainder still
         # dominates the bound, the head doubles until the bound fits
-        r = oracle._by_parts(s, 1e-15, cap)
+        r = oracle._by_parts(s, 1e-15, cap, True)
         assert (r.terms_used, r.tail_bound <= 1e-15) == (734, True)
         assert abs(r.value - closed.value) <= r.tail_bound + closed.error_bound
 
@@ -528,9 +559,10 @@ def test_orders_past_the_float_range_of_pi_power(order):
     # oracle never forms pi**p: float pi**-p, which carries p times float
     # pi's 0.351u, scales the sums once, a subnormal from p = 619 on and
     # 0.0 from p = 651 on.  At each order the integral tail needs its
-    # 4 terms, its bound underflowing to 0.0, and the value, the same as
-    # the block sum of 5000 terms gives, lies within (16 + 0.36p)u of the
-    # 40-digit series, plus a few 2**-1074 where it is subnormal
+    # 4 terms, its bound underflowing to 0.0, so that the head's charge is
+    # all the report's bound; and the value, the same as the block sum of
+    # 5000 terms gives, lies within that charge and within (16 + 0.36p)u of
+    # the 40-digit series, plus a few 2**-1074 where it is subnormal
     f = fam("S", order)
     want = series_reference(f, 0.3)
     with warnings.catch_warnings():
@@ -538,12 +570,27 @@ def test_orders_past_the_float_range_of_pi_power(order):
         r = oracle_eval(f, 0.3, 1e-8)
         head = partial_sum(f, 0.3, 4)
         longer = partial_sum(f, 0.3, 5000)
-    assert (r.mode, r.terms_used, r.tail_bound) == ("absolute", 4, 0.0)
+    assert (r.mode, r.terms_used) == ("absolute", 4)
+    # the integral tail underflows to 0.0: the bound is the head's charge
+    assert r.tail_bound == oracle._head_charge(oracle._series(f, 0.3), 4) < 1e-300
     assert r.value == head == longer
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         allowed = (16 + 0.36 * f.power) * 2.0**-53 * abs(want) + 4 * mpmath.ldexp(1, -1074)
-        assert abs(r.value - want) <= allowed, (r.value, want)
+        assert abs(r.value - want) <= min(allowed, r.tail_bound), (r.value, want)
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_direct_route_bounds_hold_at_high_order(code):
+    # from order 9 on the integral tail of the 4 or so terms the direct
+    # route sums falls below the rounding of those terms, which its bound
+    # must charge too: a tail-only bound, 6.1e-27 at bS 9 and z = 0.3, is
+    # below the error, 3.1e-25, and at Qp 60 1.1e-164 against 3.2e-75
+    for order in (9, 13, 30, 60, 120):
+        f = fam(code, order)
+        r = oracle_eval(f, 0.3, 1e-8)
+        want = series_reference(f, 0.3)
+        assert abs(r.value - want) <= r.tail_bound, (order, r, want)
 
 
 @pytest.mark.parametrize(

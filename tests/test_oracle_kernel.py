@@ -1,7 +1,8 @@
-"""Oracle term kernel, block sum and averaging ladder against references.
+"""Oracle term kernels, block sum and averaging ladder against references.
 
-The per-term kernel must equal a one-pass numpy kernel, whose phase split
-comes from Fraction turns, bit for bit, and every term must lie within
+The per-term numpy kernel must equal a one-pass numpy kernel, whose phase
+split comes from Fraction turns, bit for bit.  Its terms, and the short
+kernel's plain-Python terms times scale, must each lie within
 (16 + 0.36p)u*g(k) of the exact term at the float z, plus 2**-1074 where
 it is subnormal, where u = 2**-53 and g(k) = (pi*denom)**-p bounds the
 size of the term: float pi**-p, which scales every term, carries p times
@@ -10,9 +11,10 @@ The block sum, which never builds its terms, must lie within
 (16 + w + log2(rows + 1))*u*sum g(k) of the exact partial sum: the
 per-term error plus the row dot products of w terms and the pairwise
 sum of the rows.  Its far rows' weights, a binomial series cut after
-_SERIES terms, must lie within u/8 of the exact weights.  The exact
-values are 40-digit mpmath.  The convolution ladder is held to repeated
-adjacent averaging.
+_SERIES terms, must lie within u/8 of the exact weights.  Sums either
+side of _SHORT terms must lie within the head's charge the oracle
+reports.  The exact values are 40-digit mpmath.  The convolution ladder
+is held to repeated adjacent averaging.
 """
 
 import functools
@@ -106,17 +108,18 @@ def exact_scaled_terms(f, zf, k_lo, k_hi):
         yield -exact if f.alternating and k % 2 else exact, denom
 
 
-def worst_error(f, zf, k_lo, got):
-    """max over k of |term - exact term| less 2**-1074, over g(k), in
-    units of u: the error beyond what a subnormal term rounds by."""
+def worst_error(f, zf, k_lo, got, scale=1.0):
+    """max over k of |term*scale - exact term| less 2**-1074, over g(k),
+    in units of u: the error beyond what a subnormal term rounds by.  The
+    product by scale is exact at 40 digits."""
     worst = 0
     with mpmath.workdps(40):
         pi_p = mpmath.pi**f.power
-        scaled = exact_scaled_terms(f, zf, k_lo, k_lo + got.size)
-        for term, (exact, denom) in zip(got.tolist(), scaled):
+        scaled = exact_scaled_terms(f, zf, k_lo, k_lo + len(got))
+        for term, (exact, denom) in zip(list(got), scaled):
             # D = (pi*denom)**p = 1/g(k)
             d = pi_p * mpmath.mpf(denom) ** f.power
-            err = abs(mpmath.mpf(term) - exact / d) - mpmath.ldexp(1, -1074)
+            err = abs(mpmath.mpf(term) * scale - exact / d) - mpmath.ldexp(1, -1074)
             worst = max(worst, err * d)
     return float(worst) / U
 
@@ -153,6 +156,54 @@ def test_terms_keep_16u_out_to_the_term_cap(code, k_lo):
     for zf in (0.123456789, 1e3 + 0.1):
         got = oracle._terms(oracle._series(f, zf), k_lo, k_lo + 200)
         assert worst_error(f, zf, k_lo, got) <= 16, zf
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_short_terms_within_16u_plus_0_36pu_of_40_digit_terms(code):
+    # the plain-Python kernel below _SHORT terms: its phases are exact
+    # integers mod den, 2**1075 at z = 5e-324, and its terms are scaled by
+    # float pi**-p only once their fsum is taken
+    for order in (0, 1, 2, 3, 8, 20, 60, 120):
+        f = SumFamily.from_code(code, order)
+        for zf in ZS + (5e-324,):
+            s = oracle._series(f, zf)
+            for lo in (f.k_start, f.k_start + 1, oracle._MAX_TERMS - oracle._SHORT):
+                got = oracle._short_terms(s, lo, lo + oracle._SHORT - 1)
+                assert len(got) == oracle._SHORT - 1
+                err = worst_error(f, zf, lo, got, mpmath.mpf(s.scale))
+                assert err <= 16 + 0.36 * f.power, (order, zf, lo)
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_partial_sums_either_side_of_short_within_the_head_charge(code):
+    # _SHORT - 1 terms take the short kernel, _SHORT terms numpy's pairwise
+    # sum; each holds against the 40-digit partial sum within the charge
+    # the oracle reports for such a head (p >= 1)
+    for order in range(4):
+        f = SumFamily.from_code(code, order)
+        if f.power == 0:
+            continue
+        for zf in ZS + (5e-324,):
+            s = oracle._series(f, zf)
+            for n in (oracle._SHORT - 1, oracle._SHORT):
+                got = partial_sum(f, zf, n)
+                exact, _ = exact_sum_and_bound(f, zf, f.k_start, f.k_start + n)
+                with mpmath.workdps(40):
+                    err = float(abs(mpmath.mpf(got) - exact))
+                assert err <= oracle._head_charge(s, n), (order, zf, n, err)
+
+
+def test_short_sums_call_no_numpy(monkeypatch):
+    # S 3 at 0.3 needs 5 terms: the short kernel sums them in plain
+    # Python, with no _terms call and no numpy name read at all
+    calls = []
+    monkeypatch.setattr(oracle, "_terms", lambda *args: calls.append(args))
+    monkeypatch.setattr(oracle, "np", None)
+    f = SumFamily.from_code("S", 3)
+    r = oracle_eval(f, 0.3, 1e-8)
+    assert (r.mode, r.terms_used) == ("absolute", 5)
+    partial_sum(f, 0.3, oracle._SHORT - 1)
+    assert calls == []
 
 
 def exact_sum_and_bound(f, zf, k_lo, k_hi):

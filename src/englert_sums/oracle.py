@@ -16,7 +16,7 @@ turns from the nearest integer, exactly.  The record's scale = pi**-p,
 0.0 where it underflows, is the one place pi**-p is formed: the kernels
 raise only the exact integer denominators, (c*k + d)**-p, which cannot
 overflow, and multiply by scale once, each term, each short sum or each
-block sum.  _sum takes a range of fewer than _SHORT = 24 terms in plain
+block sum.  _sum takes a range of fewer than _SHORT = 64 terms in plain
 Python, below; a longer one it splits into chunks, and adds their sums
 by exact fsum, so the result is independent of chunk boundaries to well
 below 1e-13.
@@ -28,24 +28,22 @@ bound may then exceed tol: within _MONOTONE_DELTA = 1/64 of a whole
 turn the partial sums drift one way.  Further off, a need past the cap
 takes a head of N terms and the tail past it by summation by parts,
 below.  Both report the absolute mode, and both bounds charge the
-rounding of the head, _head_charge below, besides the tail: from order
-9 on the integral tail of the direct route's 4 or so terms falls below
-that rounding.  The direct route asks the integral tail for tol less
-the charge of a head at the cap, the largest, so that the two meet tol
-together; the charge is some 1e-14 at most, and the tol floor 1e-10.
+head's rounding, _head_charge below, besides the tail.  The direct route
+asks the integral tail for tol less the largest charge of a head up to
+the cap, at 63 terms or at the cap, so that the two meet tol together.
 At p = 1, where the series converges only conditionally, every point
 takes the tail by parts, with N up to _MAX_TERMS; delta > 0 there, as
 _checked_z refuses each of the twelve p = 1 families where u = 1.
-Averaging
-serves p = 0 alone: the constant cosine and the tangent and cotangent
-forms, which have only Abel values A.  Their partial sums are
+Averaging serves p = 0 alone: the constant cosine and the tangent and
+cotangent forms, which have only Abel values A.  Their partial sums are
 S_n = A - pref*u**(n+1)/(1 - u), which oscillate about A with the
 amplitude 1/(2 sin(pi delta)) at every n, so a longer sum gains only
 rounding.  The averaged mode takes the first _WINDOW = 1600 partial
-sums, averages them down a fixed depth ladder, each pass multiplying
-the oscillation by |cos(pi delta)|, and reports an envelope, twice the
-spread of the trailing averaged sums, as the error estimate, with 1600
-terms whether or not it meets tol.
+sums, averages them down a ladder of depths 4, 16, 64, 256 and 1024,
+each step of d passes one convolution with the binomial weights
+C(d, j)/2^d, each pass multiplying the oscillation by |cos(pi delta)|,
+and reports an envelope, twice the spread of the trailing averaged
+sums, as the error estimate, with 1600 terms whether or not it meets tol.
 
 The tail by parts.  From K = k_start + N on, J steps of summation by
 parts give, with r = -u/(u - 1),
@@ -56,124 +54,110 @@ parts give, with r = -u/(u - 1),
 since Delta^J g is sign-definite and shrinks monotonically in size;
 |r| = 1/|u - 1| = 1/(2 sin(pi delta)).  Delta^j (c*k + d)**-p is exact
 in integers over one common denominator, each value rounded once and
-then multiplied by scale; u**K and pref come from the shape's exact
-integer turns, read through polylog's _sin_pi and _cos_pi.  The bound
-adds three charges: R, the tail's rounding, (p + 16J)u of the size of
-its terms, and the head's, _head_charge below, over the head's sum of
-g(k); at p = 1 that sum diverges, so it is charged anew as N grows.
-Delta^J (c*k + d)**-1 is sign-definite and monotone too, so R and the
-tail's charge hold at p = 1 as they stand.  J = _PARTS = 12 and
-N = min(max(40, ceil(3J/(2 pi delta))), cap), doubled while the bound
-exceeds tol, never past the cap, where the bound is reported as it is;
-the bound needs no term of the head, so a strict call that the bound
-there refuses is refused before the head is summed.
+then multiplied by scale; pref*u**K comes from the exact integer turns
+through _unit.  The bound adds three charges: R, the tail's rounding,
+(p + 16J)u of the size of its terms, and the head's, _head_charge below,
+over the head's sum of g(k); at p = 1 that sum diverges, so it is
+charged anew as N grows.  Delta^J (c*k + d)**-1 is sign-definite and
+monotone too, so R and the tail's charge hold at p = 1 as they stand.
+J = _PARTS = 12 and N = min(max(40, ceil(3J/(2 pi delta))), cap),
+doubled while the bound exceeds tol, never past the cap, where the bound
+is reported as it is; the bound needs no term of the head, so a strict
+call that the bound there refuses is refused before the head is summed.
 Of the default verify's points, 444 at p >= 2 and 444 at p = 1 take 40
-or 58 terms, with bounds up to 2.9e-14 and 4.4e-13; at p >= 2 N starts
+or 58 terms, with bounds up to 3.8e-14 and 5.3e-13; at p >= 2 N starts
 at 367 at most, just past _MONOTONE_DELTA, while at p = 1 it grows as
 1/delta: 57,295,780 terms at Qp order 0, z = 0.4999999.
-_differences is cached: the default verify's 888 points by parts call it
-at 8 distinct arguments.
 
-The short kernel, _short_terms, builds each term in plain Python from
-the integers: t = (k*step + pref_num) mod den, stepped exactly, taken in
-[-den/2, den/2], the angle 2 pi * (t/den) with t/den rounded once, its
-sine or cosine times float(c*k + d)**-p.  math.fsum adds the terms, and
-the sum is multiplied by scale.  Numpy costs some 7.5 us a call whatever
-its length, so below _SHORT terms the plain loop, some 0.3 us a term,
-is faster; measured (2 vCPU, Python 3.11.7, numpy 2.4.6) at 8 terms
-2.9 us against 7.7 us, and the two break even at 26 terms for z = 0.3
-(den = 2^55), 34 for bS at 0.3, and 58 for z = 0.5 (den = 4), where the
-integers are short.  1476 of the default verify's 2460 direct points
-sum fewer than _SHORT terms, 1312 of them 8 or fewer.
+The short kernel, _head_terms, reads pref*u**k_lo and u once each
+through _unit from the exact integer turns, steps w *= u by
+itertools.accumulate, takes the weights float(c*k + d)**-p from the
+cache _weights, shared by every z of a family and order, and sum() adds
+the complex products.  Numpy costs some 7.5 us a call whatever its
+length, the recurrence some 1.5 us and 0.08 us a term (S 3 at z = 0.3,
+2 vCPU, Python 3.11.7, numpy 2.4.6: 1.9 us at 5 terms, 6.3 us at 58,
+where numpy took 8.1).  The default verify's 888 heads by parts and
+1804 of its 2460 direct points take it.
 
-The numpy kernels split step/den, from the integers, into a 25-bit
-head, a 25-bit middle and a rest rounded once, and pref_num/den the same
-way, so that term k's phase mod 1 rounds only in its last step for every
-k below 2^27, which covers every k up to _MAX_TERMS.  Each angle is then
-taken in [-pi, pi], give or take 2^-20.
+The numpy kernels split step/den and pref_num/den, from the integers,
+into a 25-bit head, a 25-bit middle and a rest rounded once, so that
+term k's phase mod 1 rounds only in its last step for every k below
+2^27 > _MAX_TERMS; each angle is then in [-pi, pi], give or take 2^-20.
 
 Each chunk holds at most _CHUNK terms.  A chunk of fewer than
-_TABLE_MIN = 4096 terms builds its terms, each with its own phase and
-sine or cosine times denom**-p and scale, and adds them with numpy's
-pairwise sum.  A longer chunk of n terms never builds them.  It writes
-k = k_lo + r*w + j with w = min(128, isqrt(n)), the n mod w last terms
-a short last row, and takes sin and cos once each of the phases of the
-rows, (k_row*step + pref_num/2)/den, and of the columns,
+_TABLE_MIN = 4096 terms, below which the block sum's fixed cost of some
+20 us does not pay, builds its terms, each with its own phase and sine
+or cosine times denom**-p and scale, and adds them with numpy's pairwise
+sum.  A longer chunk of n terms never builds them.  It writes
+k = k_lo + r*w + j with w = _width(n, p), the n mod w last terms a short
+last row, and takes sin and cos once each of the phases of the rows,
+(k_row*step + pref_num/2)/den, and of the columns,
 (j*step + pref_num/2)/den, each taking half of pref.  By angle addition
 row r sums to a_r*X_r0 +- b_r*X_r1, where X_r is the sum over the row
 of denom**-p*[cos_col, sin_col], and the sum of the rows is scaled once.
 
 Row r's weights are e**-p * (1 - x*t_j)**-p, with e the row's last
-denominator, x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].
-The near rows, the first ones, where x is above _far_reach(p), and the
-short last row build their weights, at most _BLOCK at a time, and
-X = G @ [cos_col, sin_col].  A far row takes the binomial series of
-(1 - x*t)**-p cut after M = _SERIES = 14 terms,
+denominator, x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].  The near
+rows, the first ones, where x is above _reach(p)[-1], and the short last
+row build their weights, at most _BLOCK at a time, and
+X = G @ [cos_col, sin_col].  A far row takes the binomial series,
 X_r = e**-p * sum_m x**m * K_m, from the column moments
 K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col], taken once per
-chunk.  The series' terms are all positive and fall at
-least by the factor (p+M)/(M+1)*x from m = M on, so the cut drops at
-most C(p+M-1, M)*x**M / (1 - (p+M)/(M+1)*x) of a sum of at least 1;
-_far_reach solves for the x where that is u/8, once per chunk from p.
-From k = 1, row r has x near 1/(r+1): 19 near rows at p = 2, 125 at
-p = 41 and 337 at p = 121, so a sum of 10^6 terms at p = 2 builds
-2,500 of its weights.  A far row costs M products instead of w
-weights, the moments M*w per chunk.  The tables' fixed cost, some
-20 us, is repaid only from 2000 to 4000 terms on; an absolute-mode
-point of verify needs 4 to 1270 terms, and those of _SHORT terms or
-more build their terms.
+chunk for m < M = _SERIES.  The series' terms are all positive and fall
+at least by the factor (p+m)/(m+1)*x from m on, so a cut after m terms
+drops at most C(p+m-1, m)*x**m / (1 - (p+m)/(m+1)*x) of a sum of at
+least 1; _reach(p)[m-1] is the x where that is u/8, and each block of
+far rows cuts after the fewest m <= M whose reach holds its first,
+largest, x.  From k = 1, row r has x near 1/(r+1) whatever w: 19 near
+rows at p = 2 and 126 at p = 41 build w weights each, and every row's
+phases and series cost some 8 weights.  So _width takes
+w = min(512, isqrt(n), max(64, isqrt(8n*_reach(p)[-1]))): a 10^6-term
+sum at p = 2 takes 1953 rows of 512, where rows of 128 took 7812, builds
+9,728 weights and cuts its second block of far rows after 6 terms.  Rows
+from the denominator 2^(1076/p) on, where every weight is below a
+quarter of the least subnormal and rounds to 0.0, are skipped: at
+p = 121 every row that starts past 475.
 
 A term's error is held to (16 + 0.36p)u*g(k) against the exact term at
 the float z, plus 2^-1074 where it is subnormal, where u = 2^-53 and
 g(k) bounds the term's size: float pi**-p carries p times float pi's
-0.351u, most of the 42u measured at p = 121; a short term, the exact
-product of its float and scale, is within (4 + 0.36p)u, measured over
-every code at orders up to 120.  A block sum adds at most
-(w + log2(rows))*u*sum g(k) to its terms' errors: the w products of a
-row's dot product, then the pairwise sum of the rows.  A far row's
-weights are e**-p times a sum of positive terms, so its products and
-sums round as a dot product with its exact weights would, give or
-take the 2M or so roundings of the series' terms past the first, whose
-sum, (1 - x)**-p - 1, is below half the first at the cut; the cut adds
-u/8*g(k) per term.
+0.351u, most of the 42u measured at p = 121.  _unit rounds its turns
+once into [-1, 1] half turns, which _cos_pi and _sin_pi reduce exactly,
+so a unit is within 3.8u: 2.4u along the circle and u in each part.  A
+complex product adds sqrt(5)u, so step j of the short kernel is within
+(3.8 + 6j)u, and its term, with the weight's and product's 3u, within
+(16 + 0.36p + 6j)u*g(k); measured over every code at orders up to 120,
+(1.7 + 0.36p)u at j = 0 and 1.6u more a step.  A block sum adds at most
+(w + log2(rows))*u*sum g(k): the w products of a row's dot product, then
+the pairwise sum of the rows.  A far row's weights are e**-p times a
+sum of positive terms, so they round as a dot product with the exact
+weights would, give or take the 2m or so roundings of the series' terms
+past the first, whose sum, (1 - x)**-p - 1, is below half the first;
+the cut adds u/8*g(k) per term.
 
 _head_charge, the charge for a head of n terms in both routes' bounds,
 is the per-term error over sum g(k), plus 2^-1074 a term, and what the
-kernel that summed the head adds: 2u*sum g(k) below _SHORT terms, for
-the fsum's one rounding and the product by scale; ceil(log2(n))u*sum
-g(k) for the pairwise sum; and 129u*sum g(k) more for a block sum, with
-w <= 128 and one more for the product by scale.  At p >= 2 sum g(k)
-runs from k_start on, at most scale*(1 + 1/(c(p - 1))); at p = 1 it is
-the head's own, at most scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1) with
-K = k0 + n, as c*k0 + d = 1.
-tests/test_oracle_kernel.py checks terms, short sums and block sums
-against 40-digit mpmath, out to k = 1e8 and to order 120.
+kernel adds: 7n*u*sum g(k) below _SHORT terms, for the drift of 6u a
+step, the sum's n - 1 roundings and the product by scale;
+ceil(log2(n))u*sum g(k) for the pairwise sum; and (w + 1)u*sum g(k)
+more for a block sum.  At p >= 2 sum g(k) runs from k_start on, at most
+scale*(1 + 1/(c(p - 1))); at p = 1 it is the head's own, at most
+scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1) with K = k0 + n, as
+c*k0 + d = 1.  tests/test_oracle_kernel.py checks terms, short sums and
+block sums against 40-digit mpmath, out to k = 1e8 and to order 120.
 
-The averaged mode's ladder of depths 4, 16, 64, 256 and 1024 takes each
-step, d passes of adjacent averaging, as one convolution with the
-binomial weights C(d, j)/2^d, built once from exact integers.  It agrees
-with the passes to 1e-14*(1 + |v|) or better.
-
-A call allocates no array of its n terms, but for the short kernel's
-list of fewer than _SHORT.  The largest arrays are the weights of a
-block of near rows and their offsets, the powers x**m of a
-block of far rows, _BLOCK entries each, and the tables and row sums,
-n/w entries each: a 10^6-term sum peaks near 0.7 MB, where its terms
-alone would take 8 MB.  The averaged mode builds its 1600 terms and
-their partial sums and takes no block sum.  Every array a call writes
-is its own, the ladder weights are read-only, and the BLAS calls, the
-products G @ [cos_col, sin_col], the moments and K @ [x**m], read only
-the call's arrays and give the same digits on one BLAS thread as on
-several.  So a library caller may run
-oracle_eval on several threads at once: the one thing the calls share
-and write is the lru_cache of _differences, which is safe under threads
-and holds immutable tuples.
+A call allocates no array of its n terms, only its own arrays of _BLOCK
+or n/w entries.  The BLAS products give the same digits on one thread as
+on several, and calls share only the read-only ladder weights and
+lru_caches of pure functions, so oracle_eval may run on several threads.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -196,7 +180,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _CHUNK = 1 << 20
-_SHORT = 24
+_SHORT = 64
 _BLOCK = 1 << 14
 _TABLE_MIN = 4096
 _SERIES = 14
@@ -293,23 +277,26 @@ def _turns(k, step, den, pref_num):
     return turns
 
 
-def _far_reach(p):
-    """An x, within 1% of the largest, at which the first _SERIES terms of
-    the binomial series of (1 - x)**-p fall short of it by at most u/8
-    relative, and so on all of [0, x].
+@functools.cache
+def _reach(p):
+    """For m = 1.._SERIES, an x within 1% of the largest at which the
+    bound on the remainder of the binomial series of (1 - x)**-p cut
+    after m terms is u/8 (module docstring), and so on all of [0, x]."""
+    reach = []
+    for m in range(1, _SERIES + 1):
+        lead = math.comb(p + m - 1, m)
+        # start 1% inside where the first dropped term is u/8, as the check rounds
+        x = 0.99 * (_U / 8.0 / lead) ** (1.0 / m) if lead else 1.0  # p = 0: the sum is 1
+        while lead * x**m > _U / 8.0 * (1.0 - (p + m) / (m + 1) * x):
+            x *= 0.99
+        reach.append(x)
+    return tuple(reach)
 
-    The terms C(p+m-1, m)*x**m are positive and, from m = M = _SERIES on,
-    shrink at least by the factor (p+M)/(M+1)*x, so the remainder is at
-    most C(p+M-1, M)*x**M / (1 - (p+M)/(M+1)*x), and the sum is at least 1.
-    """
-    m = _SERIES
-    lead = math.comb(p + m - 1, m)
-    if lead == 0:  # p = 0: the series is the constant 1
-        return 1.0
-    x = (_U / 8.0 / lead) ** (1.0 / m)
-    while lead * x**m > _U / 8.0 * (1.0 - (p + m) / (m + 1) * x):
-        x *= 0.99
-    return x
+
+@functools.lru_cache(maxsize=256)
+def _width(n, p):
+    """The row width of a block sum of n terms at power p."""
+    return min(512, math.isqrt(n), max(64, math.isqrt(int(8 * n * _reach(p)[-1]))))
 
 
 def _power_rows(base, out):
@@ -336,45 +323,55 @@ def _terms(s, k_lo, k_hi):
     return vals
 
 
-def _short_terms(s, k_lo, k_hi):
-    """Terms of s for k in [k_lo, k_hi) as a list, before scale: sin or cos
-    of 2*pi*t/den times (c*k + d)**-p, where t = (k*step + pref_num) mod den,
-    stepped exactly in integers, is taken in [-den/2, den/2] and t/den
-    rounds once."""
-    c, d, step, den, pref_num, p, sin, _, _ = s
-    trig = math.sin if sin else math.cos
-    half = den >> 1
+def _unit(num, den):
+    """exp(2 pi i num/den) for integers num and den > 0: num mod den taken
+    in [-den/2, den/2] and num/den rounded once, in half turns."""
+    num %= den
+    if 2 * num > den:
+        num -= den
+    x = 2 * num / den
+    return complex(_cos_pi(x), _sin_pi(x))
+
+
+@functools.lru_cache(maxsize=1024)
+def _weights(c, d, p, k_lo, n):
+    """float(c*k + d)**-p for k in [k_lo, k_lo + n), as a tuple."""
+    return tuple(float(c * k + d) ** -p for k in range(k_lo, k_lo + n))
+
+
+def _head_terms(s, k_lo, k_hi):
+    """pref*u**k * (c*k + d)**-p for k in [k_lo, k_hi), complex, before
+    scale, lazily: pref*u**k_lo and u read from the exact integer turns,
+    then the recurrence w *= u."""
+    c, d, step, den, pref_num, p, _, _, _ = s
+    n = k_hi - k_lo
+    u = _unit(step, den)
     t = (k_lo * step + pref_num) % den
-    terms = []
-    for k in range(k_lo, k_hi):
-        angle = TWO_PI * ((t - den if t > half else t) / den)
-        terms.append(trig(angle) * float(c * k + d) ** -p)
-        t += step
-        if t >= den:
-            t -= den
-    return terms
+    # from k = 1 a k family's pref*u**k_lo is u itself
+    w0 = u if t == step else _unit(t, den)
+    w = itertools.accumulate(itertools.repeat(u, n - 1), operator.mul, initial=w0)
+    return map(operator.mul, w, _weights(c, d, p, k_lo, n))
 
 
 def _sum(s, k_lo, k_hi):
-    """Sum of the terms of s for k in [k_lo, k_hi).  Below _SHORT terms
-    the exact fsum of _short_terms, times scale, with no numpy call; from
-    there on one sum for each _CHUNK terms from k_lo on, exact fsum across
-    them.  A chunk takes the pairwise sum of its terms below _TABLE_MIN of
-    them, from there on the block sum of the module docstring, which never
-    builds them."""
+    """Sum of the terms of s for k in [k_lo, k_hi): below _SHORT terms that
+    of _head_terms, times scale, with no numpy call; from there on one sum
+    for each _CHUNK terms, exact fsum across them, each the pairwise sum of
+    its terms below _TABLE_MIN of them and a block sum from there on."""
     n = k_hi - k_lo
     if n < _SHORT:
-        return math.fsum(_short_terms(s, k_lo, k_hi)) * s.scale
+        total = sum(_head_terms(s, k_lo, k_hi))
+        return (total.imag if s.sin else total.real) * s.scale
     if n > _CHUNK:
         return math.fsum(_sum(s, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK))
     if n < _TABLE_MIN:
-        return float(np.sum(_terms(s, k_lo, k_hi)))
-    width = min(128, math.isqrt(n))
+        return float(_terms(s, k_lo, k_hi).sum())
+    c, d, step, den, pref_num, p, _, _, _ = s
+    width = _width(n, p)
     rows, rest = divmod(n, width)
     # the rest terms are a short last row
     k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
     col = np.arange(width, dtype=np.float64)
-    c, d, step, den, pref_num, p, _, _, _ = s
     d_row, d_col = c * k_row + d, c * col
     # rows and columns take half of pref each, so that their phases add up
     # to (k*step + pref_num)/den
@@ -387,38 +384,37 @@ def _sum(s, k_lo, k_hi):
         a, b, combine = sin[:n_row], cos[:n_row], np.add
     else:  # cos(A + B) = cos A cos B - sin A sin B
         a, b, combine = cos[:n_row], sin[:n_row], np.subtract
-    parts = np.empty(n_row)
+    parts = np.zeros(n_row)
     # a whole row's weights, before scale, are d_end**-p * (1 - ratio*t_j)**-p
     # with d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
     span = c * (width - 1)
     d_end = d_row[:rows] + span
     ratio = span / d_end
-    near = int(np.count_nonzero(ratio > _far_reach(p)))
-    per = max(1, min(near, _BLOCK // width))  # near rows per block
-    # denominators of a block less the first one's, exact integers
-    offsets = c * np.arange(per * width, dtype=np.float64)
-    weights = np.empty(per * width)
+    reach = _reach(p)
+    # from the denominator 2**(1076/p) on every weight rounds to 0.0
+    live = int(np.searchsorted(d_row[:rows], 2.0 ** min(1023, 1076 / p))) if p else rows
+    near = min(live, int(np.count_nonzero(ratio > reach[-1])))
+    per = max(1, _BLOCK // width)  # near rows per block
     for r0 in range(0, near, per):
         r = slice(r0, min(r0 + per, near))
-        g = weights[: (r.stop - r0) * width]
-        np.add(offsets[: g.size], d_row[r0], out=g)
+        # the block's denominators, exact integers
+        g = np.arange(d_row[r0], d_row[r0] + c * (r.stop - r0) * width, c)
         g **= -p
         x = g.reshape(-1, width) @ cols
         combine(a[r] * x[:, 0], b[r] * x[:, 1], out=parts[r])
-    if near < rows:
-        # far rows: the series of (1 - ratio*t_j)**-p cut after `terms`
-        # terms; its column moments K_m = C(p+m-1, m) * sum_j t_j**m * col_j
-        # are taken once, and row r sums to
-        # d_end**-p * sum_m ratio_r**m * K_m
-        terms = _SERIES if p else 1
+    if near < live:
+        # far rows: the series of (1 - ratio*t_j)**-p, whose column moments
+        # K_m = C(p+m-1, m) * sum_j t_j**m * col_j are taken once, and each
+        # block cut after the fewest terms that pass at its first, largest,
+        # ratio; row r sums to d_end**-p * sum_m ratio_r**m * K_m
         t = (width - 1.0 - col) / (width - 1)
-        moments = (_power_rows(t, np.empty((terms, width))) @ cols).T
-        moments *= [1.0] + [float(math.comb(p + m - 1, m)) for m in range(1, terms)]
-        per = max(1, _BLOCK // terms)  # far rows per block
-        powers = np.empty((terms, min(per, rows - near)))
-        for r0 in range(near, rows, per):
-            r = slice(r0, min(r0 + per, rows))
-            xt = moments @ _power_rows(ratio[r], powers[:, : r.stop - r0])  # X.T
+        moments = (_power_rows(t, np.empty((_SERIES, width))) @ cols).T
+        moments *= [1.0] + [float(math.comb(p + m - 1, m)) for m in range(1, _SERIES)]
+        per = _BLOCK // _SERIES  # far rows per block
+        for r0 in range(near, live, per):
+            r = slice(r0, min(r0 + per, live))
+            terms = bisect.bisect_left(reach, ratio[r0]) + 1
+            xt = moments[:, :terms] @ _power_rows(ratio[r], np.empty((terms, r.stop - r0)))  # X.T
             xt *= d_end[r] ** -p
             combine(a[r] * xt[0], b[r] * xt[1], out=parts[r])
     if rest:
@@ -426,7 +422,7 @@ def _sum(s, k_lo, k_hi):
         g **= -p
         x = g @ cols[:rest]
         parts[rows] = combine(a[rows] * x[0], b[rows] * x[1])
-    return float(np.sum(parts)) * s.scale
+    return float(parts.sum()) * s.scale
 
 
 def partial_sum(f, z, n_terms):
@@ -459,8 +455,10 @@ def _head_charge(s, n):
         sum_g = scale * (1.0 / (c * k0 + d) + math.log(c * (k0 + n) + d) / c + 1.0)
     else:
         sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))
-    # (n - 1).bit_length() is ceil(log2(n))
-    kernel = 2 if n < _SHORT else (n - 1).bit_length() + (129 if n >= _TABLE_MIN else 0)
+    # (n - 1).bit_length() is ceil(log2(n)); a chunk is at most _CHUNK
+    kernel = 7 * n if n < _SHORT else (n - 1).bit_length()
+    if n >= _TABLE_MIN:
+        kernel += _width(min(n, _CHUNK), p) + 1
     return (16 + 0.36 * p + kernel) * _U * sum_g + n * 2.0**-1074
 
 
@@ -509,10 +507,8 @@ def _by_parts(s, tol, cap, strict):
             acc = acc * r + dj
             size = size * rho + abs(dj)
         # -u**k/(u - 1) = rho * i * exp(i pi (2k - 1) t), times pref: its
-        # turns, over 4*den, reduced exactly and rounded once in half turns
-        turns = (2 * (2 * k - 1) * step + den + 4 * pref_num) % (4 * den)
-        angle = turns / (2 * den)
-        tail = rho * scale * complex(_cos_pi(angle), _sin_pi(angle)) * acc
+        # turns over 4*den
+        tail = rho * scale * _unit(2 * (2 * k - 1) * step + den + 4 * pref_num, 4 * den) * acc
         # the remainder after J steps, 2|Delta^J g(k)| |r|**J / |u - 1|;
         # the tail's rounding, charged (p + 16J)u of its terms' sizes where
         # its roundings reach some (110 + p/2)u; and the head's.  The
@@ -579,14 +575,12 @@ def oracle_eval(f, z, tol, strict=True):
     in absolute mode and an empirical oscillation envelope in averaged
     mode.  At p >= 2 the mode is absolute: the sum of the terms its
     integral tail needs, stopped at the cap within _MONOTONE_DELTA of
-    resonance, with that tail and the head's rounding as bound; further
-    off, a need past the cap takes a head of
-    N = max(40, ceil(3J/(2 pi delta))) terms and the tail by J = 12 steps
-    of summation by parts, whose bound holds the remainder and the
-    roundings of the tail and head (module docstring).
-    At p = 1 every point takes the tail by parts, its head at most
-    _MAX_TERMS terms.  Only p = 0 averages, over the first 1600 partial
-    sums, the terms it reports whether or not its envelope meets tol.
+    resonance; further off, a need past the cap takes a head of N terms
+    and the tail by summation by parts (module docstring), as does every
+    point at p = 1, its head at most _MAX_TERMS terms.  Both bounds
+    charge the head's rounding.  Only p = 0 averages, over the first 1600
+    partial sums, the terms it reports whether or not its envelope meets
+    tol.
     With strict=True a result whose estimate exceeds tol raises
     ToleranceNotReachedError carrying the best report found; by parts,
     whose bound is known before the head is summed, that report's value
@@ -603,9 +597,11 @@ def oracle_eval(f, z, tol, strict=True):
     cap = _CAP_P2 if s.p == 2 else _CAP_P3 if s.p >= 3 else _MAX_TERMS
 
     if s.p >= 2:
-        # the tail aims at tol less the head's charge, largest at the cap,
-        # so that the two meet tol together
-        need = _n_for_tol(s, tol - _head_charge(s, cap))
+        # the tail aims at tol less the largest head's charge, so that the
+        # two meet tol together; the charge grows with n within each kernel,
+        # the pairwise sum's at most 12u*sum g(k), below the short kernel's
+        charge = max(_head_charge(s, _SHORT - 1), _head_charge(s, cap))
+        need = _n_for_tol(s, tol - charge)
         if need > cap and min(s.step, s.den - s.step) / s.den > _MONOTONE_DELTA:
             report = _by_parts(s, tol, cap, strict)
         else:

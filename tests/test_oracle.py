@@ -220,6 +220,38 @@ def test_shape_delta_is_exact_where_float_turns_round():
 
 
 def series_reference(f, z):
+    """The defining series at 40 digits: by direct summation from order 9
+    on, where it converges fast, and through the Lerch transcendent below."""
+    return direct_reference(f, z) if f.order >= 9 else lerch_reference(f, z)
+
+
+def direct_reference(f, z):
+    """The defining series at 40 digits, p >= 2, summed directly from
+    SumFamily's fields: term k turns k*z, or (2k+1)*z for the 2k+1
+    families other than P/Q, plus k/2 when the family alternates, over
+    (pi*denom)**p, the denominators 1, 1 + c, 1 + 2c, ... with c = 1 for
+    the k families and 2 for the 2k+1 ones.  Past K terms the tail is
+    below the integral of (pi*(1 + c*x))**-p from K - 1 on, and K is the
+    fewest terms for which that is below 2**-140 * pi**-p, under the 40
+    digits of the first term, pi**-p."""
+    mpmath = pytest.importorskip("mpmath")
+    p = f.power
+    c = 2 if f.index_kind == "2k+1" else 1
+    last = (2.0**140 / (c * (p - 1))) ** (1.0 / (p - 1))  # 1 + c*(K - 1)
+    zq = Fraction(z)
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for i in range(math.ceil((last - 1.0) / c) + 1):
+            k = f.k_start + i
+            mult = 2 * k + 1 if c == 2 and f.modified == "none" else k
+            turns = (mult * zq + (Fraction(k, 2) if f.alternating else 0)) % 1
+            angle = 2 * mpmath.pi * turns.numerator / turns.denominator
+            trig = mpmath.sin(angle) if f.trig == "sin" else mpmath.cos(angle)
+            total += trig / mpmath.mpf(1 + c * i) ** p
+        return total / mpmath.pi**p
+
+
+def lerch_reference(f, z):
     """The defining series at 40 digits through the Lerch transcendent, as
     tests/test_reference.py takes the modified families: Re or Im of
     pref * sum_k u**k * (c*k + d)**-p / pi**p, which is u * Phi(u, p, 1)
@@ -239,6 +271,18 @@ def series_reference(f, z):
             s = pref * mpmath.lerchphi(u, p, mpmath.mpf(1) / 2) / 2**p
         part = s.imag if f.trig == "sin" else s.real
         return part / mpmath.pi**p
+
+
+@pytest.mark.parametrize("code", ["S", "bC", "Qp"])
+def test_direct_reference_matches_lerchphi(code):
+    # the direct sum that serves series_reference from order 9 on, against
+    # the Lerch transcendent: a k family, a 2k+1 family and a modified one
+    mpmath = pytest.importorskip("mpmath")
+    f = fam(code, 9)
+    for z in (0.3, -1.3):
+        with mpmath.workdps(40):
+            err = abs(direct_reference(f, z) - lerch_reference(f, z))
+            assert err <= mpmath.mpf(2) ** -120 * mpmath.pi**-f.power, (z, err)
 
 
 @pytest.mark.parametrize("code,orders", BY_PARTS_CODES, ids=[c for c, _ in BY_PARTS_CODES])
@@ -591,6 +635,34 @@ def test_direct_route_bounds_hold_at_high_order(code):
         r = oracle_eval(f, 0.3, 1e-8)
         want = series_reference(f, 0.3)
         assert abs(r.value - want) <= r.tail_bound, (order, r, want)
+
+
+def test_direct_route_meets_tol_with_the_head_charge(monkeypatch):
+    # the integral tail aims at tol less the largest charge of any head up
+    # to the cap, the short kernel's at 63 terms or the block sum's at the
+    # cap, so that tail and charge meet tol together whatever n it sums;
+    # p = 2..699, k and 2k+1 families, tol 1e-10..1e-2, and tols just
+    # above a head of 24 to 63 terms' tail bound plus the charge at the
+    # cap, where an aim that charged only the cap would stop and overshoot
+    routed, by_parts = [], oracle._by_parts
+    monkeypatch.setattr(oracle, "_by_parts", lambda *args: routed.append(args) or by_parts(*args))
+    sums = collections.Counter()
+    for code in ("S", "C", "bS", "bC"):
+        for order in range(1, 350):
+            f = fam(code, order)
+            s = oracle._series(f, 0.3)
+            cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
+            edges = [oracle._tail_bound(s, n) + oracle._head_charge(s, cap) for n in (24, 40, 63)]
+            for tol in [10.0**e for e in range(-10, -1)] + [t for t in edges if t >= 1e-10]:
+                routed.clear()
+                r = oracle_eval(f, 0.3, tol, strict=False)
+                if routed:
+                    continue
+                n = r.terms_used
+                assert r.tail_bound == oracle._tail_bound(s, n) + oracle._head_charge(s, n)
+                assert r.tail_bound <= tol, (code, order, tol, r)
+                sums["short" if n < oracle._SHORT else "numpy"] += 1
+    assert sums["short"] > 10_000 and sums["numpy"] > 0, sums
 
 
 @pytest.mark.parametrize(

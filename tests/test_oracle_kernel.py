@@ -2,19 +2,21 @@
 
 The per-term numpy kernel must equal a one-pass numpy kernel, whose phase
 split comes from Fraction turns, bit for bit.  Its terms, and the short
-kernel's plain-Python terms times scale, must each lie within
+kernel's first terms times scale, must each lie within
 (16 + 0.36p)u*g(k) of the exact term at the float z, plus 2**-1074 where
 it is subnormal, where u = 2**-53 and g(k) = (pi*denom)**-p bounds the
 size of the term: float pi**-p, which scales every term, carries p times
-float pi's 0.351u.
+float pi's 0.351u.  Term j of the short kernel's recurrence w *= u may
+drift 6u a step more.
 The block sum, which never builds its terms, must lie within
-(16 + w + log2(rows + 1))*u*sum g(k) of the exact partial sum: the
-per-term error plus the row dot products of w terms and the pairwise
-sum of the rows.  Its far rows' weights, a binomial series cut after
-_SERIES terms, must lie within u/8 of the exact weights.  Sums either
-side of _SHORT terms must lie within the head's charge the oracle
-reports.  The exact values are 40-digit mpmath.  The convolution ladder
-is held to repeated adjacent averaging.
+(16 + w + log2(rows + 1))*u*sum g(k) of the exact partial sum, w the
+kernel's row width: the per-term error plus the row dot products of w
+terms and the pairwise sum of the rows.  Its far rows' weights, a
+binomial series cut after m terms at x up to _reach(p)[m-1], must lie
+within u/8 of the exact weights.  Sums either side of _SHORT terms must
+lie within the head's charge the oracle reports.  The exact values are
+40-digit mpmath.  The convolution ladder is held to repeated adjacent
+averaging.
 """
 
 import functools
@@ -92,7 +94,12 @@ def test_terms_match_reference_bit_for_bit(code):
 @functools.cache
 def exact_sin_cos(zf, mult):
     """40-digit sin and cos of 2*pi*mult*zf, the turns reduced exactly."""
-    turns = Fraction(zf) * mult % 1
+    return exact_sin_cos_of_turns(Fraction(zf) * mult % 1)
+
+
+@functools.cache
+def exact_sin_cos_of_turns(turns):
+    """40-digit sin and cos of 2*pi*turns, for Fraction turns in [0, 1)."""
     with mpmath.workdps(40):
         angle = 2 * mpmath.pi * turns.numerator / turns.denominator
         return mpmath.sin(angle), mpmath.cos(angle)
@@ -108,11 +115,11 @@ def exact_scaled_terms(f, zf, k_lo, k_hi):
         yield -exact if f.alternating and k % 2 else exact, denom
 
 
-def worst_error(f, zf, k_lo, got, scale=1.0):
-    """max over k of |term*scale - exact term| less 2**-1074, over g(k),
-    in units of u: the error beyond what a subnormal term rounds by.  The
-    product by scale is exact at 40 digits."""
-    worst = 0
+def term_errors(f, zf, k_lo, got, scale=1.0):
+    """|term*scale - exact term| less 2**-1074, over g(k), in units of u,
+    for each term from k_lo on: the error beyond what a subnormal term
+    rounds by.  The product by scale is exact at 40 digits."""
+    errors = []
     with mpmath.workdps(40):
         pi_p = mpmath.pi**f.power
         scaled = exact_scaled_terms(f, zf, k_lo, k_lo + len(got))
@@ -120,8 +127,13 @@ def worst_error(f, zf, k_lo, got, scale=1.0):
             # D = (pi*denom)**p = 1/g(k)
             d = pi_p * mpmath.mpf(denom) ** f.power
             err = abs(mpmath.mpf(term) * scale - exact / d) - mpmath.ldexp(1, -1074)
-            worst = max(worst, err * d)
-    return float(worst) / U
+            errors.append(float(err * d) / U)
+    return errors
+
+
+def worst_error(f, zf, k_lo, got, scale=1.0):
+    """The largest of term_errors, at least 0."""
+    return max([0.0] + term_errors(f, zf, k_lo, got, scale))
 
 
 @pytest.mark.parametrize("code", FAMILY_CODES)
@@ -158,20 +170,44 @@ def test_terms_keep_16u_out_to_the_term_cap(code, k_lo):
         assert worst_error(f, zf, k_lo, got) <= 16, zf
 
 
+def head_errors(f, zf, k_lo, n):
+    """worst_error of each term of the short kernel's head of n terms from
+    k_lo, its component taken and scaled."""
+    s = oracle._series(f, zf)
+    terms = [w.imag if s.sin else w.real for w in oracle._head_terms(s, k_lo, k_lo + n)]
+    assert len(terms) == n
+    return term_errors(f, zf, k_lo, terms, mpmath.mpf(s.scale))
+
+
+SHORT_ORDERS = (0, 1, 2, 3, 8, 20, 60, 120)
+
+
 @pytest.mark.parametrize("code", FAMILY_CODES)
 def test_short_terms_within_16u_plus_0_36pu_of_40_digit_terms(code):
-    # the plain-Python kernel below _SHORT terms: its phases are exact
-    # integers mod den, 2**1075 at z = 5e-324, and its terms are scaled by
-    # float pi**-p only once their fsum is taken
-    for order in (0, 1, 2, 3, 8, 20, 60, 120):
+    # the first term of a head, pref*u**k_lo read through _unit from the
+    # exact integer turns, 2**1075 of them at z = 5e-324, before any step:
+    # one-term heads from every start up to k_start + 22 and near 1e8
+    for order in SHORT_ORDERS:
+        f = SumFamily.from_code(code, order)
+        starts = list(range(f.k_start, f.k_start + 23)) + [oracle._MAX_TERMS - 1]
+        for zf in ZS + (5e-324,):
+            for lo in starts:
+                (err,) = head_errors(f, zf, lo, 1)
+                assert err <= 16 + 0.36 * f.power, (order, zf, lo)
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_head_terms_drift_at_most_6u_a_step_from_40_digit_terms(code):
+    # term j of a head of _SHORT - 1 terms is w *= u stepped j times: each
+    # step adds u's error, within 3.8u, and the complex product's, within
+    # sqrt(5)u (module docstring of oracle), from k_start and near 1e8
+    for order in SHORT_ORDERS:
         f = SumFamily.from_code(code, order)
         for zf in ZS + (5e-324,):
-            s = oracle._series(f, zf)
-            for lo in (f.k_start, f.k_start + 1, oracle._MAX_TERMS - oracle._SHORT):
-                got = oracle._short_terms(s, lo, lo + oracle._SHORT - 1)
-                assert len(got) == oracle._SHORT - 1
-                err = worst_error(f, zf, lo, got, mpmath.mpf(s.scale))
-                assert err <= 16 + 0.36 * f.power, (order, zf, lo)
+            for lo in (f.k_start, oracle._MAX_TERMS - oracle._SHORT):
+                errs = head_errors(f, zf, lo, oracle._SHORT - 1)
+                for j, err in enumerate(errs):
+                    assert err <= 16 + 0.36 * f.power + 6 * j, (order, zf, lo, j)
 
 
 @pytest.mark.parametrize("code", FAMILY_CODES)
@@ -195,21 +231,23 @@ def test_partial_sums_either_side_of_short_within_the_head_charge(code):
 
 def test_short_sums_call_no_numpy(monkeypatch):
     # S 3 at 0.3 needs 5 terms: the short kernel sums them in plain
-    # Python, with no _terms call and no numpy name read at all
+    # Python, with no _terms call and no numpy name read at all, as it
+    # does a partial sum of _SHORT - 1 terms
     calls = []
     monkeypatch.setattr(oracle, "_terms", lambda *args: calls.append(args))
     monkeypatch.setattr(oracle, "np", None)
     f = SumFamily.from_code("S", 3)
     r = oracle_eval(f, 0.3, 1e-8)
     assert (r.mode, r.terms_used) == ("absolute", 5)
-    partial_sum(f, 0.3, oracle._SHORT - 1)
+    assert partial_sum(f, 0.3, oracle._SHORT - 1) == pytest.approx(r.value, abs=1e-6)
     assert calls == []
 
 
 def exact_sum_and_bound(f, zf, k_lo, k_hi):
-    """(40-digit partial sum, block-sum bound (16 + w + log2(rows+1))*u*sum g)."""
+    """(40-digit partial sum, block-sum bound (16 + w + log2(rows+1))*u*sum g)
+    with w the kernel's row width."""
     n = k_hi - k_lo
-    width = min(128, math.isqrt(n))
+    width = oracle._width(n, f.power)
     with mpmath.workdps(40):
         pi_p = mpmath.pi**f.power
         total = mpmath.mpf(0)
@@ -230,12 +268,41 @@ def assert_block_sum_within_bound(f, zf, k_lo, k_hi):
     assert err <= bound, (f.code, f.order, zf, k_lo, k_hi, err, bound)
 
 
+def recording_cuts(monkeypatch):
+    """A list that gets (rows of out, largest base) for each _power_rows
+    call from here on."""
+    cuts, power_rows = [], oracle._power_rows
+
+    def recording(base, out):
+        cuts.append((len(out), float(base.max())))
+        return power_rows(base, out)
+
+    monkeypatch.setattr(oracle, "_power_rows", recording)
+    return cuts
+
+
+def far_block_cuts(f, cuts):
+    """The terms each block of far rows of one chunk's block sum is cut
+    after, checked: the chunk's first _power_rows call takes the column
+    moments' _SERIES powers of t, each later one a block's powers of its
+    x, cut after the fewest terms whose _reach holds the largest x."""
+    if not cuts:  # no far rows
+        return []
+    reach = oracle._reach(f.power)
+    (moments, _), *blocks = cuts
+    assert moments == oracle._SERIES
+    for terms, x in blocks:
+        assert x <= reach[terms - 1] and (terms == 1 or x > reach[terms - 2]), (terms, x)
+    return [terms for terms, _ in blocks]
+
+
 @pytest.mark.parametrize("code", FAMILY_CODES)
 def test_block_sum_within_its_bound_at_every_code(code, monkeypatch):
     # _TABLE_MIN lowered so that short ranges take the block sum, and
     # _BLOCK so that they take many blocks of two rows and a short last
     # one: 100 terms are 10 rows of 10, 147 terms 12 rows of 12 and 3 more.
-    # From k = 1000 on every row is far, one row to a block of the series
+    # From k = 1000 on every row is far, one row to a block of the series,
+    # each cut after as few terms as its own x allows
     monkeypatch.setattr(oracle, "_TABLE_MIN", 16)
     for order in range(4):
         f = SumFamily.from_code(code, order)
@@ -247,22 +314,32 @@ def test_block_sum_within_its_bound_at_every_code(code, monkeypatch):
             ):
                 with monkeypatch.context() as m:
                     m.setattr(oracle, "_BLOCK", 2 * math.isqrt(hi - lo))
+                    cuts = recording_cuts(m)
                     assert_block_sum_within_bound(f, zf, lo, hi)
+                    far_block_cuts(f, cuts)
 
 
 @pytest.mark.parametrize("code", FAMILY_CODES)
-def test_block_sum_matches_exact_sum_at_the_real_block_size(code):
+def test_block_sum_matches_exact_sum_at_the_real_block_size(code, monkeypatch):
     # exactly _TABLE_MIN terms (64 rows of 64), a count that is not a
     # multiple of w (4099 = 64*64 + 3) from an odd k_lo, and a range across
-    # k = _CHUNK, through the real _BLOCK
+    # k = _CHUNK, through the real _BLOCK.  In the last every row is far,
+    # its x below 1.3e-4, and the block's series is cut below _SERIES terms
     f = SumFamily.from_code(code, 1)
     start, n = f.k_start, oracle._TABLE_MIN
-    for lo, hi in (
-        (start, start + n),
-        (3, 3 + n + 3),
-        (oracle._CHUNK - 2000, oracle._CHUNK + 2100),
-    ):
+    for lo, hi in ((start, start + n), (3, 3 + n + 3)):
         assert_block_sum_within_bound(f, 0.123456789, lo, hi)
+    cuts = recording_cuts(monkeypatch)
+    assert_block_sum_within_bound(f, 0.123456789, oracle._CHUNK - 2000, oracle._CHUNK + 2100)
+    assert max(far_block_cuts(f, cuts)) < oracle._SERIES, cuts
+
+
+def test_block_sum_wider_than_128_within_its_bound():
+    # p = 2 at 50,000 terms takes rows of 142, wider than the 128 that
+    # every block sum took before the width depended on p
+    f = SumFamily.from_code("C", 1)
+    assert oracle._width(50_000, f.power) == 142
+    assert_block_sum_within_bound(f, 0.375, f.k_start, f.k_start + 50_000)
 
 
 @pytest.mark.parametrize("code", ["S", "C", "bS"])
@@ -278,19 +355,21 @@ def test_block_sum_within_its_bound_at_high_order(code, order):
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 7, 41, 121])
 def test_far_row_weights_within_u8_of_40_digit_weights(p):
-    # a row is far when its x = s*(w-1)/d_end is at most _far_reach(p), so
-    # x = _far_reach(p) is the largest x of any far row, the first far row
-    # of any sum included; the cut series at x*t_j, summed exactly, must be
-    # within u/8 relative of the exact (1 - x*t_j)**-p at every column
+    # a row is far when its x = s*(w-1)/d_end is at most _reach(p)[-1], and
+    # a block of far rows whose first, largest, x is at most _reach(p)[m-1]
+    # cuts its series after m terms; at each such x the cut series at
+    # x*t_j, summed exactly, must be within u/8 relative of the exact
+    # (1 - x*t_j)**-p at every column
+    reach = oracle._reach(p)
+    assert len(reach) == oracle._SERIES and list(reach) == sorted(reach)
     width = 128
-    x = oracle._far_reach(p)
-    terms = oracle._SERIES if p else 1
     with mpmath.workdps(40):
-        for j in range(width):
-            xt = mpmath.mpf(x) * mpmath.mpf((width - 1.0 - j) / (width - 1))
-            series = sum(math.comb(p + m - 1, m) * xt**m for m in range(1, terms)) + 1
-            exact = (1 - xt) ** -p
-            assert abs(series - exact) <= U / 8 * exact, (p, j)
+        for terms, x in enumerate(reach, 1):
+            for j in range(width):
+                xt = mpmath.mpf(x) * mpmath.mpf((width - 1.0 - j) / (width - 1))
+                series = sum(math.comb(p + m - 1, m) * xt**m for m in range(1, terms)) + 1
+                exact = (1 - xt) ** -p
+                assert abs(series - exact) <= U / 8 * exact, (p, terms, j)
 
 
 def test_subnormal_terms_match_40_digit_terms_with_no_warning():
@@ -339,17 +418,19 @@ def test_block_sum_allocates_no_array_of_its_terms():
     ],
 )
 def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, terms, monkeypatch):
-    # the reference sums every chunk as an array of reference terms; the
-    # block sum is within (16 + 128 + 14)u*sum g(k) of the exact sum and
-    # each reference term within 16u*g(k), which over the sums at p >= 2,
-    # sum g(k) at most 1.9, and over the 57,296 terms at p = 1, sum g(k)
-    # below 2.2, is below 4e-14; their values agree to 1e-13.  At p = 0
-    # the averaged mode builds its 1600 terms with the per-term kernel
-    # alone, so values and envelopes agree to 1e-13 at every p
+    # the reference sums every chunk, the 40-term heads too, as an array of
+    # reference terms, each within 16u*g(k).  The block sum is within
+    # (16 + 512 + 20)u*sum g(k) of the exact sum, sum g(k) at most 0.21 at
+    # p >= 2, and within (16 + 168 + 16)u*2.5 over the 57,296 terms at
+    # p = 1; the short kernel's 40 terms within (17 + 7*40)u*1.3: all
+    # below 6e-14, so values agree to 1e-13, and so do bounds, whose
+    # charges differ by as much.  At p = 0 the averaged mode builds its
+    # 1600 terms with the per-term kernel alone
     f = SumFamily.from_code(code, order)
     got = oracle_eval(f, z, tol, strict=False)
     # the reference reads its own f and z, never the series record
     monkeypatch.setattr(oracle, "_terms", lambda s, lo, hi: terms_reference(f, z, lo, hi))
+    monkeypatch.setattr(oracle, "_SHORT", 0)
     monkeypatch.setattr(oracle, "_TABLE_MIN", oracle._MAX_TERMS + 1)
     reference = oracle_eval(f, z, tol, strict=False)
     assert (got.mode, got.terms_used) == (reference.mode, reference.terms_used) == (mode, terms)

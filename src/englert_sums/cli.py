@@ -100,12 +100,16 @@ _LONG_CELLS = frozenset(
 _SHORT_CELLS = frozenset(("error_bound", "diff", "tol", "diff_a", "diff_b"))
 
 
-def _cell(key, value):
+def _spec(key):
     if key in _LONG_CELLS:
-        return f"{value:.16e}"
+        return ".16e"
     if key in _SHORT_CELLS:
-        return f"{value:.3e}"
-    return str(value)
+        return ".3e"
+    return ""  # format(value, "") is str(value)
+
+
+def _cell(key, value):
+    return format(value, _spec(key))
 
 
 def _excluded_line(item):
@@ -125,8 +129,10 @@ def _render(fmt, columns, rows, notes_key, notes, note_line=_excluded_line):
             separators=(",", ":"),
         )
     sep = "\t" if fmt == "tsv" else ","
+    # one format call a row, each cell as _cell writes it
+    template = sep.join(f"{{{k}:{_spec(k)}}}" for k in columns)
     lines = [sep.join(columns)]
-    lines.extend(sep.join(_cell(k, row[k]) for k in columns) for row in rows)
+    lines.extend(map(template.format_map, rows))
     lines.extend(f"# {note_line(note)}" for note in notes)
     return "\n".join(lines)
 

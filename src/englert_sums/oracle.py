@@ -13,24 +13,31 @@ elsewhere.  An alternating family's (-1)**k is half a turn more in u.
 So term k is the sine or cosine of 2 pi (k*step + pref_num)/den times
 g(k), and the phase advance per term is delta = min(step, den - step)/den
 turns from the nearest integer, exactly.  The record's scale = pi**-p,
-0.0 where it underflows, is the one place pi**-p is formed: the kernels
-raise only the exact integer denominators, (c*k + d)**-p, which cannot
-overflow, and multiply by scale once, each term, each short sum or each
-block sum.  _sum takes a range of fewer than _SHORT = 64 terms in plain
+0.0 where it underflows, is the one place a kernel's pi**-p is formed
+(the z-free bounds form the same float from p): the kernels raise only
+the exact integer denominators, (c*k + d)**-p, which cannot overflow,
+and multiply by scale once, each term, each short sum or each block
+sum.  _sum takes a range of fewer than _SHORT = 64 terms in plain
 Python, below; a longer one it splits into chunks, and adds their sums
 by exact fsum, so the result is independent of chunk boundaries to well
 below 1e-13.
 
-Absolutely convergent families (denominator power p >= 2) are summed
-directly, need terms for an integral-comparison tail bound of tol, but
-at most the mode cap, 10^6 for p = 2 and 10^4 for p >= 3, whose tail
-bound may then exceed tol: within _MONOTONE_DELTA = 1/64 of a whole
-turn the partial sums drift one way.  Further off, a need past the cap
-takes a head of N terms and the tail past it by summation by parts,
-below.  Both report the absolute mode, and both bounds charge the
-head's rounding, _head_charge below, besides the tail.  The direct route
-asks the integral tail for tol less the largest charge of a head up to
-the cap, at 63 terms or at the cap, so that the two meet tol together.
+Absolutely convergent families (denominator power p >= 2) need terms
+for an integral-comparison tail bound of tol.  Off resonance, more than
+_MONOTONE_DELTA = 1/64 of a turn from a whole one, a need past the tail
+by parts' first head N, below, takes that head and the tail past it by
+summation by parts, whatever the mode cap, 10^6 for p = 2 and 10^4 for
+p >= 3.  Every other point is summed directly, need terms but at most
+the cap, whose tail bound may then exceed tol: within _MONOTONE_DELTA
+the partial sums drift one way.  So off resonance the direct route sums
+at most N terms, 40 to 367 as delta shrinks.  Both report the
+absolute mode, and both bounds charge the head's rounding, _head_charge
+below, besides the tail.  The direct route asks the integral tail for
+tol less the largest charge of a head up to the cap, at 63 terms or at
+the cap, so that the two meet tol together.  That arithmetic depends on
+c, p and tol alone, not on z: _plan, an lru_cache, keeps need, the
+direct route's n = min(need, cap) and its bound, so that the 41 grid
+points of a family and order in a verify pass compute them once.
 At p = 1, where the series converges only conditionally, every point
 takes the tail by parts, with N up to _MAX_TERMS; delta > 0 there, as
 _checked_z refuses each of the twelve p = 1 families where u = 1.
@@ -64,10 +71,10 @@ J = _PARTS = 12 and N = min(max(40, ceil(3J/(2 pi delta))), cap),
 doubled while the bound exceeds tol, never past the cap, where the bound
 is reported as it is; the bound needs no term of the head, so a strict
 call that the bound there refuses is refused before the head is summed.
-Of the default verify's points, 444 at p >= 2 and 444 at p = 1 take 40
-or 58 terms, with bounds up to 3.8e-14 and 5.3e-13; at p >= 2 N starts
-at 367 at most, just past _MONOTONE_DELTA, while at p = 1 it grows as
-1/delta: 57,295,780 terms at Qp order 0, z = 0.4999999.
+Of the default verify's points, 1036 at p >= 2 and 444 at p = 1 take
+40 or 58 terms, with bounds up to 3.8e-14 and 5.3e-13; at p >= 2 N
+starts at 367 at most, just past _MONOTONE_DELTA, while at p = 1 it
+grows as 1/delta: 57,295,780 terms at Qp order 0, z = 0.4999999.
 
 The short kernel, _head_terms, reads pref*u**k_lo and u once each
 through _unit from the exact integer turns, steps w *= u by
@@ -76,8 +83,9 @@ cache _weights, shared by every z of a family and order, and sum() adds
 the complex products.  Numpy costs some 7.5 us a call whatever its
 length, the recurrence some 1.5 us and 0.08 us a term (S 3 at z = 0.3,
 2 vCPU, Python 3.11.7, numpy 2.4.6: 1.9 us at 5 terms, 6.3 us at 58,
-where numpy took 8.1).  The default verify's 888 heads by parts and
-1804 of its 2460 direct points take it.
+where numpy took 8.1).  The default verify's 1480 heads by parts and
+1804 of its 1916 direct points take it; the rest are the 64 sums of 127
+to 1270 terms at a whole-turn phase step and the 48 capped ones.
 
 The numpy kernels split step/den and pref_num/den, from the integers,
 into a 25-bit head, a 25-bit middle and a rest rounded once, so that
@@ -122,10 +130,11 @@ A term's error is held to (16 + 0.36p)u*g(k) against the exact term at
 the float z, plus 2^-1074 where it is subnormal, where u = 2^-53 and
 g(k) bounds the term's size: float pi**-p carries p times float pi's
 0.351u, most of the 42u measured at p = 121.  _unit rounds its turns
-once into [-1, 1] half turns, which _cos_pi and _sin_pi reduce exactly,
-so a unit is within 3.8u: 2.4u along the circle and u in each part.  A
-complex product adds sqrt(5)u, so step j of the short kernel is within
-(3.8 + 6j)u, and its term, with the weight's and product's 3u, within
+once into [-1, 1] half turns, which polylog._cis_pi reduces exactly,
+once for both parts as _cos_pi and _sin_pi would, so a unit is within
+3.8u: 2.4u along the circle and u in each part.  A complex product adds
+sqrt(5)u, so step j of the short kernel is within (3.8 + 6j)u, and its
+term, with the weight's and product's 3u, within
 (16 + 0.36p + 6j)u*g(k); measured over every code at orders up to 120,
 (1.7 + 0.36p)u at j = 0 and 1.6u more a step.  A block sum adds at most
 (w + log2(rows))*u*sum g(k): the w products of a row's dot product, then
@@ -135,16 +144,17 @@ weights would, give or take the 2m or so roundings of the series' terms
 past the first, whose sum, (1 - x)**-p - 1, is below half the first;
 the cut adds u/8*g(k) per term.
 
-_head_charge, the charge for a head of n terms in both routes' bounds,
-is the per-term error over sum g(k), plus 2^-1074 a term, and what the
-kernel adds: 7n*u*sum g(k) below _SHORT terms, for the drift of 6u a
-step, the sum's n - 1 roundings and the product by scale;
-ceil(log2(n))u*sum g(k) for the pairwise sum; and (w + 1)u*sum g(k)
-more for a block sum.  At p >= 2 sum g(k) runs from k_start on, at most
-scale*(1 + 1/(c(p - 1))); at p = 1 it is the head's own, at most
-scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1) with K = k0 + n, as
-c*k0 + d = 1.  tests/test_oracle_kernel.py checks terms, short sums and
-block sums against 40-digit mpmath, out to k = 1e8 and to order 120.
+_head_charge(c, p, n), the charge for a head of n terms in both routes'
+bounds, cached as it depends on z in nothing, since c*k0 + d = 1 and
+scale = pi**-p, is the per-term error over sum g(k), plus 2^-1074 a
+term, and what the kernel adds: 7n*u*sum g(k) below _SHORT terms, for
+the drift of 6u a step, the sum's n - 1 roundings and the product by
+scale; ceil(log2(n))u*sum g(k) for the pairwise sum; and
+(w + 1)u*sum g(k) more for a block sum.  At p >= 2 sum g(k) runs from
+k_start on, at most scale*(1 + 1/(c(p - 1))); at p = 1 it is the head's
+own, at most scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1) with K = k0 + n,
+as c*k0 + d = 1.  tests/test_oracle_kernel.py checks terms, short sums
+and block sums against 40-digit mpmath, out to k = 1e8 and to order 120.
 
 A call allocates no array of its n terms, only its own arrays of _BLOCK
 or n/w entries.  The BLAS products give the same digits on one thread as
@@ -165,7 +175,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceNotReachedError, check_int
-from .polylog import _cos_pi, _sin_pi
+from .polylog import _cis_pi
 from .sums import SumFamily, _checked_z, _finite_z, _require_family
 
 __all__ = [
@@ -329,8 +339,7 @@ def _unit(num, den):
     num %= den
     if 2 * num > den:
         num -= den
-    x = 2 * num / den
-    return complex(_cos_pi(x), _sin_pi(x))
+    return _cis_pi(2 * num / den)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -438,21 +447,23 @@ def partial_sum(f, z, n_terms):
     return _sum(s, s.k0, s.k0 + n_terms)
 
 
-def _tail_bound(s, n_terms):
+def _tail_bound(c, p, n_terms):
     """Integral comparison: past the first n_terms terms, whose
     denominators run from 1 in steps of c, the tail is below the integral
     of (pi*x)**-p from the last denominator on, over c."""
-    c, p = s.c, s.p
-    return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1)) * s.scale
+    return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1)) * math.pi**-p
 
 
-def _head_charge(s, n):
-    """The charge for the rounding of the head _sum(s, k0, k0 + n), per
-    term and for the kernel that sums it, over the head's sum of g(k); see
-    the module docstring."""
-    c, d, _, _, _, p, _, k0, scale = s
+# a pure function of integers, called at few distinct arguments
+@functools.lru_cache(maxsize=1024)
+def _head_charge(c, p, n):
+    """The charge for the rounding of an n-term head of a series with c
+    and p, per term and for the kernel that sums it, over the head's sum
+    of g(k); see the module docstring.  The denominators start at
+    c*k0 + d = 1, so that c*(k0 + n) + d = c*n + 1."""
+    scale = math.pi**-p
     if p == 1:
-        sum_g = scale * (1.0 / (c * k0 + d) + math.log(c * (k0 + n) + d) / c + 1.0)
+        sum_g = scale * (1.0 + math.log(c * n + 1) / c + 1.0)
     else:
         sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))
     # (n - 1).bit_length() is ceil(log2(n)); a chunk is at most _CHUNK
@@ -462,11 +473,27 @@ def _head_charge(s, n):
     return (16 + 0.36 * p + kernel) * _U * sum_g + n * 2.0**-1074
 
 
-def _n_for_tol(s, tol):
-    """The fewest terms whose _tail_bound is at most tol, at least 4."""
-    c, p = s.c, s.p
-    x = (s.scale / (c * (p - 1) * tol)) ** (1.0 / (p - 1))  # the last denominator
-    return max(4, math.ceil((x - 1.0) / c) + 1)
+# a pure function, called at one tol per family and order in a verify pass
+@functools.lru_cache(maxsize=1024)
+def _plan(c, p, tol):
+    """The direct route's z-free numbers at p >= 2, as (need, n, bound):
+    need, at least 4, the fewest terms whose _tail_bound is at most tol
+    less the largest charge of a head up to the cap, so that tail and
+    charge meet tol together whatever n is summed; n = min(need, cap); and
+    the report's bound at n.  The charge grows with n within each kernel,
+    the pairwise sum's at most 12u*sum g(k), below the short kernel's."""
+    cap = _CAP_P2 if p == 2 else _CAP_P3
+    charge = max(_head_charge(c, p, _SHORT - 1), _head_charge(c, p, cap))
+    # the last denominator
+    x = (math.pi**-p / (c * (p - 1) * (tol - charge))) ** (1.0 / (p - 1))
+    need = max(4, math.ceil((x - 1.0) / c) + 1)
+    n = min(need, cap)
+    return need, n, _tail_bound(c, p, n) + _head_charge(c, p, n)
+
+
+def _first_head(delta):
+    """The tail by parts' first head N at the phase step delta."""
+    return max(40, math.ceil(3 * _PARTS / (TWO_PI * delta)))
 
 
 # a pure function of integers, called at few distinct arguments
@@ -492,13 +519,13 @@ def _by_parts(s, tol, cap, strict):
     the head is not summed: the report holds that n and bound, and the
     value nan."""
     c, d, step, den, pref_num, p, sin, k0, scale = s
-    # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2 sin(pi t),
-    # read at the turns nearer to 0 or 1, and r = -u/(u - 1) = -1/2 +
-    # i cot(pi t)/2
-    delta = min(step, den - step) / den
-    rho = 0.5 / _sin_pi(delta)  # |r| = 1/|u - 1|
-    r = complex(-0.5, _cos_pi(step / den) * rho)
-    n = min(max(40, math.ceil(3 * _PARTS / (TWO_PI * delta))), cap)
+    # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2|sin(pi t)|
+    # and r = -u/(u - 1) = -1/2 + i cot(pi t)/2, both of period 1 in t, so
+    # read at t - 1 past a half turn, nearer to 0
+    e = _cis_pi((step if 2 * step <= den else step - den) / den)
+    rho = 0.5 / abs(e.imag)  # |r| = 1/|u - 1|
+    r = complex(-0.5, e.real * math.copysign(rho, e.imag))
+    n = min(_first_head(min(step, den - step) / den), cap)
     while True:
         k = k0 + n
         diffs = _differences(c, d, p, k, _PARTS + 1)
@@ -517,7 +544,7 @@ def _by_parts(s, tol, cap, strict):
         bound = (
             2.0 * abs(diffs[_PARTS]) * rho ** (_PARTS + 1) * scale
             + (p + 16 * _PARTS) * _U * rho * size * scale
-            + _head_charge(s, n)
+            + _head_charge(c, p, n)
         )
         if bound <= tol or 2 * n > cap:
             break
@@ -575,12 +602,12 @@ def oracle_eval(f, z, tol, strict=True):
     in absolute mode and an empirical oscillation envelope in averaged
     mode.  At p >= 2 the mode is absolute: the sum of the terms its
     integral tail needs, stopped at the cap within _MONOTONE_DELTA of
-    resonance; further off, a need past the cap takes a head of N terms
-    and the tail by summation by parts (module docstring), as does every
-    point at p = 1, its head at most _MAX_TERMS terms.  Both bounds
-    charge the head's rounding.  Only p = 0 averages, over the first 1600
-    partial sums, the terms it reports whether or not its envelope meets
-    tol.
+    resonance; further off, a need past the tail by parts' first head N
+    takes that head and the tail by summation by parts (module
+    docstring), as does every point at p = 1, its head at most
+    _MAX_TERMS terms.  Both bounds charge the head's rounding.  Only
+    p = 0 averages, over the first 1600 partial sums, the terms it reports
+    whether or not its envelope meets tol.
     With strict=True a result whose estimate exceeds tol raises
     ToleranceNotReachedError carrying the best report found; by parts,
     whose bound is known before the head is summed, that report's value
@@ -597,18 +624,14 @@ def oracle_eval(f, z, tol, strict=True):
     cap = _CAP_P2 if s.p == 2 else _CAP_P3 if s.p >= 3 else _MAX_TERMS
 
     if s.p >= 2:
-        # the tail aims at tol less the largest head's charge, so that the
-        # two meet tol together; the charge grows with n within each kernel,
-        # the pairwise sum's at most 12u*sum g(k), below the short kernel's
-        charge = max(_head_charge(s, _SHORT - 1), _head_charge(s, cap))
-        need = _n_for_tol(s, tol - charge)
-        if need > cap and min(s.step, s.den - s.step) / s.den > _MONOTONE_DELTA:
+        need, n, bound = _plan(s.c, s.p, tol)
+        delta = min(s.step, s.den - s.step) / s.den
+        if delta > _MONOTONE_DELTA and need > _first_head(delta):
             report = _by_parts(s, tol, cap, strict)
         else:
-            # the integral tail, or near resonance, where partial sums move
-            # one way, the sum stopped at the cap with its honest tail
-            n = min(need, cap)
-            bound = _tail_bound(s, n) + _head_charge(s, n)
+            # the integral tail of a short head, or near resonance, where
+            # partial sums move one way, the sum stopped at the cap with
+            # its honest tail
             report = OracleReport(_sum(s, s.k0, s.k0 + n), n, bound, "absolute")
     elif s.p == 1:
         # delta > 0: _checked_z refuses every p = 1 family where u = 1

@@ -234,6 +234,26 @@ def _cos_pi(t):
     return -sign * math.cos(math.pi * (r - 1.0))
 
 
+def _cis_pi(t):
+    """complex(_cos_pi(t), _sin_pi(t)) bit for bit, signed zeros too, from
+    one reduction: the same branches with both signs carried."""
+    r = math.fmod(abs(t), 2.0)
+    sin_sign = math.copysign(1.0, t)
+    cos_sign = 1.0
+    if r >= 1.0:
+        r -= 1.0
+        sin_sign = -sin_sign
+        cos_sign = -1.0
+    if r < 0.25:
+        x = math.pi * r
+        return complex(cos_sign * math.cos(x), sin_sign * math.sin(x))
+    if r < 0.75:
+        x = math.pi * (r - 0.5)
+        return complex(-cos_sign * math.sin(x), sin_sign * math.cos(x))
+    x = math.pi * (r - 1.0)
+    return complex(-cos_sign * math.cos(x), -sin_sign * math.sin(x))
+
+
 @functools.cache
 def _zeta_odd(s):
     """zeta(s) for odd s >= 3 within 1.5u, once per s: Euler-Maclaurin

@@ -115,11 +115,16 @@ def test_absolute_mode_for_fast_series():
 
 
 def test_absolute_mode_tightens_with_tolerance():
-    loose = oracle_eval(fam("C", 1), 0.3, 1e-4)
-    tight = oracle_eval(fam("C", 1), 0.3, 1e-6)
+    # 0.01 turns from resonance, inside _MONOTONE_DELTA, the integral tail
+    # sets the terms at every tol; further off the tail by parts takes its
+    # 40 or 58 whatever the tol
+    f = fam("C", 1)
+    assert shape_delta(f, 0.49) < oracle._MONOTONE_DELTA
+    loose = oracle_eval(f, 0.49, 1e-4)
+    tight = oracle_eval(f, 0.49, 1e-6)
     assert loose.mode == tight.mode == "absolute"
     assert tight.terms_used > loose.terms_used
-    closed = eval_family(fam("C", 1), 0.3).value
+    closed = eval_family(f, 0.49).value
     assert abs(tight.value - closed) <= tight.tail_bound
 
 
@@ -517,8 +522,8 @@ def test_unconverged_averaging_stops_at_its_window(monkeypatch):
 
 
 def test_tail_differences_are_cached_on_the_default_verify(capsys):
-    # the default verify takes the tail by parts at 888 points, 444 of
-    # them at p = 1, all at 8 distinct arguments; the cached rows are
+    # the default verify takes the tail by parts at 1480 points, 444 of
+    # them at p = 1, all at 14 distinct arguments; the cached rows are
     # tuples (test_tail_differences_are_the_correctly_rounded_exact_ones),
     # so no caller can change one
     from englert_sums import cli
@@ -527,7 +532,7 @@ def test_tail_differences_are_cached_on_the_default_verify(capsys):
     assert cli.run(["verify"]) == 0
     assert capsys.readouterr().out.endswith("PASS 3507/3507\n")
     info = oracle._differences.cache_info()
-    assert (info.hits, info.misses) == (880, 8)
+    assert (info.hits, info.misses) == (1466, 14)
 
 
 @pytest.mark.parametrize("code", ["C", "tS", "tbSp", "bCp", "Q", "tP"])
@@ -553,6 +558,80 @@ def test_tail_by_parts_stays_short_just_off_resonance(code):
         r = oracle._by_parts(s, 1e-15, cap, True)
         assert (r.terms_used, r.tail_bound <= 1e-15) == (734, True)
         assert abs(r.value - closed.value) <= r.tail_bound + closed.error_bound
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_short_heads_take_the_tail_by_parts_below_the_cap(code):
+    # off resonance a p >= 2 point whose integral tail needs more terms
+    # than the tail by parts' first head takes the tail by parts, under
+    # the cap too.  Each such report holds against the 40-digit series,
+    # and agrees with the direct sum of need terms within the two bounds;
+    # and no strict call raises where the direct sum of need <= cap terms
+    # met tol
+    routed = 0
+    for order in (1, 2, 3, 8):
+        f = fam(code, order)
+        assert f.power >= 2
+        cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
+        for side, delta in enumerate((1.0 / 64.0 + 1e-3, 0.2, 0.5)):
+            z = z_at_delta(f, delta, (-1) ** side)
+            assert shape_delta(f, z) == pytest.approx(delta, abs=1e-12)
+            s = oracle._series(f, z)
+            want = None
+            for tol in (1e-6, 1e-8, 1e-10):
+                need = oracle._plan(s.c, s.p, tol)[0]
+                if need > cap:
+                    continue
+                r = oracle_eval(f, z, tol)
+                assert r.mode == "absolute" and r.tail_bound <= tol
+                if need <= oracle._first_head(delta):
+                    assert r.terms_used == need
+                    continue
+                routed += 1
+                assert r.terms_used < need
+                if want is None:
+                    want = series_reference(f, z)
+                assert abs(r.value - want) <= r.tail_bound, (order, z, tol)
+                direct = oracle._sum(s, s.k0, s.k0 + need)
+                charge = oracle._tail_bound(s.c, s.p, need) + oracle._head_charge(s.c, s.p, need)
+                assert abs(r.value - direct) <= r.tail_bound + charge, (order, z, tol)
+    assert routed >= 5, routed
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_short_heads_by_parts_meet_every_tol_the_direct_sum_met(code):
+    # 64 phase steps across (1/64, 1/2] turns: wherever the direct sum of
+    # need <= cap terms met tol, the strict call returns a report within
+    # tol, by parts when need passes the first head and directly otherwise
+    for order in (1, 2, 3, 8):
+        f = fam(code, order)
+        cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
+        for i in range(1, 65):
+            delta = 1.0 / 64.0 + i * (0.5 - 1.0 / 64.0) / 64
+            z = z_at_delta(f, delta, (-1) ** i)
+            s = oracle._series(f, z)
+            for tol in (1e-6, 1e-8, 1e-10):
+                need = oracle._plan(s.c, s.p, tol)[0]
+                if need <= cap:
+                    r = oracle_eval(f, z, tol)
+                    assert r.tail_bound <= tol
+                    assert r.terms_used <= need
+
+
+def test_the_plan_cache_changes_no_report():
+    # _plan and _head_charge are caches of pure functions: a report read
+    # with both cleared equals one read warm, at p = 1 by parts, and at
+    # p >= 2 on the direct route and by parts under and past the cap
+    points = [("S", 0, 0.3), ("S", 3, 0.3), ("C", 1, 0.49), ("C", 1, 0.3), ("S", 1, 0.3)]
+    for tol in (1e-6, 1e-8, 1e-10):
+        for code, order, z in points:
+            f = fam(code, order)
+            oracle._plan.cache_clear()
+            oracle._head_charge.cache_clear()
+            cold = oracle_eval(f, z, tol, strict=False)
+            assert oracle_eval(f, z, tol, strict=False) == cold
+    info = oracle._plan.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_verify_still_reports_every_oracle_kind(monkeypatch, capsys):
@@ -616,7 +695,7 @@ def test_orders_past_the_float_range_of_pi_power(order):
         longer = partial_sum(f, 0.3, 5000)
     assert (r.mode, r.terms_used) == ("absolute", 4)
     # the integral tail underflows to 0.0: the bound is the head's charge
-    assert r.tail_bound == oracle._head_charge(oracle._series(f, 0.3), 4) < 1e-300
+    assert r.tail_bound == oracle._head_charge(1, f.power, 4) < 1e-300
     assert r.value == head == longer
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
@@ -643,7 +722,11 @@ def test_direct_route_meets_tol_with_the_head_charge(monkeypatch):
     # cap, so that tail and charge meet tol together whatever n it sums;
     # p = 2..699, k and 2k+1 families, tol 1e-10..1e-2, and tols just
     # above a head of 24 to 63 terms' tail bound plus the charge at the
-    # cap, where an aim that charged only the cap would stop and overshoot
+    # cap, where an aim that charged only the cap would stop and overshoot.
+    # At z = 0.3 the tail by parts takes every head that would pass 58
+    # terms; 0.005 turns from resonance the direct route sums numpy heads
+    # of 64 terms on, up to the cap, which test_non_oscillating_point_hits_the_cap
+    # takes
     routed, by_parts = [], oracle._by_parts
     monkeypatch.setattr(oracle, "_by_parts", lambda *args: routed.append(args) or by_parts(*args))
     sums = collections.Counter()
@@ -651,17 +734,22 @@ def test_direct_route_meets_tol_with_the_head_charge(monkeypatch):
         for order in range(1, 350):
             f = fam(code, order)
             s = oracle._series(f, 0.3)
-            cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
-            edges = [oracle._tail_bound(s, n) + oracle._head_charge(s, cap) for n in (24, 40, 63)]
-            for tol in [10.0**e for e in range(-10, -1)] + [t for t in edges if t >= 1e-10]:
-                routed.clear()
-                r = oracle_eval(f, 0.3, tol, strict=False)
-                if routed:
-                    continue
-                n = r.terms_used
-                assert r.tail_bound == oracle._tail_bound(s, n) + oracle._head_charge(s, n)
-                assert r.tail_bound <= tol, (code, order, tol, r)
-                sums["short" if n < oracle._SHORT else "numpy"] += 1
+            c, p = s.c, s.p
+            cap = oracle._CAP_P2 if p == 2 else oracle._CAP_P3
+            edges = [oracle._tail_bound(c, p, n) + oracle._head_charge(c, p, cap) for n in (24, 40, 63)]
+            for z in (0.3, z_at_delta(f, 0.005, 1)):
+                for tol in [10.0**e for e in range(-10, -1)] + [t for t in edges if t >= 1e-10]:
+                    if oracle._plan(c, p, tol)[0] > cap:
+                        continue
+                    routed.clear()
+                    r = oracle_eval(f, z, tol, strict=False)
+                    if routed:
+                        assert z == 0.3
+                        continue
+                    n = r.terms_used
+                    assert r.tail_bound == oracle._tail_bound(c, p, n) + oracle._head_charge(c, p, n)
+                    assert r.tail_bound <= tol, (code, order, z, tol, r)
+                    sums["short" if n < oracle._SHORT else "numpy"] += 1
     assert sums["short"] > 10_000 and sums["numpy"] > 0, sums
 
 

@@ -226,7 +226,7 @@ def test_partial_sums_either_side_of_short_within_the_head_charge(code):
                 exact, _ = exact_sum_and_bound(f, zf, f.k_start, f.k_start + n)
                 with mpmath.workdps(40):
                     err = float(abs(mpmath.mpf(got) - exact))
-                assert err <= oracle._head_charge(s, n), (order, zf, n, err)
+                assert err <= oracle._head_charge(s.c, s.p, n), (order, zf, n, err)
 
 
 def test_short_sums_call_no_numpy(monkeypatch):

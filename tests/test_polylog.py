@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import struct
 import types
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from englert_sums import LiValue, SumFamily, UnitCirclePoint, eval_family, li_on
 from englert_sums.errors import CapacityError, DomainError, SingularPointError
 from englert_sums import polylog, sums
 from englert_sums.coeffs import _table_read, eval_poly
-from englert_sums.polylog import _EPS, _clausen_at, _cos_pi, _sin_pi
+from englert_sums.polylog import _EPS, _cis_pi, _clausen_at, _cos_pi, _sin_pi
 
 PI = math.pi
 
@@ -170,6 +171,23 @@ def test_sin_cos_pi_reduce_exactly_for_either_sign(t):
         for fn, ref in ((_sin_pi, mpmath.sinpi), (_cos_pi, mpmath.cospi)):
             want = ref(mpmath.mpf(t))
             assert abs(fn(t) - want) <= 1e-16 * abs(want), (fn.__name__, t)
+
+
+def test_cis_pi_is_cos_pi_and_sin_pi_bit_for_bit():
+    # one reduction for both parts: the same floats, signed zeros included,
+    # at the branch edges and at 10^5 turns num/den reduced as oracle._unit
+    # reduces them, 2*num/den with num in [-den/2, den/2]
+    def bits(x):
+        return struct.pack("<d", x)
+
+    rng = random.Random(20261020)
+    points = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0]
+    for _ in range(100_000):
+        den = rng.randrange(1, 2 ** rng.randrange(1, 54))
+        points.append(2 * rng.randint(-(den // 2), den // 2) / den)
+    for t in points:
+        got = _cis_pi(t)
+        assert (bits(got.real), bits(got.imag)) == (bits(_cos_pi(t)), bits(_sin_pi(t))), t
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])

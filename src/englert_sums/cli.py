@@ -129,10 +129,11 @@ def _render(fmt, columns, rows, notes_key, notes, note_line=_excluded_line):
             separators=(",", ":"),
         )
     sep = "\t" if fmt == "tsv" else ","
-    # one format call a row, each cell as _cell writes it
-    template = sep.join(f"{{{k}:{_spec(k)}}}" for k in columns)
+    # one printf-style template a row, each cell as _cell writes it: "%s"
+    # is str, as format(value, "") is
+    template = sep.join(f"%({k}){_spec(k) or 's'}" for k in columns)
     lines = [sep.join(columns)]
-    lines.extend(map(template.format_map, rows))
+    lines.extend(template % row for row in rows)
     lines.extend(f"# {note_line(note)}" for note in notes)
     return "\n".join(lines)
 

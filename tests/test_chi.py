@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from englert_sums import FAMILY_CODES, SumFamily, eval_family, eval_via_relation, sums
@@ -19,8 +20,7 @@ from englert_sums.cli import run
 from englert_sums.errors import CapacityError
 from englert_sums.oracle import oracle_eval
 from englert_sums.polylog import _clausen, _clausen_at
-
-mpmath = pytest.importorskip("mpmath")
+from reference40 import chi, family_reference
 
 # each code's chi read is at the turns of z + SHIFT
 CHI_CODES = {"bS": 0.25, "bC": 0.25, "tbSp": 0.0, "tbCp": 0.0}
@@ -30,21 +30,11 @@ K_CODES = ("Sp", "Cp", "tSp", "tCp")
 PQ_CODES = ("P", "Q", "Pp", "Qp", "tP", "tQ", "tPp", "tQp")
 
 
-def chi_reference(p, w):
-    """The Clausen component of chi_p(w): Im for even p, Re for odd p."""
-    s = (mpmath.polylog(p, w) - mpmath.polylog(p, -w)) / 2
-    return s.real if p % 2 else s.imag
-
-
-def family_reference(f, z):
-    p = f.power
+def chi_component(p, t):
+    """Im chi_p (even p) or Re chi_p (odd p) at the turns t, to 40 digits."""
     with mpmath.workdps(40):
-        w = mpmath.expjpi(2 * mpmath.mpf(z))
-        if f.alternating:
-            s = (mpmath.polylog(p, 1j * w) - mpmath.polylog(p, -1j * w)) / 2j
-        else:
-            s = (mpmath.polylog(p, w) - mpmath.polylog(p, -w)) / 2
-        return (s.imag if f.trig == "sin" else s.real) / mpmath.pi**p
+        s = chi(p, mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator))
+        return s.real if p % 2 else s.imag
 
 
 def chi_points(code):
@@ -83,8 +73,7 @@ def test_chi_component_holds_its_bound_before_the_pi_scaling(a):
     # there instead
     for t in CHI_TURNS:
         value, bound = _clausen(a, t.numerator / t.denominator, True)
-        with mpmath.workdps(40):
-            ref = chi_reference(a, mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator))
+        ref = chi_component(a, t)
         err = abs(value - ref)
         assert err <= bound, (a, t, float(err), bound)
         assert bound <= 1e-13 * max(1.0, abs(value)), (a, t, bound)
@@ -97,8 +86,7 @@ def test_chi_turns_reduce_from_any_denominator(a):
     turns = [Fraction(k, 12) for k in range(12)] + [Fraction(k, 7) for k in range(7)]
     for t in turns + [Fraction(2, 5), Fraction(5, 6)]:
         value, bound = _clausen_at(a, t.numerator, t.denominator, True)
-        with mpmath.workdps(40):
-            ref = chi_reference(a, mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator))
+        ref = chi_component(a, t)
         if bound == 0.0:
             assert value == 0.0 and abs(ref) < 1e-30, (a, t, float(ref))
         else:

@@ -1,4 +1,12 @@
-"""Brute-force series oracle: partial sums, convergence modes, arbitration."""
+"""Brute-force series oracle: partial sums, convergence modes, arbitration.
+
+Reports are held against reference40.family_reference, each series at
+40 digits through mpmath's polylog: Li_p(u) for the k families and
+chi_p(w) = (Li_p(w) - Li_p(-w))/2 for the 2k+1 ones, the modified P/Q
+sums being chi_p(w)/w with w^2 = u.  It reads SumFamily's fields, never
+oracle._series.  tests/test_oracle_kernel.py holds terms and partial
+sums, which no family value checks.
+"""
 
 import collections
 import math
@@ -9,6 +17,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from englert_sums import (
@@ -28,6 +37,7 @@ from englert_sums.errors import (
     ToleranceNotReachedError,
     UnsupportedOrderError,
 )
+from reference40 import family_reference
 
 PI = math.pi
 
@@ -224,72 +234,6 @@ def test_shape_delta_is_exact_where_float_turns_round():
     assert shape_delta(fam("tS", 1), 5e-324) == 5e-324
 
 
-def series_reference(f, z):
-    """The defining series at 40 digits: by direct summation from order 9
-    on, where it converges fast, and through the Lerch transcendent below."""
-    return direct_reference(f, z) if f.order >= 9 else lerch_reference(f, z)
-
-
-def direct_reference(f, z):
-    """The defining series at 40 digits, p >= 2, summed directly from
-    SumFamily's fields: term k turns k*z, or (2k+1)*z for the 2k+1
-    families other than P/Q, plus k/2 when the family alternates, over
-    (pi*denom)**p, the denominators 1, 1 + c, 1 + 2c, ... with c = 1 for
-    the k families and 2 for the 2k+1 ones.  Past K terms the tail is
-    below the integral of (pi*(1 + c*x))**-p from K - 1 on, and K is the
-    fewest terms for which that is below 2**-140 * pi**-p, under the 40
-    digits of the first term, pi**-p."""
-    mpmath = pytest.importorskip("mpmath")
-    p = f.power
-    c = 2 if f.index_kind == "2k+1" else 1
-    last = (2.0**140 / (c * (p - 1))) ** (1.0 / (p - 1))  # 1 + c*(K - 1)
-    zq = Fraction(z)
-    with mpmath.workdps(40):
-        total = mpmath.mpf(0)
-        for i in range(math.ceil((last - 1.0) / c) + 1):
-            k = f.k_start + i
-            mult = 2 * k + 1 if c == 2 and f.modified == "none" else k
-            turns = (mult * zq + (Fraction(k, 2) if f.alternating else 0)) % 1
-            angle = 2 * mpmath.pi * turns.numerator / turns.denominator
-            trig = mpmath.sin(angle) if f.trig == "sin" else mpmath.cos(angle)
-            total += trig / mpmath.mpf(1 + c * i) ** p
-        return total / mpmath.pi**p
-
-
-def lerch_reference(f, z):
-    """The defining series at 40 digits through the Lerch transcendent, as
-    tests/test_reference.py takes the modified families: Re or Im of
-    pref * sum_k u**k * (c*k + d)**-p / pi**p, which is u * Phi(u, p, 1)
-    for k families and Phi(u, p, 1/2) / 2**p for 2k+1 ones."""
-    mpmath = pytest.importorskip("mpmath")
-    p = f.power
-    with mpmath.workdps(40):
-        zm = mpmath.mpf(z)
-        sign = mpmath.mpf(1) / 2 if f.alternating else 0
-        if f.index_kind == "k":
-            u = mpmath.expjpi(2 * (zm + sign))
-            s = u * mpmath.lerchphi(u, p, 1)
-        else:
-            doubled = f.modified == "none"
-            u = mpmath.expjpi(2 * ((2 if doubled else 1) * zm + sign))
-            pref = mpmath.expjpi(2 * zm) if doubled else 1
-            s = pref * mpmath.lerchphi(u, p, mpmath.mpf(1) / 2) / 2**p
-        part = s.imag if f.trig == "sin" else s.real
-        return part / mpmath.pi**p
-
-
-@pytest.mark.parametrize("code", ["S", "bC", "Qp"])
-def test_direct_reference_matches_lerchphi(code):
-    # the direct sum that serves series_reference from order 9 on, against
-    # the Lerch transcendent: a k family, a 2k+1 family and a modified one
-    mpmath = pytest.importorskip("mpmath")
-    f = fam(code, 9)
-    for z in (0.3, -1.3):
-        with mpmath.workdps(40):
-            err = abs(direct_reference(f, z) - lerch_reference(f, z))
-            assert err <= mpmath.mpf(2) ** -120 * mpmath.pi**-f.power, (z, err)
-
-
 @pytest.mark.parametrize("code,orders", BY_PARTS_CODES, ids=[c for c, _ in BY_PARTS_CODES])
 @pytest.mark.parametrize("index", range(len(BY_PARTS_DELTAS)))
 def test_tail_by_parts_within_its_bound_against_40_digits(code, orders, index):
@@ -302,7 +246,7 @@ def test_tail_by_parts_within_its_bound_against_40_digits(code, orders, index):
         cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
         z = z_at_delta(f, delta, (-1) ** index)
         assert shape_delta(f, z) == pytest.approx(delta, abs=1e-12)
-        want = series_reference(f, z)
+        want = family_reference(f, z)
         for tol in (1e-8, 1e-10):
             r = oracle._by_parts(oracle._series(f, z), tol, cap, True)
             assert r.mode == "absolute"
@@ -318,7 +262,7 @@ def test_tail_by_parts_within_its_bound_at_high_order(code, order):
     f = fam(code, order)
     cap = oracle._CAP_P2 if f.power == 2 else oracle._CAP_P3
     z = z_at_delta(f, 0.1, 1)
-    want = series_reference(f, z)
+    want = family_reference(f, z)
     r = oracle._by_parts(oracle._series(f, z), 1e-10, cap, True)
     # N = ceil(3J/(2 pi delta)) = 58 at delta = 0.1
     assert (r.mode, r.terms_used) == ("absolute", 58)
@@ -359,7 +303,7 @@ def test_p1_tail_by_parts_within_its_bound_against_40_digits(code, index):
     assert f.power == 1
     z = z_at_delta(f, delta, (-1) ** index)
     assert shape_delta(f, z) == pytest.approx(delta, rel=1e-9)
-    want = series_reference(f, z)
+    want = family_reference(f, z)
     for tol in (1e-6, 1e-8):
         r = oracle_eval(f, z, tol)
         assert r.mode == "absolute"
@@ -385,7 +329,7 @@ def test_p1_tail_by_parts_near_resonance_within_its_bound(code, z):
     r = oracle_eval(f, z, 1e-6)
     assert r.mode == "absolute"
     assert r.tail_bound <= 1e-6
-    assert abs(r.value - series_reference(f, z)) <= r.tail_bound, r
+    assert abs(r.value - family_reference(f, z)) <= r.tail_bound, r
 
 
 def counting_sums(monkeypatch):
@@ -456,7 +400,7 @@ def test_converged_averaged_envelopes_hold_against_40_digits(monkeypatch, capsys
     # at p = 0 the partial sums oscillate about the Abel value with the
     # same amplitude at every n, so the ladder over the first 1600 sums is
     # all the averaged mode needs; a report whose envelope meets tol must
-    # hold against the 40-digit series, which lerchphi reads at p = 0 too
+    # hold against the 40-digit series, Li_0(u) = u/(1 - u) at p = 0
     from englert_sums import cli
 
     verify_points = []
@@ -479,7 +423,7 @@ def test_converged_averaged_envelopes_hold_against_40_digits(monkeypatch, capsys
         assert (r.mode, r.terms_used) == ("averaged-conditional", 1600)
         if r.tail_bound <= tol:
             certified[f.code, tol] += 1
-            want = series_reference(f, z)
+            want = family_reference(f, z)
             assert abs(r.value - want) <= r.tail_bound, (f.code, z, tol, r, want)
     # most of the grid converges, at every tol
     assert len(certified) == 9 and min(certified.values()) >= 150, certified
@@ -488,7 +432,7 @@ def test_converged_averaged_envelopes_hold_against_40_digits(monkeypatch, capsys
     f = fam("Sp", 0)
     r = oracle_eval(f, -1.5004, 1e-6, strict=False)
     assert r.tail_bound > 1e-6
-    assert abs(r.value - series_reference(f, -1.5004)) > r.tail_bound
+    assert abs(r.value - family_reference(f, -1.5004)) > r.tail_bound
 
 
 def test_unconverged_averaging_stops_at_its_window(monkeypatch):
@@ -590,7 +534,7 @@ def test_short_heads_take_the_tail_by_parts_below_the_cap(code):
                 routed += 1
                 assert r.terms_used < need
                 if want is None:
-                    want = series_reference(f, z)
+                    want = family_reference(f, z)
                 assert abs(r.value - want) <= r.tail_bound, (order, z, tol)
                 direct = oracle._sum(s, s.k0, s.k0 + need)
                 charge = oracle._tail_bound(s.c, s.p, need) + oracle._head_charge(s.c, s.p, need)
@@ -687,7 +631,7 @@ def test_orders_past_the_float_range_of_pi_power(order):
     # 5000 terms gives, lies within that charge and within (16 + 0.36p)u of
     # the 40-digit series, plus a few 2**-1074 where it is subnormal
     f = fam("S", order)
-    want = series_reference(f, 0.3)
+    want = family_reference(f, 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = oracle_eval(f, 0.3, 1e-8)
@@ -697,7 +641,6 @@ def test_orders_past_the_float_range_of_pi_power(order):
     # the integral tail underflows to 0.0: the bound is the head's charge
     assert r.tail_bound == oracle._head_charge(1, f.power, 4) < 1e-300
     assert r.value == head == longer
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         allowed = (16 + 0.36 * f.power) * 2.0**-53 * abs(want) + 4 * mpmath.ldexp(1, -1074)
         assert abs(r.value - want) <= min(allowed, r.tail_bound), (r.value, want)
@@ -712,7 +655,7 @@ def test_direct_route_bounds_hold_at_high_order(code):
     for order in (9, 13, 30, 60, 120):
         f = fam(code, order)
         r = oracle_eval(f, 0.3, 1e-8)
-        want = series_reference(f, 0.3)
+        want = family_reference(f, 0.3)
         assert abs(r.value - want) <= r.tail_bound, (order, r, want)
 
 

@@ -1,18 +1,14 @@
-"""Closed forms against an independent 40-digit reference.
+"""Closed forms and the oracle against the one 40-digit reference.
 
-For every family at orders 0..3, |eval - ref| must stay within the
-reported error_bound, plus 1e-20 for the reference's own noise where the
-bound is exactly 0.  The points lie on a grid and at +-1e-9, +-1e-6 and
-1e-3 from the order-0 lattice points on both sides of zero.  The
-references sum each series through mpmath alone, with w = exp(2 pi i z):
-
-  k families      Li_p(-w) (alternating) or Li_p(w)
-  2k+1 families   (Li_p(iw) - Li_p(-iw)) / 2i (alternating) or
-                  (Li_p(w) - Li_p(-w)) / 2
-  modified        Phi(-w or w, p, 1/2) / 2^p, the Lerch transcendent
-
-taking the imaginary part for sine families and the real part for cosine
-families, divided by pi^p.
+reference40.family_reference sums every family through mpmath's polylog
+alone: Li_p(u) for the k families and Legendre's chi_p for the 2k+1
+ones, the modified P/Q sums sum_k u^k/(2k+1)^p being chi_p(w)/w with
+w^2 = u.  test_family_reference_matches_lerchphi, the one test that
+calls lerchphi, holds it against the Lerch transcendent.  At orders 0..3
+every family's |eval - ref| stays within its error_bound on a grid and
++-1e-9, +-1e-6 and 1e-3 from the order-0 lattice points on both sides
+of zero; the audit holds error_bound and the oracle's tail_bound at
+1548 points, every code at ten orders from 0 to 120.
 
 Li_a itself is checked the same way on the unit circle, against
 mpmath's polylog, for orders 1..24 and three high orders up to the cap:
@@ -24,6 +20,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from englert_sums import (
@@ -36,24 +33,7 @@ from englert_sums import (
     singular_points,
 )
 from englert_sums.polylog import _TWO_PI, _TWO_PI_BITS, _zeta_odd
-
-mpmath = pytest.importorskip("mpmath")
-
-
-def reference(f, z):
-    p = f.power
-    with mpmath.workdps(40):
-        w = mpmath.expjpi(2 * mpmath.mpf(z))
-        if f.modified == "PQ":
-            s = mpmath.lerchphi(-w if f.alternating else w, p, mpmath.mpf(1) / 2) / 2**p
-        elif f.index_kind == "k":
-            s = mpmath.polylog(p, -w if f.alternating else w)
-        elif f.alternating:
-            s = (mpmath.polylog(p, 1j * w) - mpmath.polylog(p, -1j * w)) / 2j
-        else:
-            s = (mpmath.polylog(p, w) - mpmath.polylog(p, -w)) / 2
-        part = s.imag if f.trig == "sin" else s.real
-        return part / mpmath.pi**p
+from reference40 import audit, family_reference, held
 
 
 GRID = (-1.3, 0.15, 2.35)
@@ -74,10 +54,13 @@ def near_points(code):
     return [a + d for a in anchors(code) for d in OFFSETS]
 
 
-def assert_within_bound(f, z):
-    r = eval_family(f, z)
-    err = abs(r.value - reference(f, z))
-    assert err <= r.error_bound + 1e-20, (f.code, f.order, z, float(err), r.error_bound)
+def assert_orders_up_to_3_hold(code):
+    for order in range(4):
+        f = SumFamily.from_code(code, order)
+        if is_supported(f):
+            for z in GRID + tuple(near_points(code)):
+                r = eval_family(f, z)
+                held(f, z, r.value, r.error_bound, family_reference(f, z))
 
 
 PQ_CODES = [c for c in FAMILY_CODES if SumFamily.from_code(c, 0).modified == "PQ"]
@@ -86,22 +69,57 @@ K_CODES = [c for c in FAMILY_CODES if c not in PQ_CODES]
 
 @pytest.mark.parametrize("code", K_CODES)
 def test_k_and_odd_index_families_hold_their_bound(code):
-    for order in range(4):
-        f = SumFamily.from_code(code, order)
-        if not is_supported(f):
-            continue
-        for z in GRID + tuple(near_points(code)):
-            assert_within_bound(f, z)
+    assert_orders_up_to_3_hold(code)
 
 
 @pytest.mark.parametrize("code", PQ_CODES)
 def test_modified_families_hold_their_bound(code):
-    # the Lerch reference costs about 0.1 s a call: three points a code,
-    # each next to a lattice point, from the lowest supported order to 3
-    points = near_points(code)
-    low = 0 if is_supported(SumFamily.from_code(code, 0)) else 1
-    for order, z in zip((low, low + 1, 3), points[1::4]):
-        assert_within_bound(SumFamily.from_code(code, order), z)
+    # chi_p(w)/w costs what a k family's Li_p does
+    assert_orders_up_to_3_hold(code)
+
+
+@pytest.mark.parametrize("code", ["S", "bS", "Qp"])
+def test_family_reference_matches_lerchphi(code):
+    # the Lerch transcendent reads the series from the oracle's shape:
+    # pref * sum_k u^k (c*k + d)^-p is u * Phi(u, p, 1) for a k family and
+    # pref * Phi(u, p, 1/2) / 2^p for a 2k+1 or modified one; at 0.3 and
+    # 1e-9 past a lattice point of the order-0 form
+    for order in (0, 1, 3, 9):
+        f = SumFamily.from_code(code, order)
+        p = f.power
+        for z in (0.3, anchors(code)[1] + 1e-9):
+            with mpmath.workdps(40):
+                zm, q = mpmath.mpf(z), mpmath.mpf(f.alternating) / 2
+                doubled = f.index_kind == "2k+1" and f.modified == "none"
+                u = mpmath.expjpi(2 * ((2 if doubled else 1) * zm + q))
+                if f.index_kind == "k":
+                    s = u * mpmath.lerchphi(u, p, 1)
+                else:
+                    pref = mpmath.expjpi(2 * zm) if doubled else 1
+                    s = pref * mpmath.lerchphi(u, p, mpmath.mpf(1) / 2) / 2**p
+                want = (s.imag if f.trig == "sin" else s.real) / mpmath.pi**p
+                err = abs(family_reference(f, z) - want)
+                assert err <= mpmath.mpf(2) ** -120 * mpmath.pi**-p, (order, z, err)
+
+
+def test_every_bound_holds_against_the_reference():
+    points = [
+        (code, order, z)
+        for code in FAMILY_CODES
+        for order in (0, 1, 2, 3, 8, 9, 13, 30, 60, 120)
+        if is_supported(SumFamily.from_code(code, order))
+        for z in (0.3, -1.3, *(a + d for d in (1e-9, -1e-6) for a in anchors(code)))
+    ]
+    unconverged = audit(points)[2]
+    # the averaged p = 0 reports next to a pole, where 1600 terms cannot
+    # damp the oscillation: their envelopes are no bound, so the audit
+    # lists them rather than holding them
+    poles = [
+        (c, n, z) for c, n, z in points
+        if c in ("Sp", "tSp", "tC") and n == 0 and z not in (0.3, -1.3)
+    ]
+    assert len(points) == 1548 and len(poles) == 12
+    assert [u[:3] for u in unconverged] == poles
 
 
 LI_ORDERS = tuple(range(2, 25)) + (41, 100, 241)

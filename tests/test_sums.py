@@ -34,6 +34,7 @@ from englert_sums import sums
 from englert_sums.cli import _linspace
 from englert_sums.oracle import oracle_eval
 from englert_sums.sums import _turns
+from reference40 import family_reference
 
 PI = math.pi
 LN2 = math.log(2.0)
@@ -565,16 +566,10 @@ def test_evaluation_errors():
 
 @pytest.mark.parametrize("z", [1.4999999, 1.49999999, -0.5000001])
 def test_qp0_holds_its_bound_next_to_the_cancelling_lattice(z):
-    # cos(pi z) / (1 + sin(pi z)) cancels near z = 3/2 (mod 2); the same
-    # closed form in 40-digit arithmetic is the reference
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        zm = mpmath.mpf(z)
-        step = mpmath.mpf(1) / 4 * (-1) ** int(mpmath.floor(zm + mpmath.mpf(1) / 2))
-        tan = mpmath.tan(mpmath.pi * (mpmath.mpf(1) / 4 - zm / 2))
-        ref = step * mpmath.cospi(zm) - mpmath.sinpi(zm) * mpmath.log(abs(tan)) / (2 * mpmath.pi)
-        r = eval_family(SumFamily.from_code("Qp", 0), z)
-        assert abs(r.value - ref) <= r.error_bound
+    # cos(pi z) / (1 + sin(pi z)) cancels near z = 3/2 (mod 2)
+    f = SumFamily.from_code("Qp", 0)
+    r = eval_family(f, z)
+    assert abs(r.value - family_reference(f, z)) <= r.error_bound
 
 
 ORDER_ZERO_PQ = ("P", "Qp", "tP", "tQp")
@@ -592,29 +587,6 @@ def test_order_zero_modified_families_take_their_reduction(code):
         assert a.value.hex() == b.value.hex(), (code, z)
         assert a.error_bound.hex() == b.error_bound.hex(), (code, z)
         assert a.path == b.path == "elementary"
-
-
-def order_zero_reference(code, z):
-    """P, Qp, tP and tQp at order 0 as 40-digit elementary closed forms.
-
-    With L = log|tan(pi (z/2 + 1/4))| / (2 pi) and s = (-1)^floor(z + 1/2) / 4,
-    P = cos(pi z) L - sin(pi z) s and Qp = sin(pi z) L + cos(pi z) s; with
-    L = -log|tan(pi z/2)| / (2 pi) and s = (-1)^floor(z) / 4,
-    tP = cos(pi z) s - sin(pi z) L and tQp = sin(pi z) s + cos(pi z) L.
-    Every form has period 2, so z is first reduced mod 2, exactly.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        zm = mpmath.mpf(z)
-        r = zm - 2 * mpmath.floor(zm / 2)
-        sin, cos, pi = mpmath.sinpi(r), mpmath.cospi(r), mpmath.pi
-        if code in ("P", "Qp"):
-            step = (-1) ** int(mpmath.floor(r + 0.5)) / mpmath.mpf(4)
-            log = mpmath.log(abs(mpmath.tan(pi * (r / 2 + mpmath.mpf(1) / 4)))) / (2 * pi)
-            return cos * log - sin * step if code == "P" else sin * log + cos * step
-        step = (-1) ** int(mpmath.floor(r)) / mpmath.mpf(4)
-        log = -mpmath.log(abs(mpmath.tan(pi * r / 2))) / (2 * pi)
-        return cos * step - sin * log if code == "tP" else sin * step + cos * log
 
 
 def order_zero_points():
@@ -639,7 +611,7 @@ def test_order_zero_modified_families_hold_their_bound(code):
         if lattice.contains(z, 1e-12):  # eval raises there
             continue
         r = eval_family(f, z)
-        err = abs(r.value - order_zero_reference(code, z))
+        err = abs(r.value - family_reference(f, z))
         assert err <= r.error_bound, (code, z, float(err), r.error_bound)
         if z not in huge:  # there the drift of z alone sets the bound
             worst = max(worst, r.error_bound)
@@ -655,9 +627,10 @@ def test_p0_bound_weights_each_half_by_its_own_prefactor():
     # cos(pi z) vanishes: the bS bound must be damped by cos(pi z), not by
     # sin(pi z), which would give 9.2e-8
     z = 0.5 - 1e-9
-    r = eval_family(SumFamily.from_code("P", 0), z)
+    f = SumFamily.from_code("P", 0)
+    r = eval_family(f, z)
     assert r.error_bound < 1e-13
-    assert abs(r.value - order_zero_reference("P", z)) <= r.error_bound
+    assert abs(r.value - family_reference(f, z)) <= r.error_bound
 
 
 @pytest.mark.parametrize("z", [1e308, -1e308, 8.99e307])

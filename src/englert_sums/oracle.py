@@ -107,7 +107,7 @@ of denom**-p*[cos_col, sin_col], and the sum of the rows is scaled once.
 Row r's weights are e**-p * (1 - x*t_j)**-p, with e the row's last
 denominator, x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].  The near
 rows, the first ones, where x is above _reach(p)[-1], and the short last
-row build their weights, at most _BLOCK at a time, and
+row build their weights, at most _BLOCK a block, and
 X = G @ [cos_col, sin_col].  A far row takes the binomial series,
 X_r = e**-p * sum_m x**m * K_m, from the column moments
 K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col], taken once per
@@ -156,9 +156,20 @@ own, at most scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1) with K = k0 + n,
 as c*k0 + d = 1.  tests/test_oracle_kernel.py checks terms, short sums
 and block sums against 40-digit mpmath, out to k = 1e8 and to order 120.
 
-A call allocates no array of its n terms, only its own arrays of _BLOCK
-or n/w entries.  The BLAS products give the same digits on one thread as
-on several, and calls share only the read-only ladder weights and
+Of a block sum only the phases depend on z.  _block_plan, an lru_cache
+of 4 plans by (c, d, p, k_lo, n), keeps the rest, every array read-only:
+the row and column indices, each near block's weights, each far block's
+cut, powers of x and e**-p, the short last row's weights, the binomial
+factors and the powers of t, which _t_powers shares among the plans of
+one width.  A call forms the phases, their sines and cosines, the
+products and the sum of the rows, the same operations in the same order
+whether it built the plan or found it.  A 10^6-term plan at p = 2 holds
+339 KB, 57 KB of it the powers of t, and the default verify's 48 capped
+points read two plans, built once each.  A call allocates no array of
+its n terms, only its own arrays of n/w entries: a warm 10^6-term sum
+at p = 2 allocates none over 20 KB and faults in no page.  The BLAS
+products give the same digits on one thread as on several, and calls
+share only read-only arrays, the ladder weights and the plans, and the
 lru_caches of pure functions, so oracle_eval may run on several threads.
 """
 
@@ -362,38 +373,39 @@ def _head_terms(s, k_lo, k_hi):
     return map(operator.mul, w, _weights(c, d, p, k_lo, n))
 
 
-def _sum(s, k_lo, k_hi):
-    """Sum of the terms of s for k in [k_lo, k_hi): below _SHORT terms that
-    of _head_terms, times scale, with no numpy call; from there on one sum
-    for each _CHUNK terms, exact fsum across them, each the pairwise sum of
-    its terms below _TABLE_MIN of them and a block sum from there on."""
-    n = k_hi - k_lo
-    if n < _SHORT:
-        total = sum(_head_terms(s, k_lo, k_hi))
-        return (total.imag if s.sin else total.real) * s.scale
-    if n > _CHUNK:
-        return math.fsum(_sum(s, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK))
-    if n < _TABLE_MIN:
-        return float(_terms(s, k_lo, k_hi).sum())
-    c, d, step, den, pref_num, p, _, _, _ = s
+def _frozen(a):
+    """a, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
+# a pure function of the row width, which the block plans of that width share
+@functools.lru_cache(maxsize=8)
+def _t_powers(width):
+    """t_j**m for m < _SERIES, t_j = (w-1-j)/(w-1) and j < w = width, read-only."""
+    t = (width - 1.0 - np.arange(width, dtype=np.float64)) / (width - 1)
+    return _frozen(_power_rows(t, np.empty((_SERIES, width))))
+
+
+# a block sum's z-free arrays, each read-only: index holds the rows' first
+# k and then the columns' j, for _turns, n_row the rows, the last a short
+# one when rest, its weights, is not None; near holds (rows, weights) a
+# block, far (rows, powers of x, d_end**-p) a block, and t_powers and
+# binomial make the column moments
+_BlockPlan = collections.namedtuple("_BlockPlan", "index n_row near t_powers binomial far rest")
+
+
+# a pure function of integers; the plan of a 10^6-term chunk at p = 2
+# holds 339 KB, and the default verify asks for two
+@functools.lru_cache(maxsize=4)
+def _block_plan(c, d, p, k_lo, n):
+    """The _BlockPlan of a block sum of the n terms from k_lo."""
     width = _width(n, p)
     rows, rest = divmod(n, width)
     # the rest terms are a short last row
     k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
     col = np.arange(width, dtype=np.float64)
-    d_row, d_col = c * k_row + d, c * col
-    # rows and columns take half of pref each, so that their phases add up
-    # to (k*step + pref_num)/den
-    angle = _turns(np.concatenate((k_row, col)), 2 * step, 2 * den, pref_num)
-    angle *= TWO_PI
-    sin, cos = np.sin(angle), np.cos(angle, out=angle)
-    n_row = k_row.size
-    cols = np.stack((cos[n_row:], sin[n_row:]), axis=1)
-    if s.sin:  # sin(A + B) = sin A cos B + cos A sin B
-        a, b, combine = sin[:n_row], cos[:n_row], np.add
-    else:  # cos(A + B) = cos A cos B - sin A sin B
-        a, b, combine = cos[:n_row], sin[:n_row], np.subtract
-    parts = np.zeros(n_row)
+    d_row = c * k_row + d
     # a whole row's weights, before scale, are d_end**-p * (1 - ratio*t_j)**-p
     # with d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
     span = c * (width - 1)
@@ -404,33 +416,75 @@ def _sum(s, k_lo, k_hi):
     live = int(np.searchsorted(d_row[:rows], 2.0 ** min(1023, 1076 / p))) if p else rows
     near = min(live, int(np.count_nonzero(ratio > reach[-1])))
     per = max(1, _BLOCK // width)  # near rows per block
+    near_blocks = []
     for r0 in range(0, near, per):
         r = slice(r0, min(r0 + per, near))
         # the block's denominators, exact integers
         g = np.arange(d_row[r0], d_row[r0] + c * (r.stop - r0) * width, c)
         g **= -p
-        x = g.reshape(-1, width) @ cols
-        combine(a[r] * x[:, 0], b[r] * x[:, 1], out=parts[r])
+        near_blocks.append((r, _frozen(g).reshape(-1, width)))
+    t_powers = binomial = None
+    far_blocks = []
     if near < live:
-        # far rows: the series of (1 - ratio*t_j)**-p, whose column moments
-        # K_m = C(p+m-1, m) * sum_j t_j**m * col_j are taken once, and each
-        # block cut after the fewest terms that pass at its first, largest,
-        # ratio; row r sums to d_end**-p * sum_m ratio_r**m * K_m
-        t = (width - 1.0 - col) / (width - 1)
-        moments = (_power_rows(t, np.empty((_SERIES, width))) @ cols).T
-        moments *= [1.0] + [float(math.comb(p + m - 1, m)) for m in range(1, _SERIES)]
+        # far rows: the series of (1 - ratio*t_j)**-p, each block cut after
+        # the fewest terms that pass at its first, largest, ratio
+        t_powers = _t_powers(width)
+        binomial = _frozen(np.array([1.0] + [float(math.comb(p + m - 1, m)) for m in range(1, _SERIES)]))
         per = _BLOCK // _SERIES  # far rows per block
         for r0 in range(near, live, per):
             r = slice(r0, min(r0 + per, live))
             terms = bisect.bisect_left(reach, ratio[r0]) + 1
-            xt = moments[:, :terms] @ _power_rows(ratio[r], np.empty((terms, r.stop - r0)))  # X.T
-            xt *= d_end[r] ** -p
+            powers = _power_rows(ratio[r], np.empty((terms, r.stop - r0)))
+            far_blocks.append((r, _frozen(powers), _frozen(d_end[r] ** -p)))
+    # the short last row's weights
+    last = _frozen((d_row[rows] + c * col[:rest]) ** -p) if rest else None
+    index = _frozen(np.concatenate((k_row, col)))
+    return _BlockPlan(index, k_row.size, tuple(near_blocks), t_powers, binomial, tuple(far_blocks), last)
+
+
+def _sum(s, k_lo, k_hi):
+    """Sum of the terms of s for k in [k_lo, k_hi): below _SHORT terms that
+    of _head_terms, times scale, with no numpy call; from there on one sum
+    for each _CHUNK terms, exact fsum across them, each the pairwise sum of
+    its terms below _TABLE_MIN of them and a block sum from there on, whose
+    z-free arrays _block_plan keeps."""
+    n = k_hi - k_lo
+    if n < _SHORT:
+        total = sum(_head_terms(s, k_lo, k_hi))
+        return (total.imag if s.sin else total.real) * s.scale
+    if n > _CHUNK:
+        return math.fsum(_sum(s, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK))
+    if n < _TABLE_MIN:
+        return float(_terms(s, k_lo, k_hi).sum())
+    c, d, step, den, pref_num, p, _, _, _ = s
+    plan = _block_plan(c, d, p, k_lo, n)
+    # rows and columns take half of pref each, so that their phases add up
+    # to (k*step + pref_num)/den
+    angle = _turns(plan.index, 2 * step, 2 * den, pref_num)
+    angle *= TWO_PI
+    sin, cos = np.sin(angle), np.cos(angle, out=angle)
+    n_row = plan.n_row
+    cols = np.stack((cos[n_row:], sin[n_row:]), axis=1)
+    if s.sin:  # sin(A + B) = sin A cos B + cos A sin B
+        a, b, combine = sin[:n_row], cos[:n_row], np.add
+    else:  # cos(A + B) = cos A cos B - sin A sin B
+        a, b, combine = cos[:n_row], sin[:n_row], np.subtract
+    parts = np.zeros(n_row)
+    for r, g in plan.near:
+        x = g @ cols
+        combine(a[r] * x[:, 0], b[r] * x[:, 1], out=parts[r])
+    if plan.far:
+        # the column moments K_m = C(p+m-1, m) * sum_j t_j**m * col_j; row r
+        # sums to d_end**-p * sum_m ratio_r**m * K_m
+        moments = (plan.t_powers @ cols).T
+        moments *= plan.binomial
+        for r, powers, d_end_p in plan.far:
+            xt = moments[:, : len(powers)] @ powers  # X.T
+            xt *= d_end_p
             combine(a[r] * xt[0], b[r] * xt[1], out=parts[r])
-    if rest:
-        g = d_row[rows] + d_col[:rest]
-        g **= -p
-        x = g @ cols[:rest]
-        parts[rows] = combine(a[rows] * x[0], b[rows] * x[1])
+    if plan.rest is not None:
+        x = plan.rest @ cols[: plan.rest.size]
+        parts[-1] = combine(a[-1] * x[0], b[-1] * x[1])
     return float(parts.sum()) * s.scale
 
 
@@ -562,8 +616,7 @@ def _binomial_weights(d):
         # float(c) rounds once and the scaling by 2**-d is exact
         weights[j] = math.ldexp(float(c), -d)
         c = c * (d - j) // (j + 1)
-    weights.flags.writeable = False
-    return weights
+    return _frozen(weights)
 
 
 # d passes of adjacent averaging, s -> (s[1:] + s[:-1]) / 2, are one

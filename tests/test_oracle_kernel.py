@@ -21,6 +21,8 @@ averaging.
 
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -29,7 +31,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from englert_sums import FAMILY_CODES, SumFamily, oracle, oracle_eval, partial_sum
+from englert_sums import FAMILY_CODES, SumFamily, cli, oracle, oracle_eval, partial_sum
 
 U = 2.0**-53
 
@@ -268,9 +270,26 @@ def assert_block_sum_within_bound(f, zf, k_lo, k_hi):
     assert err <= bound, (f.code, f.order, zf, k_lo, k_hi, err, bound)
 
 
+def fresh_cache(monkeypatch, name, function=None):
+    """oracle's lru_cache name, while the patch holds, an empty one of the
+    same size around function, by default the one it caches."""
+    cached = getattr(oracle, name)
+    size = cached.cache_info().maxsize
+    monkeypatch.setattr(oracle, name, functools.lru_cache(size)(function or cached.__wrapped__))
+
+
+def fresh_plan_caches(monkeypatch):
+    """Empty block plan and t power caches while the patch holds, so that
+    each block sum's plan is built, and the plans built under a patched
+    _BLOCK go with the patch."""
+    fresh_cache(monkeypatch, "_block_plan")
+    fresh_cache(monkeypatch, "_t_powers")
+
+
 def recording_cuts(monkeypatch):
     """A list that gets (rows of out, largest base) for each _power_rows
-    call from here on."""
+    call from here on, on empty plan caches: a block sum makes its calls
+    only when it builds its plan."""
     cuts, power_rows = [], oracle._power_rows
 
     def recording(base, out):
@@ -278,6 +297,7 @@ def recording_cuts(monkeypatch):
         return power_rows(base, out)
 
     monkeypatch.setattr(oracle, "_power_rows", recording)
+    fresh_plan_caches(monkeypatch)
     return cuts
 
 
@@ -391,19 +411,141 @@ def test_subnormal_terms_match_40_digit_terms_with_no_warning():
     assert far == 0.0
 
 
-def test_block_sum_allocates_no_array_of_its_terms():
-    # 10**6 terms would take 8 MB as an array; the block sum holds one
-    # block of weights or of far-row powers and tables of about n/w entries
+def test_block_sum_allocates_no_array_of_its_terms(monkeypatch):
+    # 10**6 terms would take 8 MB as an array; the block sum's plan, built
+    # on the first call, holds its weights and far-row powers, some
+    # 10,000 and 20,000 of them, and each call tables of about n/w entries
+    fresh_plan_caches(monkeypatch)
     for code, order in (("C", 1), ("S", 3)):
         f = SumFamily.from_code(code, order)
-        partial_sum(f, 0.5, 10**6)
-        tracemalloc.start()
-        try:
-            partial_sum(f, 0.5, 10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000, (code, peak)
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                partial_sum(f, 0.5, 10**6)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (code, peak)
+
+
+def z_at_step(f, delta):
+    """A z whose phase step is delta turns past a whole turn."""
+    shift = 0.5 if f.alternating else 0.0
+    return (delta - shift) / (2.0 if f.index_kind == "2k+1" and f.modified == "none" else 1.0)
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_block_sums_on_cold_and_warm_plans_agree_bit_for_bit(code):
+    # a plan depends on c, d, p and the range alone: a sum that reads the
+    # plan another z built gives the digits of one that builds its own.
+    # At p = 1, 2, 3, 21 and 121 where the code has them; from 4096 terms
+    # to three chunks of 2^20 and 17 more; at z = 0.3, at resonance and
+    # 1e-7 turns off it
+    for order in (0, 1, 10, 60):
+        f = SumFamily.from_code(code, order)
+        if f.power not in (1, 2, 3, 21, 121):
+            continue
+        series = [oracle._series(f, z) for z in (0.3, z_at_step(f, 0.0), z_at_step(f, 1e-7))]
+        assert series[1].step == 0, (code, order)
+        for n in (4096, 50_000, 10**6, 3 * 2**20 + 17):
+            cold = []
+            for s in series:
+                oracle._block_plan.cache_clear()
+                oracle._t_powers.cache_clear()
+                cold.append(oracle._sum(s, s.k0, s.k0 + n).hex())
+            warm = [oracle._sum(s, s.k0, s.k0 + n).hex() for s in series]
+            assert warm == cold, (code, order, n)
+
+
+def plan_arrays(plan):
+    """Every array a block plan holds."""
+    yield plan.index
+    for _, weights in plan.near:
+        yield weights
+    if plan.far:
+        yield plan.t_powers
+        yield plan.binomial
+    for _, powers, d_end_p in plan.far:
+        yield powers
+        yield d_end_p
+    if plan.rest is not None:
+        yield plan.rest
+
+
+def test_block_plan_arrays_are_read_only(monkeypatch):
+    # threads share the plans, so no caller may write to one: C 1 over
+    # 10^6 + 3 terms from k = 1 has near rows, two blocks of far rows and
+    # a short last row, and S 60 over 20,032 terms near rows alone
+    fresh_plan_caches(monkeypatch)
+    plans = [oracle._block_plan(1, 0, 2, 1, 10**6 + 3), oracle._block_plan(1, 0, 121, 1, 20_032)]
+    assert (len(plans[0].near), len(plans[0].far), plans[0].rest.size) == (1, 2, 67)
+    assert (len(plans[1].near), plans[1].far, plans[1].rest) == (1, (), None)
+    for plan in plans:
+        for a in plan_arrays(plan):
+            for view in (a, a.base) if a.base is not None else (a,):
+                assert not view.flags.writeable
+                with pytest.raises(ValueError):
+                    view.flat[0] = 1.0
+
+
+def test_threads_on_cold_plan_caches_give_the_same_digits(monkeypatch):
+    # four threads, more than the cores, on empty caches of four plans at
+    # most, over seven plans' worth of sums each from its own start, so
+    # that they miss, build and evict the same plans together; a plan is a
+    # pure function and read-only, and every thread reads one thread's
+    # digits
+    work = [
+        (SumFamily.from_code(code, order), z, n)
+        for code, order, n in (
+            ("C", 1, 10**6),
+            ("bC", 1, 10**6),
+            ("S", 1, 10**6),
+            ("S", 10, 50_000),
+            ("S", 0, 3 * 2**20 + 17),
+        )
+        for z in (0.3, 0.5)
+    ]
+    fresh_plan_caches(monkeypatch)
+    want = list(enumerate(partial_sum(*args).hex() for args in work))
+    fresh_plan_caches(monkeypatch)
+    threads, got = 4, {}
+    barrier = threading.Barrier(threads)
+
+    def run(i):
+        barrier.wait(timeout=60)
+        turn = list(range(i, len(work))) + list(range(i))
+        got[i] = sorted((j, partial_sum(*work[j]).hex()) for j in turn)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in pool)
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == {i: want for i in range(threads)}
+
+
+def test_default_verify_keeps_two_plans_under_1_mb(monkeypatch, capsys):
+    # the 48 capped p = 2 points of the default verify, 10^6 terms of a k
+    # or a 2k+1 family, read two plans, built once each
+    built, build = [], oracle._block_plan.__wrapped__
+
+    def recording(*key):
+        built.append(build(*key))
+        return built[-1]
+
+    fresh_cache(monkeypatch, "_block_plan", recording)
+    assert cli.run(["verify"]) == 0
+    capsys.readouterr()
+    info = oracle._block_plan.cache_info()
+    assert (info.hits, info.misses, info.currsize, len(built)) == (46, 2, 2, 2)
+    arrays = {id(a): a for plan in built for a in plan_arrays(plan)}
+    assert sum(a.nbytes for a in arrays.values()) < 1_000_000
 
 
 @pytest.mark.parametrize(

@@ -1,176 +1,101 @@
 """Ground truth by direct summation of the defining series.
 
 This module never looks at the closed forms.  Every family is Re or Im
-of pref * sum_{k >= k_start} u**k * g(k), with g(k) = (pi*(c*k + d))**-p
-and |u| = |pref| = 1.  _series reads that shape in exact integers from
-z = m/q, once per oracle_eval or partial_sum call, into a _Series record
-that every kernel takes in place of the family: u turns step/den and
-pref pref_num/den, with den = 2q, and k_start is k0 = 1 - d.  The k
-families have c, d = 1, 0 and the 2k+1 and modified P/Q families
-c, d = 2, 1.  u turns z for the k and P/Q families and 2z for the other
-2k+1 ones, whose phase (2k+1)z leaves pref turning z; pref is 1
-elsewhere.  An alternating family's (-1)**k is half a turn more in u.
-So term k is the sine or cosine of 2 pi (k*step + pref_num)/den times
-g(k), and the phase advance per term is delta = min(step, den - step)/den
-turns from the nearest integer, exactly.  The record's scale = pi**-p,
-0.0 where it underflows, is the one place a kernel's pi**-p is formed
-(the z-free bounds form the same float from p): the kernels raise only
-the exact integer denominators, (c*k + d)**-p, which cannot overflow,
-and multiply by scale once, each term, each short sum or each block
-sum.  _sum takes a range of fewer than _SHORT = 64 terms in plain
-Python, below; a longer one it splits into chunks, and adds their sums
-by exact fsum, so the result is independent of chunk boundaries to well
-below 1e-13.
+of pref * sum_{k >= k0} u**k * g(k), with g(k) = (pi*(c*k + d))**-p and
+|u| = |pref| = 1: c, d = 1, 0 for the k families and 2, 1 for the 2k+1
+and modified P/Q ones, and k0 = 1 - d.  u turns z for the k and P/Q
+families and 2z for the other 2k+1 ones, whose phase (2k+1)z leaves pref
+turning z; pref is 1 elsewhere.  An alternating family's (-1)**k is half
+a turn more in u.  _series reads this shape from z = m/q into a _Series
+record of exact integers, u turning step/den and pref pref_num/den with
+den = 2q, so the phase step is delta = min(step, den - step)/den turns
+from a whole turn, exactly.  Its scale = pi**-p, 0.0 where it
+underflows, is the one place a kernel's pi**-p is formed: the kernels
+raise only the exact integer denominators, (c*k + d)**-p, which cannot
+overflow, and multiply by scale once.
 
-Absolutely convergent families (denominator power p >= 2) need terms
-for an integral-comparison tail bound of tol.  Off resonance, more than
-_MONOTONE_DELTA = 1/64 of a turn from a whole one, a need past the tail
-by parts' first head N, below, takes that head and the tail past it by
-summation by parts, whatever the mode cap, 10^6 for p = 2 and 10^4 for
-p >= 3.  Every other point is summed directly, need terms but at most
-the cap, whose tail bound may then exceed tol: within _MONOTONE_DELTA
-the partial sums drift one way.  So off resonance the direct route sums
-at most N terms, 40 to 367 as delta shrinks.  Both report the
-absolute mode, and both bounds charge the head's rounding, _head_charge
-below, besides the tail.  The direct route asks the integral tail for
-tol less the largest charge of a head up to the cap, at 63 terms or at
-the cap, so that the two meet tol together.  That arithmetic depends on
-c, p and tol alone, not on z: _plan, an lru_cache, keeps need, the
-direct route's n = min(need, cap) and its bound, so that the 41 grid
-points of a family and order in a verify pass compute them once.
-At p = 1, where the series converges only conditionally, every point
-takes the tail by parts, with N up to _MAX_TERMS; delta > 0 there, as
-_checked_z refuses each of the twelve p = 1 families where u = 1.
-Averaging serves p = 0 alone: the constant cosine and the tangent and
-cotangent forms, which have only Abel values A.  Their partial sums are
-S_n = A - pref*u**(n+1)/(1 - u), which oscillate about A with the
-amplitude 1/(2 sin(pi delta)) at every n, so a longer sum gains only
-rounding.  The averaged mode takes the first _WINDOW = 1600 partial
-sums, averages them down a ladder of depths 4, 16, 64, 256 and 1024,
-each step of d passes one convolution with the binomial weights
-C(d, j)/2^d, each pass multiplying the oscillation by |cos(pi delta)|,
-and reports an envelope, twice the spread of the trailing averaged
-sums, as the error estimate, with 1600 terms whether or not it meets tol.
+Routes.  At p >= 2 the integral-comparison tail needs some number of
+terms, need, for tol.  More than _MONOTONE_DELTA = 1/64 of a turn from
+resonance, a need past the tail by parts' first head N takes that head
+and the tail by parts, whatever the cap.  Every other point is summed
+directly, need terms but at most the cap, 10^6 at p = 2 and 10^4 above,
+whose tail bound may then exceed tol: near resonance the partial sums
+drift one way.  _plan keeps the direct route's z-free numbers.  At
+p = 1, where the series converges only conditionally, every point takes
+the tail by parts, its head at most _MAX_TERMS terms.  Both routes report
+the absolute mode, and both bounds charge the head's rounding besides
+the tail.  At p = 0 (only Abel values A) the partial sums
+S_n = A - pref*u**(n+1)/(1 - u) oscillate about A with the amplitude
+1/(2 sin(pi delta)) at every n, so a longer sum gains only rounding: the
+averaged mode averages the first _WINDOW partial sums down the depths
+_DEPTHS, each pass multiplying the oscillation by |cos(pi delta)|, and
+reports an envelope, twice the spread of the trailing averaged sums,
+which is an estimate, not a bound.
 
-The tail by parts.  From K = k_start + N on, J steps of summation by
+The tail by parts.  From K = k0 + N on, J = _PARTS steps of summation by
 parts give, with r = -u/(u - 1),
 
     T = sum_{j<J} r**j * (-u**K * Delta^j g(K) / (u - 1)) + R,
     |R| <= 2 |Delta^J g(K)| |r|**J / |u - 1|,
 
-since Delta^J g is sign-definite and shrinks monotonically in size;
-|r| = 1/|u - 1| = 1/(2 sin(pi delta)).  Delta^j (c*k + d)**-p is exact
-in integers over one common denominator, each value rounded once and
-then multiplied by scale; pref*u**K comes from the exact integer turns
-through _unit.  The bound adds three charges: R, the tail's rounding,
-(p + 16J)u of the size of its terms, and the head's, _head_charge below,
-over the head's sum of g(k); at p = 1 that sum diverges, so it is
-charged anew as N grows.  Delta^J (c*k + d)**-1 is sign-definite and
-monotone too, so R and the tail's charge hold at p = 1 as they stand.
-J = _PARTS = 12 and N = min(max(40, ceil(3J/(2 pi delta))), cap),
-doubled while the bound exceeds tol, never past the cap, where the bound
-is reported as it is; the bound needs no term of the head, so a strict
-call that the bound there refuses is refused before the head is summed.
-Of the default verify's points, 1036 at p >= 2 and 444 at p = 1 take
-40 or 58 terms, with bounds up to 3.8e-14 and 5.3e-13; at p >= 2 N
-starts at 367 at most, just past _MONOTONE_DELTA, while at p = 1 it
-grows as 1/delta: 57,295,780 terms at Qp order 0, z = 0.4999999.
+since Delta^J g is sign-definite and shrinks monotonically in size, at
+p = 1 too; |r| = 1/|u - 1| = 1/(2 sin(pi delta)).  _differences takes
+Delta^j (c*k + d)**-p exactly in integers, each rounded once.  The bound
+adds R, the tail's rounding, (p + 16J)u of the size of its terms, and
+the head's charge, below.  N = min(max(40, ceil(3J/(2 pi delta))), cap),
+doubled while the bound exceeds tol, never past the cap.
 
-The short kernel, _head_terms, reads pref*u**k_lo and u once each
-through _unit from the exact integer turns, steps w *= u by
-itertools.accumulate, takes the weights float(c*k + d)**-p from the
-cache _weights, shared by every z of a family and order, and sum() adds
-the complex products.  Numpy costs some 7.5 us a call whatever its
-length, the recurrence some 1.5 us and 0.08 us a term (S 3 at z = 0.3,
-2 vCPU, Python 3.11.7, numpy 2.4.6: 1.9 us at 5 terms, 6.3 us at 58,
-where numpy took 8.1).  The default verify's 1480 heads by parts and
-1804 of its 1916 direct points take it; the rest are the 64 sums of 127
-to 1270 terms at a whole-turn phase step and the 48 capped ones.
+Kernels.  _sum takes a range of fewer than _SHORT terms in plain Python,
+by the recurrence of _head_terms, and splits a longer one into chunks of
+at most _CHUNK terms, added by exact fsum.  The numpy kernels take every
+phase from the exact integers through _turns, which rounds it once.  A
+chunk of fewer than _TABLE_MIN terms builds its terms and adds them
+pairwise.  A longer one, a block sum, writes k = k_lo + r*w + j with
+w = _width(n, p), the n mod w last terms a short last row, and takes sin
+and cos once each of the row phases, (k_row*step + pref_num/2)/den, and
+the column phases, (j*step + pref_num/2)/den.  By angle addition row r
+sums to a_r*X_r0 +- b_r*X_r1, where X_r is the row's sum of
+denom**-p * [cos_col, sin_col].  Row r's weights are
+e**-p * (1 - x*t_j)**-p, with e the row's last denominator,
+x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].  The near rows, where x
+passes _reach(p)[-1], and the short last row build their weights, at
+most _BLOCK a block, for one BLAS product.  A far row takes the binomial
+series, X_r = e**-p * sum_m x**m * K_m, from the column moments
+K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col] for m < _SERIES.
+The series' terms are positive and fall at least by the factor
+(p+m)/(m+1)*x from m on, so a cut after m terms drops at most
+C(p+m-1, m)*x**m / (1 - (p+m)/(m+1)*x) of a sum of at least 1;
+_reach(p)[m-1] is the x where that is u/8, and each block of far rows
+cuts after the fewest m whose reach holds its first, largest, x.  From
+k = 1, row r has x near 1/(r+1) whatever w, and a row's phases and
+series cost some 8 built weights: _width balances the two.  Only the
+phases depend on z: _block_plan keeps the rest, and a call runs the same
+operations in the same order whether it builds the plan or finds it.
 
-The numpy kernels split step/den and pref_num/den, from the integers,
-into a 25-bit head, a 25-bit middle and a rest rounded once, so that
-term k's phase mod 1 rounds only in its last step for every k below
-2^27 > _MAX_TERMS; each angle is then in [-pi, pi], give or take 2^-20.
-
-Each chunk holds at most _CHUNK terms.  A chunk of fewer than
-_TABLE_MIN = 4096 terms, below which the block sum's fixed cost of some
-20 us does not pay, builds its terms, each with its own phase and sine
-or cosine times denom**-p and scale, and adds them with numpy's pairwise
-sum.  A longer chunk of n terms never builds them.  It writes
-k = k_lo + r*w + j with w = _width(n, p), the n mod w last terms a short
-last row, and takes sin and cos once each of the phases of the rows,
-(k_row*step + pref_num/2)/den, and of the columns,
-(j*step + pref_num/2)/den, each taking half of pref.  By angle addition
-row r sums to a_r*X_r0 +- b_r*X_r1, where X_r is the sum over the row
-of denom**-p*[cos_col, sin_col], and the sum of the rows is scaled once.
-
-Row r's weights are e**-p * (1 - x*t_j)**-p, with e the row's last
-denominator, x = c*(w-1)/e and t_j = (w-1-j)/(w-1) in [0, 1].  The near
-rows, the first ones, where x is above _reach(p)[-1], and the short last
-row build their weights, at most _BLOCK a block, and
-X = G @ [cos_col, sin_col].  A far row takes the binomial series,
-X_r = e**-p * sum_m x**m * K_m, from the column moments
-K_m = C(p+m-1, m) * sum_j t_j**m * [cos_col, sin_col], taken once per
-chunk for m < M = _SERIES.  The series' terms are all positive and fall
-at least by the factor (p+m)/(m+1)*x from m on, so a cut after m terms
-drops at most C(p+m-1, m)*x**m / (1 - (p+m)/(m+1)*x) of a sum of at
-least 1; _reach(p)[m-1] is the x where that is u/8, and each block of
-far rows cuts after the fewest m <= M whose reach holds its first,
-largest, x.  From k = 1, row r has x near 1/(r+1) whatever w: 19 near
-rows at p = 2 and 126 at p = 41 build w weights each, and every row's
-phases and series cost some 8 weights.  So _width takes
-w = min(512, isqrt(n), max(64, isqrt(8n*_reach(p)[-1]))): a 10^6-term
-sum at p = 2 takes 1953 rows of 512, where rows of 128 took 7812, builds
-9,728 weights and cuts its second block of far rows after 6 terms.  Rows
-from the denominator 2^(1076/p) on, where every weight is below a
-quarter of the least subnormal and rounds to 0.0, are skipped: at
-p = 121 every row that starts past 475.
-
-A term's error is held to (16 + 0.36p)u*g(k) against the exact term at
-the float z, plus 2^-1074 where it is subnormal, where u = 2^-53 and
-g(k) bounds the term's size: float pi**-p carries p times float pi's
-0.351u, most of the 42u measured at p = 121.  _unit rounds its turns
-once into [-1, 1] half turns, which polylog._cis_pi reduces exactly,
-once for both parts as _cos_pi and _sin_pi would, so a unit is within
-3.8u: 2.4u along the circle and u in each part.  A complex product adds
-sqrt(5)u, so step j of the short kernel is within (3.8 + 6j)u, and its
-term, with the weight's and product's 3u, within
-(16 + 0.36p + 6j)u*g(k); measured over every code at orders up to 120,
-(1.7 + 0.36p)u at j = 0 and 1.6u more a step.  A block sum adds at most
+Rounding.  A term is within (16 + 0.36p)u*g(k) of the exact term at the
+float z, plus 2^-1074 where it is subnormal, with u = 2^-53: float pi**-p
+carries p times float pi's 0.351u.  _unit rounds its turns once into
+[-1, 1] half turns, which polylog._cis_pi reduces exactly, so a unit is
+within 3.8u: 2.4u along the circle and u in each part.  A complex product
+adds sqrt(5)u, so step j of the short kernel is within (3.8 + 6j)u, and
+its term, with the weight's and product's 3u, within
+(16 + 0.36p + 6j)u*g(k).  A block sum adds at most
 (w + log2(rows))*u*sum g(k): the w products of a row's dot product, then
-the pairwise sum of the rows.  A far row's weights are e**-p times a
-sum of positive terms, so they round as a dot product with the exact
-weights would, give or take the 2m or so roundings of the series' terms
-past the first, whose sum, (1 - x)**-p - 1, is below half the first;
-the cut adds u/8*g(k) per term.
-
-_head_charge(c, p, n), the charge for a head of n terms in both routes'
-bounds, cached as it depends on z in nothing, since c*k0 + d = 1 and
-scale = pi**-p, is the per-term error over sum g(k), plus 2^-1074 a
-term, and what the kernel adds: 7n*u*sum g(k) below _SHORT terms, for
-the drift of 6u a step, the sum's n - 1 roundings and the product by
-scale; ceil(log2(n))u*sum g(k) for the pairwise sum; and
-(w + 1)u*sum g(k) more for a block sum.  At p >= 2 sum g(k) runs from
-k_start on, at most scale*(1 + 1/(c(p - 1))); at p = 1 it is the head's
-own, at most scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1) with K = k0 + n,
-as c*k0 + d = 1.  tests/test_oracle_kernel.py checks terms, short sums
-and block sums against 40-digit mpmath, out to k = 1e8 and to order 120.
-
-Of a block sum only the phases depend on z.  _block_plan, an lru_cache
-of 4 plans by (c, d, p, k_lo, n), keeps the rest, every array read-only:
-the row and column indices, each near block's weights, each far block's
-cut, powers of x and e**-p, the short last row's weights, the binomial
-factors and the powers of t, which _t_powers shares among the plans of
-one width.  A call forms the phases, their sines and cosines, the
-products and the sum of the rows, the same operations in the same order
-whether it built the plan or found it.  A 10^6-term plan at p = 2 holds
-339 KB, 57 KB of it the powers of t, and the default verify's 48 capped
-points read two plans, built once each.  A call allocates no array of
-its n terms, only its own arrays of n/w entries: a warm 10^6-term sum
-at p = 2 allocates none over 20 KB and faults in no page.  The BLAS
-products give the same digits on one thread as on several, and calls
-share only read-only arrays, the ladder weights and the plans, and the
-lru_caches of pure functions, so oracle_eval may run on several threads.
+the pairwise sum of the rows.  A far row's weights are e**-p times a sum
+of positive terms, so they round as a dot product with the exact weights
+would, give or take the 2m or so roundings of the series' terms past the
+first, whose sum, (1 - x)**-p - 1, is below half the first; the cut adds
+u/8*g(k) a term.  _head_charge(c, p, n), the charge for a head of n terms
+on both routes, is the per-term error over sum g(k), plus 2^-1074 a term,
+and what the kernel adds: 7n*u*sum g(k) below _SHORT terms, for the drift
+of 6u a step, the sum's n - 1 roundings and the product by scale;
+ceil(log2(n))u*sum g(k) for the pairwise sum; and (w + 1)u*sum g(k) more
+for a block sum.  At p >= 2 sum g(k) runs from k0 on, at most
+scale*(1 + 1/(c(p - 1))); at p = 1 it is the head's own, at most
+scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1), charged anew as N grows.
+BLAS gives the same digits on one thread as on several, and calls share
+only read-only arrays and the lru_caches of pure functions, so
+oracle_eval may run on several threads.
 """
 
 from __future__ import annotations
@@ -395,8 +320,7 @@ def _t_powers(width):
 _BlockPlan = collections.namedtuple("_BlockPlan", "index n_row near t_powers binomial far rest")
 
 
-# a pure function of integers; the plan of a 10^6-term chunk at p = 2
-# holds 339 KB, and the default verify asks for two
+# a pure function of integers: a long sum read again at another z finds its plan
 @functools.lru_cache(maxsize=4)
 def _block_plan(c, d, p, k_lo, n):
     """The _BlockPlan of a block sum of the n terms from k_lo."""
@@ -443,11 +367,8 @@ def _block_plan(c, d, p, k_lo, n):
 
 
 def _sum(s, k_lo, k_hi):
-    """Sum of the terms of s for k in [k_lo, k_hi): below _SHORT terms that
-    of _head_terms, times scale, with no numpy call; from there on one sum
-    for each _CHUNK terms, exact fsum across them, each the pairwise sum of
-    its terms below _TABLE_MIN of them and a block sum from there on, whose
-    z-free arrays _block_plan keeps."""
+    """Sum of the terms of s for k in [k_lo, k_hi), by the kernels of the
+    module docstring."""
     n = k_hi - k_lo
     if n < _SHORT:
         total = sum(_head_terms(s, k_lo, k_hi))
@@ -651,16 +572,9 @@ def _averaged(s, tol):
 def oracle_eval(f, z, tol, strict=True):
     """Brute-force value of the family f at z to tolerance tol.
 
-    Returns an OracleReport whose tail_bound is a rigorous tail estimate
-    in absolute mode and an empirical oscillation envelope in averaged
-    mode.  At p >= 2 the mode is absolute: the sum of the terms its
-    integral tail needs, stopped at the cap within _MONOTONE_DELTA of
-    resonance; further off, a need past the tail by parts' first head N
-    takes that head and the tail by summation by parts (module
-    docstring), as does every point at p = 1, its head at most
-    _MAX_TERMS terms.  Both bounds charge the head's rounding.  Only
-    p = 0 averages, over the first 1600 partial sums, the terms it reports
-    whether or not its envelope meets tol.
+    Returns an OracleReport whose tail_bound is a rigorous bound in
+    absolute mode, at p >= 1, and an empirical oscillation envelope in
+    averaged mode, at p = 0; the module docstring gives the routes.
     With strict=True a result whose estimate exceeds tol raises
     ToleranceNotReachedError carrying the best report found; by parts,
     whose bound is known before the head is summed, that report's value

@@ -199,44 +199,13 @@ class LiValue:
         return self._rest[1]
 
 
-def _sin_pi(t):
-    """sin(pi*t) reduced over the full period 2, exact at lattice zeros.
-
-    fmod reduces |t| exactly and sin is odd, so every later subtraction
-    is exact (Sterbenz) for negative t too.
-    """
-    r = math.fmod(abs(t), 2.0)
-    sign = math.copysign(1.0, t)
-    if r >= 1.0:
-        r -= 1.0
-        sign = -sign
-    if r < 0.25:
-        return sign * math.sin(math.pi * r)
-    if r < 0.75:
-        return sign * math.cos(math.pi * (r - 0.5))
-    return -sign * math.sin(math.pi * (r - 1.0))
-
-
-def _cos_pi(t):
-    """cos(pi*t) reduced over the full period 2; exact zeros at t in Z+1/2.
-
-    cos is even, so |t| reduced exactly by fmod carries the whole value.
-    """
-    r = math.fmod(abs(t), 2.0)
-    sign = 1.0
-    if r >= 1.0:
-        r -= 1.0
-        sign = -1.0
-    if r < 0.25:
-        return sign * math.cos(math.pi * r)
-    if r < 0.75:
-        return -sign * math.sin(math.pi * (r - 0.5))
-    return -sign * math.cos(math.pi * (r - 1.0))
-
-
 def _cis_pi(t):
-    """complex(_cos_pi(t), _sin_pi(t)) bit for bit, signed zeros too, from
-    one reduction: the same branches with both signs carried."""
+    """complex(cos(pi*t), sin(pi*t)) reduced over the full period 2, with
+    exact zeros at the lattice points: sin's at t in Z, cos's at Z + 1/2.
+
+    fmod reduces |t| exactly, cos is even and sin odd, so every later
+    subtraction is exact (Sterbenz) for negative t too.
+    """
     r = math.fmod(abs(t), 2.0)
     sin_sign = math.copysign(1.0, t)
     cos_sign = 1.0
@@ -440,7 +409,7 @@ def li_on_circle(a, p):
             tr = (rn << e) / den
             s = math.pi * tr
         else:
-            s = _sin_pi(tr)
+            s = _cis_pi(tr).imag
         re = -math.log(2.0 * s)
         if e:
             re += e * _LN2

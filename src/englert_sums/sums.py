@@ -53,9 +53,8 @@ from .errors import (
 )
 from .polylog import (
     UnitCirclePoint,
+    _cis_pi,
     _clausen_at,
-    _cos_pi,
-    _sin_pi,
     li_on_circle,
 )
 
@@ -286,16 +285,16 @@ def _drift(zf):
 
 
 def _sp0(zf):
-    s, c = _sin_pi(zf), _cos_pi(zf)
-    v = -s / (2.0 * c)
+    e = _cis_pi(zf)
+    v = -e.imag / (2.0 * e.real)
     eb = 0.5 * (1.0 + 4.0 * v * v) * _drift(zf) + 2.0 * _EPS * (1.0 + abs(v))
     return v, eb
 
 
 def _cp0(zf):
-    c = _cos_pi(zf)
-    v = -math.log(2.0 * abs(c)) / math.pi
-    slope = abs(_sin_pi(zf) / c)
+    e = _cis_pi(zf)
+    v = -math.log(2.0 * abs(e.real)) / math.pi
+    slope = abs(e.imag / e.real)
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
 
 
@@ -304,16 +303,16 @@ def _tc0(zf):
 
 
 def _tsp0(zf):
-    s, c = _sin_pi(zf), _cos_pi(zf)
-    v = c / (2.0 * s)
+    e = _cis_pi(zf)
+    v = e.real / (2.0 * e.imag)
     eb = 0.5 * (1.0 + 4.0 * v * v) * _drift(zf) + 2.0 * _EPS * (1.0 + abs(v))
     return v, eb
 
 
 def _tcp0(zf):
-    s = _sin_pi(zf)
-    v = -math.log(2.0 * abs(s)) / math.pi
-    slope = abs(_cos_pi(zf) / s)
+    e = _cis_pi(zf)
+    v = -math.log(2.0 * abs(e.imag)) / math.pi
+    slope = abs(e.real / e.imag)
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
 
 
@@ -322,10 +321,9 @@ def _bs0(zf):
     # quarter is added to z reduced mod 2, where no bit of it is lost, and
     # the slope reads 2 z reduced mod 2, since 2 z overflows past 8.98e307.
     u = math.fmod(zf, 2.0) + 0.25
-    s = _sin_pi(u)
-    c = _cos_pi(u)
-    v = (math.log(abs(s)) - math.log(abs(c))) / (2.0 * math.pi)
-    slope = abs(1.0 / _cos_pi(2.0 * math.fmod(zf, 1.0)))
+    e = _cis_pi(u)
+    v = (math.log(abs(e.imag)) - math.log(abs(e.real))) / (2.0 * math.pi)
+    slope = abs(1.0 / _cis_pi(2.0 * math.fmod(zf, 1.0)).real)
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
 
 
@@ -339,10 +337,9 @@ def _tbs0(zf):
 
 def _tbcp0(zf):
     # log|cot(pi z)| / (2 pi); derivative is -1/sin(2 pi z)
-    s = _sin_pi(zf)
-    c = _cos_pi(zf)
-    v = (math.log(abs(c)) - math.log(abs(s))) / (2.0 * math.pi)
-    slope = abs(1.0 / _sin_pi(2.0 * zf))
+    e = _cis_pi(zf)
+    v = (math.log(abs(e.real)) - math.log(abs(e.imag))) / (2.0 * math.pi)
+    slope = abs(1.0 / _cis_pi(2.0 * zf).imag)
     return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
 
 
@@ -454,11 +451,11 @@ def _pq_reduction(route, n, zf):
     half = 0.5 * zf
     v1, path1, e1 = _route(first, n, half)
     v2, path2, e2 = _route(second, n, half)
-    s, c = _sin_pi(zf), _cos_pi(zf)
+    e = _cis_pi(zf)
     if sign > 0:
-        w1, w2 = s, c
+        w1, w2 = e.imag, e.real
     else:
-        w1, w2 = c, -s
+        w1, w2 = e.real, -e.imag
     v = w1 * v1 + w2 * v2
     eb = (
         abs(w1) * e1

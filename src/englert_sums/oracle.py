@@ -15,9 +15,9 @@ raise only the exact integer denominators, (c*k + d)**-p, which cannot
 overflow, and multiply by scale once.
 
 Routes.  At p >= 2 the integral-comparison tail needs some number of
-terms, need, for tol.  More than _MONOTONE_DELTA = 1/64 of a turn from
-resonance, a need past the tail by parts' first head N takes that head
-and the tail by parts, whatever the cap.  Every other point is summed
+terms, need, for tol.  Off resonance, a point whose need passes the tail
+by parts' first head N, below, by _SHORT terms or more takes that head
+and the tail by parts, N at most the cap.  Every other point is summed
 directly, need terms but at most the cap, 10^6 at p = 2 and 10^4 above,
 whose tail bound may then exceed tol: near resonance the partial sums
 drift one way.  _plan keeps the direct route's z-free numbers.  At
@@ -42,18 +42,26 @@ since Delta^J g is sign-definite and shrinks monotonically in size, at
 p = 1 too; |r| = 1/|u - 1| = 1/(2 sin(pi delta)).  _differences takes
 Delta^j (c*k + d)**-p exactly in integers, each rounded once.  The bound
 adds R, the tail's rounding, (p + 16J)u of the size of its terms, and
-the head's charge, below.  N = min(max(40, ceil(3J/(2 pi delta))), cap),
-doubled while the bound exceeds tol, never past the cap.
+the head's charge, below.  g(x) = (pi*(c*x + d))**-p is completely
+monotone, so |Delta^J g(K)| <= |g^(J)(K)|, which is
+(p)_J c**J pi**-p (c*K + d)**-(p+J).  The first head is N = K - k0 for
+the least K where 2|g^(J)(K)| |r|**(J+1) is at most tol/2, taken up to a
+power of two and at least 4, and at p = 1 at most the cap.  N doubles
+while the bound exceeds tol, never past the cap.
 
 Kernels.  _sum takes a range of fewer than _SHORT terms in plain Python,
 by the recurrence of _head_terms, and splits a longer one into chunks of
-at most _CHUNK terms, added by exact fsum.  The numpy kernels take every
-phase from the exact integers through _turns, which rounds it once.  A
-chunk of fewer than _TABLE_MIN terms builds its terms and adds them
-pairwise.  A longer one, a block sum, writes k = k_lo + r*w + j with
-w = _width(n, p), the n mod w last terms a short last row, and takes sin
-and cos once each of the row phases, (k_row*step + pref_num/2)/den, and
-the column phases, (j*step + pref_num/2)/den.  By angle addition row r
+at most _CHUNK terms, added by exact fsum.  At a whole-turn phase step,
+where every term's phase is pref's, a chunk is pref's part times
+_weight_sum's cached sum of g(k), which adds its weights by numpy's
+pairwise sum in pieces of at most _BLOCK and the pieces by fsum.  The
+numpy kernels take every phase from the exact integers through _turns,
+which rounds it once.  A chunk of fewer than _TABLE_MIN terms builds its
+terms and adds them pairwise.  A longer one, a block sum, writes
+k = k_lo + r*w + j with w = _width(n, p), the n mod w last terms a short
+last row, and takes sin and cos once each of the row phases,
+(k_row*step + pref_num/2)/den, and the column phases,
+(j*step + pref_num/2)/den.  By angle addition row r
 sums to a_r*X_r0 +- b_r*X_r1, where X_r is the row's sum of
 denom**-p * [cos_col, sin_col].  Row r's weights are
 e**-p * (1 - x*t_j)**-p, with e the row's last denominator,
@@ -79,23 +87,29 @@ carries p times float pi's 0.351u.  _unit rounds its turns once into
 within 3.8u: 2.4u along the circle and u in each part.  A complex product
 adds sqrt(5)u, so step j of the short kernel is within (3.8 + 6j)u, and
 its term, with the weight's and product's 3u, within
-(16 + 0.36p + 6j)u*g(k).  A block sum adds at most
-(w + log2(rows))*u*sum g(k): the w products of a row's dot product, then
-the pairwise sum of the rows.  A far row's weights are e**-p times a sum
-of positive terms, so they round as a dot product with the exact weights
+(16 + 0.36p + 6j)u*g(k).  At a whole-turn step pref's part, the products
+by it and by scale and each weight's rounding stay within the per-term
+error.  A block sum adds at most (w + 1 + _pairwise_depth(rows))*u*sum g(k):
+the w products of a row's dot product and its angle addition, then the
+pairwise sum of the rows.  A far row's weights are e**-p times a sum of
+positive terms, so they round as a dot product with the exact weights
 would, give or take the 2m or so roundings of the series' terms past the
 first, whose sum, (1 - x)**-p - 1, is below half the first; the cut adds
 u/8*g(k) a term.  _head_charge(c, p, n), the charge for a head of n terms
 on both routes, is the per-term error over sum g(k), plus 2^-1074 a term,
 and what the kernel adds: 7n*u*sum g(k) below _SHORT terms, for the drift
 of 6u a step, the sum's n - 1 roundings and the product by scale;
-ceil(log2(n))u*sum g(k) for the pairwise sum; and (w + 1)u*sum g(k) more
-for a block sum.  At p >= 2 sum g(k) runs from k0 on, at most
-scale*(1 + 1/(c(p - 1))); at p = 1 it is the head's own, at most
-scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1), charged anew as N grows.
-BLAS gives the same digits on one thread as on several, and calls share
-only read-only arrays and the lru_caches of pure functions, so
-oracle_eval may run on several threads.
+_pairwise_depth(n)u*sum g(k) for numpy's pairwise sum, at most 24
+roundings in a run of 128 terms and one more for each halving; and the
+block sum's charge, with one more rounding for the fsum of chunks.  A
+weight sum meets _pairwise_depth(n) roundings below _BLOCK weights and
+_pairwise_depth(_BLOCK) + 1 from there on: within the charge of the
+pairwise sum, and of the block sum, whose w is at least 64.  At p >= 2
+sum g(k) runs from k0 on, at most scale*(1 + 1/(c(p - 1))); at p = 1 it
+is the head's own, at most scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1),
+charged anew as N grows.  BLAS gives the same digits on one thread as on
+several, and calls share only read-only arrays and the lru_caches of pure
+functions, so oracle_eval may run on several threads.
 """
 
 from __future__ import annotations
@@ -136,10 +150,7 @@ _CAP_P2 = 1_000_000
 _CAP_P3 = 10_000
 _DEPTHS = (4, 16, 64, 256, 1024)
 _WINDOW = 1600
-# phase step this close to resonance counts as monotone rather than oscillatory
-_MONOTONE_DELTA = 1.0 / 64.0
-# J: steps of summation by parts in the tail at p = 1, and at p >= 2 past
-# the absolute cap
+# J: steps of summation by parts in the tail
 _PARTS = 12
 
 
@@ -284,6 +295,20 @@ def _weights(c, d, p, k_lo, n):
     return tuple(float(c * k + d) ** -p for k in range(k_lo, k_lo + n))
 
 
+# a pure function of integers: the resonant heads of a verify pass read few
+@functools.lru_cache(maxsize=256)
+def _weight_sum(c, d, p, k_lo, n):
+    """The sum of float(c*k + d)**-p for k in [k_lo, k_lo + n): numpy's
+    pairwise sum of each piece of at most _BLOCK weights, and the exact
+    fsum of the pieces."""
+    pieces = []
+    for lo in range(k_lo, k_lo + n, _BLOCK):
+        g = np.arange(c * lo + d, c * min(lo + _BLOCK, k_lo + n) + d, c, dtype=np.float64)
+        g **= -p
+        pieces.append(float(g.sum()))
+    return math.fsum(pieces)
+
+
 def _head_terms(s, k_lo, k_hi):
     """pref*u**k * (c*k + d)**-p for k in [k_lo, k_hi), complex, before
     scale, lazily: pref*u**k_lo and u read from the exact integer turns,
@@ -375,9 +400,13 @@ def _sum(s, k_lo, k_hi):
         return (total.imag if s.sin else total.real) * s.scale
     if n > _CHUNK:
         return math.fsum(_sum(s, lo, min(lo + _CHUNK, k_hi)) for lo in range(k_lo, k_hi, _CHUNK))
+    c, d, step, den, pref_num, p, _, _, _ = s
+    if not step:
+        # a whole-turn phase step: every term's phase is pref's
+        unit = _unit(pref_num, den)
+        return (unit.imag if s.sin else unit.real) * _weight_sum(c, d, p, k_lo, n) * s.scale
     if n < _TABLE_MIN:
         return float(_terms(s, k_lo, k_hi).sum())
-    c, d, step, den, pref_num, p, _, _, _ = s
     plan = _block_plan(c, d, p, k_lo, n)
     # rows and columns take half of pref each, so that their phases add up
     # to (k*step + pref_num)/den
@@ -429,6 +458,15 @@ def _tail_bound(c, p, n_terms):
     return float(1 + c * (n_terms - 1)) ** (1 - p) / (c * (p - 1)) * math.pi**-p
 
 
+def _pairwise_depth(n):
+    """At least the most roundings a term meets in numpy's sum of n terms,
+    n >= 8: a run of up to 128 terms is added through 8 running sums of
+    up to 16 terms, which add as a tree of depth 3, and then one at a time
+    the n mod 8 left over, at most 24 roundings; a longer run splits in two
+    halves, the first a multiple of 8, each summed alike and then added."""
+    return 24 + ((n - 1) // 128).bit_length()
+
+
 # a pure function of integers, called at few distinct arguments
 @functools.lru_cache(maxsize=1024)
 def _head_charge(c, p, n):
@@ -441,10 +479,15 @@ def _head_charge(c, p, n):
         sum_g = scale * (1.0 + math.log(c * n + 1) / c + 1.0)
     else:
         sum_g = scale * (1.0 + 1.0 / (c * (p - 1)))
-    # (n - 1).bit_length() is ceil(log2(n)); a chunk is at most _CHUNK
-    kernel = 7 * n if n < _SHORT else (n - 1).bit_length()
-    if n >= _TABLE_MIN:
-        kernel += _width(min(n, _CHUNK), p) + 1
+    if n < _SHORT:
+        kernel = 7 * n
+    elif n < _TABLE_MIN:
+        kernel = _pairwise_depth(n)
+    else:
+        # a chunk is at most _CHUNK terms, and fsum adds the chunks
+        m = min(n, _CHUNK)
+        width = _width(m, p)
+        kernel = width + 1 + _pairwise_depth(-(-m // width)) + (n > _CHUNK)
     return (16 + 0.36 * p + kernel) * _U * sum_g + n * 2.0**-1074
 
 
@@ -466,9 +509,35 @@ def _plan(c, p, tol):
     return need, n, _tail_bound(c, p, n) + _head_charge(c, p, n)
 
 
-def _first_head(delta):
-    """The tail by parts' first head N at the phase step delta."""
-    return max(40, math.ceil(3 * _PARTS / (TWO_PI * delta)))
+# a pure function, called at one tol per family and order in a verify pass
+@functools.lru_cache(maxsize=1024)
+def _head_factor(c, p, tol):
+    """(a, e) such that the remainder's estimate 2|g^(J)(K)| rho**(J+1)
+    is at most tol/2 wherever c*K + d >= a * rho**e, with
+    |g^(J)(x)| = (p)_J c**J pi**-p (c*x + d)**-(p+J); in logs, where
+    pi**-p may underflow."""
+    rising = math.prod(range(p, p + _PARTS))  # (p)_J
+    log_a = math.log(4.0 / tol) + math.log(rising) + _PARTS * math.log(c) - p * math.log(math.pi)
+    return math.exp(log_a / (p + _PARTS)), (_PARTS + 1) / (p + _PARTS)
+
+
+def _first_head(s, rho, tol):
+    """The tail by parts' first head N at rho = 1/|u - 1|: the fewest
+    terms whose remainder's estimate meets tol/2, up to a power of two and
+    at least 4.  A c*K + d held below 2**62 keeps N an int at any rho."""
+    a, e = _head_factor(s.c, s.p, tol)
+    k = math.ceil((min(a * rho**e, 2.0**62) - s.d) / s.c)
+    return 1 << (max(4, k - s.k0) - 1).bit_length()
+
+
+def _ratio(s):
+    """(r, rho) of s off resonance: r = -u/(u - 1) and rho = |r| = 1/|u - 1|."""
+    # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2|sin(pi t)|
+    # and r = -1/2 + i cot(pi t)/2, both of period 1 in t, so read at
+    # t - 1 past a half turn, nearer to 0
+    e = _cis_pi((s.step if 2 * s.step <= s.den else s.step - s.den) / s.den)
+    rho = 0.5 / abs(e.imag)
+    return complex(-0.5, e.real * math.copysign(rho, e.imag)), rho
 
 
 # a pure function of integers, called at few distinct arguments
@@ -487,20 +556,15 @@ def _differences(c, d, p, k, count):
     return tuple(out)
 
 
-def _by_parts(s, tol, cap, strict):
-    """Head of n terms plus the summation-by-parts tail of a p >= 1 series
-    off resonance, as an absolute report; see the module docstring.  When
-    the bound at the last n, at most cap, exceeds tol and strict is set,
-    the head is not summed: the report holds that n and bound, and the
-    value nan."""
+def _by_parts(s, ratio, n, tol, cap, strict):
+    """Head of n terms, n the first head at most cap, plus the
+    summation-by-parts tail of a p >= 1 series off resonance, with
+    ratio = _ratio(s), as an absolute report; see the module docstring.
+    When the bound at the last n, at most cap, exceeds tol and strict is
+    set, the head is not summed: the report holds that n and bound, and
+    the value nan."""
     c, d, step, den, pref_num, p, sin, k0, scale = s
-    # u = exp(i pi t)**2 with t = step/den in (0, 1): |u - 1| = 2|sin(pi t)|
-    # and r = -u/(u - 1) = -1/2 + i cot(pi t)/2, both of period 1 in t, so
-    # read at t - 1 past a half turn, nearer to 0
-    e = _cis_pi((step if 2 * step <= den else step - den) / den)
-    rho = 0.5 / abs(e.imag)  # |r| = 1/|u - 1|
-    r = complex(-0.5, e.real * math.copysign(rho, e.imag))
-    n = min(_first_head(min(step, den - step) / den), cap)
+    r, rho = ratio
     while True:
         k = k0 + n
         diffs = _differences(c, d, p, k, _PARTS + 1)
@@ -592,17 +656,23 @@ def oracle_eval(f, z, tol, strict=True):
 
     if s.p >= 2:
         need, n, bound = _plan(s.c, s.p, tol)
-        delta = min(s.step, s.den - s.step) / s.den
-        if delta > _MONOTONE_DELTA and need > _first_head(delta):
-            report = _by_parts(s, tol, cap, strict)
-        else:
+        # off resonance, by parts where its first head saves _SHORT terms
+        # or more; the first head is at least 4 terms
+        report = None
+        if s.step and need >= 4 + _SHORT:
+            ratio = _ratio(s)
+            head = _first_head(s, ratio[1], tol)
+            if head <= cap and head + _SHORT <= need:
+                report = _by_parts(s, ratio, head, tol, cap, strict)
+        if report is None:
             # the integral tail of a short head, or near resonance, where
             # partial sums move one way, the sum stopped at the cap with
             # its honest tail
             report = OracleReport(_sum(s, s.k0, s.k0 + n), n, bound, "absolute")
     elif s.p == 1:
-        # delta > 0: _checked_z refuses every p = 1 family where u = 1
-        report = _by_parts(s, tol, cap, strict)
+        # step > 0: _checked_z refuses every p = 1 family where u = 1
+        ratio = _ratio(s)
+        report = _by_parts(s, ratio, min(_first_head(s, ratio[1], tol), cap), tol, cap, strict)
     else:
         report = _averaged(s, tol)
     if report.tail_bound <= tol or not strict:

@@ -63,6 +63,12 @@ def terms_reference(f, zf, k_lo, k_hi):
     return vals * denom**-f.power * math.pi**-f.power
 
 
+def weights(f, k_lo, k_hi):
+    """denom**-p of f for k in [k_lo, k_hi), denom k or 2k+1."""
+    k = np.arange(k_lo, k_hi, dtype=np.float64)
+    return (2.0 * k + 1.0 if f.index_kind == "2k+1" else k) ** -f.power
+
+
 def assert_same_bits(a, b, where):
     assert a.dtype == b.dtype and a.shape == b.shape, where
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), where
@@ -245,6 +251,79 @@ def test_short_sums_call_no_numpy(monkeypatch):
     assert calls == []
 
 
+def numpy_sum(a):
+    """A plain-Python model of numpy's sum of the floats a: (the sum, the
+    most roundings any term meets).  A run of up to 128 terms goes
+    through 8 running sums, which add as a tree, and then the n mod 8 left
+    over one at a time; a longer run splits at half its length less that
+    half mod 8, and the two halves' sums add."""
+    n = len(a)
+    if n < 8:
+        total, depth = a[0], 0
+        for x in a[1:]:
+            total, depth = total + x, depth + 1
+        return total, depth
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        (left, d_left), (right, d_right) = numpy_sum(a[:half]), numpy_sum(a[half:])
+        return left + right, max(d_left, d_right) + 1
+    runs, rest = a[:8], n - n % 8
+    for i in range(8, rest, 8):
+        runs = [s + x for s, x in zip(runs, a[i : i + 8])]
+    total = ((runs[0] + runs[1]) + (runs[2] + runs[3])) + ((runs[4] + runs[5]) + (runs[6] + runs[7]))
+    depth = rest // 8 - 1 + 3
+    for x in a[rest:]:
+        total, depth = total + x, depth + 1
+    return total, depth
+
+
+def test_pairwise_charge_covers_numpy_summation_order():
+    # the model gives np.sum's bits on terms of many sizes and signs, and
+    # at every n of the pairwise kernel, and at the sizes of the weight
+    # sum's pieces, the most roundings a term meets are within
+    # _pairwise_depth(n): 24 at n = 127, where ceil(log2(n)) is 7
+    rng = np.random.default_rng(7)
+    size = 3 * oracle._BLOCK + 5
+    a = rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))
+    worst = {}
+    for n in [*range(oracle._SHORT, oracle._TABLE_MIN), oracle._BLOCK - 1, oracle._BLOCK, size]:
+        total, depth = numpy_sum(a[:n].tolist())
+        assert total == float(a[:n].sum()), n
+        assert depth <= oracle._pairwise_depth(n), (n, depth)
+        worst[n] = depth
+    assert worst[127] == 24 and max(worst.values()) == 29
+    # the weight sum's pieces and their fsum stay within the block sum's
+    # charge, whose width is at least 64
+    assert oracle._pairwise_depth(oracle._BLOCK) + 1 < 64
+
+
+@pytest.mark.parametrize("code,order", [("C", 1), ("Cp", 0), ("tbC", 1), ("C", 3)])
+def test_resonant_heads_within_the_head_charge(code, order):
+    # at a whole-turn step every term's phase is pref's: the head is pref's
+    # part times the sum of weights, which holds against the 40-digit sum
+    # within the charge the oracle reports, from _SHORT terms to past a
+    # chunk
+    f = SumFamily.from_code(code, order)
+    zf = 0.5
+    s = oracle._series(f, zf)
+    assert s.step == 0
+    c, d = s.c, s.d
+    sizes = (oracle._SHORT, oracle._TABLE_MIN - 1, oracle._TABLE_MIN, 3 * oracle._BLOCK + 5)
+    for n in sizes + (oracle._CHUNK + 5,):
+        got = partial_sum(f, zf, n)
+        with mpmath.workdps(40):
+            # the denominators c*k + d over c run from lo to hi
+            lo, hi = mpmath.mpf(s.k0 * c + d) / c, mpmath.mpf((s.k0 + n) * c + d) / c
+            if f.power == 1:
+                weights = (mpmath.digamma(hi) - mpmath.digamma(lo)) / c
+            else:
+                weights = (mpmath.zeta(f.power, lo) - mpmath.zeta(f.power, hi)) / mpmath.mpf(c) ** f.power
+            part = exact_sin_cos_of_turns(Fraction(s.pref_num, s.den))[0 if s.sin else 1]
+            exact = part * weights / mpmath.pi**f.power
+            err = float(abs(mpmath.mpf(got) - exact))
+        assert err <= oracle._head_charge(c, f.power, n), (n, err)
+
+
 def exact_sum_and_bound(f, zf, k_lo, k_hi):
     """(40-digit partial sum, block-sum bound (16 + w + log2(rows+1))*u*sum g)
     with w the kernel's row width."""
@@ -279,11 +358,12 @@ def fresh_cache(monkeypatch, name, function=None):
 
 
 def fresh_plan_caches(monkeypatch):
-    """Empty block plan and t power caches while the patch holds, so that
-    each block sum's plan is built, and the plans built under a patched
-    _BLOCK go with the patch."""
+    """Empty block plan, t power and weight sum caches while the patch
+    holds, so that each block sum's plan and each resonant sum of weights
+    is built, and those built under a patched _BLOCK go with the patch."""
     fresh_cache(monkeypatch, "_block_plan")
     fresh_cache(monkeypatch, "_t_powers")
+    fresh_cache(monkeypatch, "_weight_sum")
 
 
 def recording_cuts(monkeypatch):
@@ -412,20 +492,24 @@ def test_subnormal_terms_match_40_digit_terms_with_no_warning():
 
 
 def test_block_sum_allocates_no_array_of_its_terms(monkeypatch):
-    # 10**6 terms would take 8 MB as an array; the block sum's plan, built
-    # on the first call, holds its weights and far-row powers, some
-    # 10,000 and 20,000 of them, and each call tables of about n/w entries
+    # 10**6 terms would take 8 MB as an array.  At z = 0.5, a whole-turn
+    # step, the sum of weights builds pieces of _BLOCK weights; at 0.3 the
+    # block sum's plan, built on the first call, holds its weights and
+    # far-row powers, some 10,000 and 20,000 of them, and each call tables
+    # of about n/w entries
     fresh_plan_caches(monkeypatch)
-    for code, order in (("C", 1), ("S", 3)):
-        f = SumFamily.from_code(code, order)
-        for _ in ("cold", "warm"):
-            tracemalloc.start()
-            try:
-                partial_sum(f, 0.5, 10**6)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1_000_000, (code, peak)
+    for z in (0.5, 0.3):
+        for code, order in (("C", 1), ("S", 3)):
+            f = SumFamily.from_code(code, order)
+            assert (oracle._series(f, z).step == 0) == (z == 0.5)
+            for _ in ("cold", "warm"):
+                tracemalloc.start()
+                try:
+                    partial_sum(f, z, 10**6)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1_000_000, (code, z, peak)
 
 
 def z_at_step(f, delta):
@@ -452,6 +536,7 @@ def test_block_sums_on_cold_and_warm_plans_agree_bit_for_bit(code):
             for s in series:
                 oracle._block_plan.cache_clear()
                 oracle._t_powers.cache_clear()
+                oracle._weight_sum.cache_clear()
                 cold.append(oracle._sum(s, s.k0, s.k0 + n).hex())
             warm = [oracle._sum(s, s.k0, s.k0 + n).hex() for s in series]
             assert warm == cold, (code, order, n)
@@ -531,8 +616,9 @@ def test_threads_on_cold_plan_caches_give_the_same_digits(monkeypatch):
 
 
 def test_default_verify_keeps_two_plans_under_1_mb(monkeypatch, capsys):
-    # the 48 capped p = 2 points of the default verify, 10^6 terms of a k
-    # or a 2k+1 family, read two plans, built once each
+    # the 12 capped p = 2 points of the default verify one ulp off
+    # resonance, 10^6 terms of a k or a 2k+1 family, read two plans, built
+    # once each; the 36 at resonance sum their weights alone
     built, build = [], oracle._block_plan.__wrapped__
 
     def recording(*key):
@@ -543,7 +629,7 @@ def test_default_verify_keeps_two_plans_under_1_mb(monkeypatch, capsys):
     assert cli.run(["verify"]) == 0
     capsys.readouterr()
     info = oracle._block_plan.cache_info()
-    assert (info.hits, info.misses, info.currsize, len(built)) == (46, 2, 2, 2)
+    assert (info.hits, info.misses, info.currsize, len(built)) == (10, 2, 2, 2)
     arrays = {id(a): a for plan in built for a in plan_arrays(plan)}
     assert sum(a.nbytes for a in arrays.values()) < 1_000_000
 
@@ -553,25 +639,30 @@ def test_default_verify_keeps_two_plans_under_1_mb(monkeypatch, capsys):
     [
         ("C", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped at resonance
         ("tbC", 1, 0.5, 1e-8, "absolute", 1_000_000),  # capped, 2k+1
-        ("C", 1, 0.3, 1e-8, "absolute", 40),  # p = 2, the tail by parts
-        ("Qp", 0, 0.3, 1e-6, "absolute", 40),  # p = 1, the tail by parts
-        ("Qp", 0, 0.4999, 1e-6, "absolute", 57_296),  # p = 1, block sums
+        ("C", 1, 0.3, 1e-8, "absolute", 16),  # p = 2, the tail by parts
+        ("Qp", 0, 0.3, 1e-6, "absolute", 16),  # p = 1, the tail by parts
+        ("Qp", 0, 0.4999, 1e-6, "absolute", 32_768),  # p = 1, block sums
         ("tC", 0, 0.3, 1e-6, "averaged-conditional", 1600),  # p = 0
     ],
 )
 def test_oracle_reports_match_the_reference_kernel(code, order, z, tol, mode, terms, monkeypatch):
-    # the reference sums every chunk, the 40-term heads too, as an array of
-    # reference terms, each within 16u*g(k).  The block sum is within
-    # (16 + 512 + 20)u*sum g(k) of the exact sum, sum g(k) at most 0.21 at
-    # p >= 2, and within (16 + 168 + 16)u*2.5 over the 57,296 terms at
-    # p = 1; the short kernel's 40 terms within (17 + 7*40)u*1.3: all
-    # below 6e-14, so values agree to 1e-13, and so do bounds, whose
-    # charges differ by as much.  At p = 0 the averaged mode builds its
-    # 1600 terms with the per-term kernel alone
+    # the reference sums every chunk, the 16-term heads too, as an array of
+    # reference terms, each within 16u*g(k), and at a whole-turn step
+    # takes the fsum of its own weights.  The block sum is within
+    # (16 + 512 + 1 + 28)u*sum g(k) of the exact sum, sum g(k) at most 0.21 at
+    # p >= 2, and within (16 + 127 + 1 + 26)u*2.5 over the 32,768 terms at
+    # p = 1; the short kernel's 16 terms within (17 + 7*16)u*1.3; the sum
+    # of weights within 32u*0.21: all below 6e-14, so values agree to
+    # 1e-13, and so do bounds, whose charges differ by as much.  At p = 0
+    # the averaged mode builds its 1600 terms with the per-term kernel
+    # alone
     f = SumFamily.from_code(code, order)
     got = oracle_eval(f, z, tol, strict=False)
     # the reference reads its own f and z, never the series record
     monkeypatch.setattr(oracle, "_terms", lambda s, lo, hi: terms_reference(f, z, lo, hi))
+    monkeypatch.setattr(
+        oracle, "_weight_sum", lambda c, d, p, lo, n: math.fsum(weights(f, lo, lo + n))
+    )
     monkeypatch.setattr(oracle, "_SHORT", 0)
     monkeypatch.setattr(oracle, "_TABLE_MIN", oracle._MAX_TERMS + 1)
     reference = oracle_eval(f, z, tol, strict=False)

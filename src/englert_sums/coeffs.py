@@ -26,12 +26,21 @@ reads of a table P a half turn apart.  With w = <z + a/4> that is
 
 with par 0 for the even cosine tables and 1 for the odd sine tables, so
 each such read is one folded bracket polynomial (see BracketPoly).  Q
-comes from an integer Taylor shift of P, once per table.
+comes from an integer Taylor shift of P, once per table.  Q is
+symmetric about u = 1/4: the parity of P gives
+
+    Q(1/2 - u) = -Q(u)  for a cosine table,  +Q(u)  for a sine table,
+
+so in t = u - 1/4 it is t q(t^2) or q(t^2), and a second integer Taylor
+shift, to t, halves the Horner steps of each folded read.
 
 Evaluation runs Horner in plain integers over the common denominator of
-the coefficients.  A rational argument gets one Fraction at the end; a
-float argument is read from its integer ratio, and its result is the
-exact value rounded once by an integer true division.
+the coefficients, in the bracket value w or, for a fold with a parity
+in t (the fold of every table has one), in t = |w| - 1/4.  A rational
+argument gets one Fraction at the end; a float argument is read from
+its integer ratio, and its result is the exact value rounded once by an
+integer true division.  Where the argument's denominator is a power of
+two, as every float's is, each power of it in the loop is a shift.
 """
 
 from __future__ import annotations
@@ -68,25 +77,60 @@ _FOLD_SIGNS = {None: 0, "even": 1, "odd": -1}
 MAX_ORDER = 120
 
 
-def _integer_form(coeffs, shift, fold):
-    """The form eval_poly reads: (den, numerators, odd, squared, quarters, sign).
+def _taylor_shift(a, k, s):
+    """Integers b_j with sum_j b_j u^j = 2^(k d) sum_j a_j (u + s 2^-k)^j, s = +-1.
 
-    ``numerators`` are coeffs over their common denominator den, from
-    the top power down.  Even polynomials keep only the even powers and
-    are read in w**2 (squared); odd ones keep the odd powers, read as
-    w * q(w**2) (odd and squared); mixed ones keep every power and are
-    read in w.  ``quarters`` is the shift in quarter turns and ``sign``
+    g(v) = sum_j a_j 2^(k (d - j)) v^j is 2^(k d) A(v 2^-k); Horner's
+    Taylor shift turns its coefficients into those of g(v + s), and the
+    coefficient of v^j times 2^(k j) is that of u^j.
+    """
+    d = len(a) - 1
+    g = [c << k * (d - j) for j, c in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            g[j] += s * g[j + 1]
+    return [c << k * j for j, c in enumerate(g)]
+
+
+def _packed(nums):
+    """(numerators from the top power down, odd, squared): the even
+    powers alone, the odd powers alone, or every power."""
+    if not any(nums[1::2]):
+        return tuple(reversed(nums[0::2])), False, True
+    if not any(nums[0::2]):
+        return tuple(reversed(nums[1::2])), True, True
+    return tuple(reversed(nums)), False, False
+
+
+def _integer_form(coeffs, shift, fold):
+    """The form eval_poly reads: (den, numerators, odd, squared, quarters,
+    sign, centre).
+
+    ``numerators`` are the coefficients over their common denominator
+    den, from the top power down, in the variable x: w, or for a centred
+    fold t = |w| - 1/4.  Even polynomials in x keep only the even powers
+    and are read in x**2 (squared); odd ones keep the odd powers, read as
+    x * q(x**2) (odd and squared); mixed ones keep every power and are
+    read in x.  ``quarters`` is the shift in quarter turns and ``sign``
     the fold: 0 unfolded, 1 even, -1 odd.
+
+    A folded polynomial is taken to t by an integer Taylor shift, in
+    which the half difference Q of a table has one parity: Q(1/2 - u) =
+    -Q(u) for a cosine table and +Q(u) for a sine table.  ``centre`` says
+    it was; a fold with no parity in t keeps its form in w.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     quarters = int(4 * shift)
     sign = _FOLD_SIGNS[fold]
-    if not any(nums[1::2]):
-        return den, tuple(reversed(nums[0::2])), False, True, quarters, sign
-    if not any(nums[0::2]):
-        return den, tuple(reversed(nums[1::2])), True, True, quarters, sign
-    return den, tuple(reversed(nums)), False, False, quarters, sign
+    if sign:
+        # Q(t + 1/4) = sum_j b_j t^j / (4^d den), reduced by one gcd
+        b = _taylor_shift(nums, 2, 1)
+        if not any(b[1::2]) or not any(b[0::2]):
+            tden = den << 2 * (len(b) - 1)
+            g = math.gcd(tden, *b)
+            return (tden // g, *_packed([c // g for c in b]), quarters, sign, True)
+    return (den, *_packed(nums), quarters, sign, False)
 
 
 @dataclass(frozen=True)
@@ -302,21 +346,16 @@ def _exact(z):
 def _half_difference(kind, n):
     """Coefficients of Q(u) = (P(u) - P(u - 1/2)) / 2, P = poly_<kind>(n).
 
-    With P = sum_j a_j u^j / den in integers, g(v) = 2^d den P(v/2) has
-    the integer coefficients a_j 2^(d-j); synthetic division by v - 1
-    (Horner's Taylor shift) turns them into those of g(v - 1), which is
-    2^d den P(u - 1/2) at v = 2u.
+    With P = sum_j a_j u^j / den in integers, _taylor_shift gives the
+    integer coefficients of 2^d den P(u - 1/2).
     """
     p = poly_C(n) if kind == "C" else poly_S(n)
     d = p.degree
     den = math.lcm(*(c.denominator for c in p.coefficients))
     a = [c.numerator * (den // c.denominator) for c in p.coefficients]
-    g = [c << (d - j) for j, c in enumerate(a)]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            g[j] -= g[j + 1]
+    shifted = _taylor_shift(a, 1, -1)
     den <<= d + 1
-    return tuple(Fraction((c << d) - (h << j), den) for j, (c, h) in enumerate(zip(a, g)))
+    return tuple(Fraction((c << d) - h, den) for c, h in zip(a, shifted))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -344,9 +383,12 @@ def eval_poly(p, z):
 
     A folded p is read at |w| and, for an odd fold, negated where w < 0
     (see BracketPoly).  With z = m/q read in integers (the integer ratio
-    of a float), the shift and the centering are done on m, and Horner
-    runs in integers over the common denominator with no gcd inside the
-    loop.  Rational z stays exact: one normalised Fraction comes back.
+    of a float), the shift, the centering, the fold and, for a centred
+    fold, the move to t = |w| - 1/4 are done on m and q, and Horner runs
+    in integers over the common denominator with no gcd inside the loop.
+    When q is a power of two each power of q (or q**2) is a left shift;
+    any other q multiplies.  Rational z stays exact: one normalised
+    Fraction comes back.
     Any other z is read as float(z), which must be finite, and the exact
     value comes back rounded once by an integer true division, so
     eval_poly(p, x) == float(eval_poly(p, Fraction(x))) for every finite
@@ -364,7 +406,7 @@ def eval_poly(p, z):
         if not math.isfinite(zf):
             raise DomainError(f"polynomial argument must be finite, got {z!r}")
         m, q = zf.as_integer_ratio()
-    den, nums, odd, squared, quarters, fold = p._int_form
+    den, nums, odd, squared, quarters, fold, centre = p._int_form
     if quarters:
         if q & 3:
             m, q = 4 * m - quarters * q, 4 * q
@@ -375,17 +417,36 @@ def eval_poly(p, z):
     if fold and m < 0:
         m = -m
         negate = fold < 0
-    x, y = (m * m, q * q) if squared else (m, q)
-    # invariant: acc / (den * ypow) is the Horner value so far at x / y
+    if centre:
+        if q & 3:
+            m, q = 4 * m - q, 4 * q
+        else:
+            m -= q >> 2
+    x = m * m if squared else m
     acc = nums[0]
-    ypow = 1
-    for c in nums[1:]:
-        ypow *= y
-        acc = acc * x + c * ypow
-    den *= ypow
-    if odd:
-        acc *= m
-        den *= q
+    if q & (q - 1):
+        y = q * q if squared else q
+        # invariant: acc / (den * ypow) is the Horner value so far at x / y
+        ypow = 1
+        for c in nums[1:]:
+            ypow *= y
+            acc = acc * x + c * ypow
+        den *= ypow
+        if odd:
+            acc *= m
+            den *= q
+    else:
+        # q = 2^e: acc / (den << sh) is the Horner value so far at x / y
+        e = q.bit_length() - 1
+        step = 2 * e if squared else e
+        sh = 0
+        for c in nums[1:]:
+            sh += step
+            acc = acc * x + (c << sh)
+        if odd:
+            acc *= m
+            sh += e
+        den <<= sh
     if negate:
         acc = -acc
     return Fraction(acc, den) if exact else acc / den

@@ -161,7 +161,8 @@ def test_float_path_is_the_exact_value_rounded_once(x):
     for p in FLOAT_POLYS:
         got = eval_poly(p, x)
         assert type(got) is float
-        assert got.hex() == float(eval_poly(p, F(x))).hex(), (p, x)
+        want = float(horner_reference(p, F(x))).hex()
+        assert got.hex() == float(eval_poly(p, F(x))).hex() == want, (p, x)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -181,6 +182,25 @@ def test_folded_read_is_sign_times_q_at_the_absolute_bracket():
             w -= math.floor(w + F(1, 2))
             want = sum(c * abs(w) ** i for i, c in enumerate(q.coefficients))
             assert eval_poly(p, z) == (sign * want if w < 0 else want), (fold, z)
+
+
+def test_folded_tables_are_read_in_t_with_half_the_numerators():
+    # Q of a cosine table is odd about |w| = 1/4, Q of a sine table even:
+    # read in t = |w| - 1/4, each packs d // 2 + 1 numerators in t**2
+    for kind in ("C", "S"):
+        for n in range(0 if kind == "S" else 1, MAX_ORDER + 1):
+            for a in range(4):
+                for b in (a - 2, a + 2):
+                    p = _table_read(kind, n, a, b)
+                    _, nums, odd, squared, _, _, centre = p._int_form
+                    assert centre and squared, (kind, n, a, b)
+                    assert odd == (kind == "C"), (kind, n, a, b)
+                    assert len(nums) == p.degree // 2 + 1, (kind, n, a, b)
+    # a fold with no parity in t keeps every power, read in w
+    for fold in ("even", "odd"):
+        mixed = BracketPoly((F(1, 5), F(2), F(-3)), F(1, 4), fold)
+        _, nums, odd, squared, _, _, centre = mixed._int_form
+        assert not (centre or odd or squared) and len(nums) == 3, fold
 
 
 def test_shifts_and_folds_are_checked():

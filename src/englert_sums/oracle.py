@@ -20,7 +20,10 @@ by parts' first head N, below, by _SHORT terms or more takes that head
 and the tail by parts, N at most the cap.  Every other point is summed
 directly, need terms but at most the cap, 10^6 at p = 2 and 10^4 above,
 whose tail bound may then exceed tol: near resonance the partial sums
-drift one way.  _plan keeps the direct route's z-free numbers.  At
+drift one way.  A direct head of _SHORT terms or more whose phase step
+is so near a whole turn that its drift D, below, is within the head's
+charge is read as a whole-turn sum at the phase of its first term, and
+D joins its bound.  _plan keeps the direct route's z-free numbers.  At
 p = 1, where the series converges only conditionally, every point takes
 the tail by parts, its head at most _MAX_TERMS terms.  Both routes report
 the absolute mode, and both bounds charge the head's rounding besides
@@ -31,6 +34,14 @@ averaged mode averages the first _WINDOW partial sums down the depths
 _DEPTHS, each pass multiplying the oscillation by |cos(pi delta)|, and
 reports an envelope, twice the spread of the trailing averaged sums,
 which is an estimate, not a bound.
+
+Near a whole turn.  |u**j - 1| <= 2 pi j delta, so reading the n terms
+from k0 all at the phase of term k0 moves their sum by at most
+2 pi delta * sum_{j<n} j*g(k0 + j).  As j <= (c*(k0 + j) + d)/c and
+c*k0 + d = 1, that is at most 2 pi delta * pi**-p/c * S, with
+S = 1 + ln(c*n + 1)/c at p = 2, the integral comparison of
+sum 1/(1 + c*j), and S = 1 + 1/(c(p - 2)) above.  _drift takes twice
+that, D, for its own rounding.
 
 The tail by parts.  From K = k0 + N on, J = _PARTS steps of summation by
 parts give, with r = -u/(u - 1),
@@ -76,9 +87,7 @@ C(p+m-1, m)*x**m / (1 - (p+m)/(m+1)*x) of a sum of at least 1;
 _reach(p)[m-1] is the x where that is u/8, and each block of far rows
 cuts after the fewest m whose reach holds its first, largest, x.  From
 k = 1, row r has x near 1/(r+1) whatever w, and a row's phases and
-series cost some 8 built weights: _width balances the two.  Only the
-phases depend on z: _block_plan keeps the rest, and a call runs the same
-operations in the same order whether it builds the plan or finds it.
+series cost some 8 built weights: _width balances the two.
 
 Rounding.  A term is within (16 + 0.36p)u*g(k) of the exact term at the
 float z, plus 2^-1074 where it is subnormal, with u = 2^-53: float pi**-p
@@ -107,9 +116,11 @@ _pairwise_depth(_BLOCK) + 1 from there on: within the charge of the
 pairwise sum, and of the block sum, whose w is at least 64.  At p >= 2
 sum g(k) runs from k0 on, at most scale*(1 + 1/(c(p - 1))); at p = 1 it
 is the head's own, at most scale*(1/(c*k0 + d) + ln(c*K + d)/c + 1),
-charged anew as N grows.  BLAS gives the same digits on one thread as on
-several, and calls share only read-only arrays and the lru_caches of pure
-functions, so oracle_eval may run on several threads.
+charged anew as N grows.  A head read at its first term's phase takes
+the whole-turn kernel, within the charge, and D besides.  BLAS gives the
+same digits on one thread as on several, and calls share only the
+lru_caches of pure functions and the read-only _LADDER, so oracle_eval
+may run on several threads.
 """
 
 from __future__ import annotations
@@ -323,74 +334,6 @@ def _head_terms(s, k_lo, k_hi):
     return map(operator.mul, w, _weights(c, d, p, k_lo, n))
 
 
-def _frozen(a):
-    """a, made read-only."""
-    a.flags.writeable = False
-    return a
-
-
-# a pure function of the row width, which the block plans of that width share
-@functools.lru_cache(maxsize=8)
-def _t_powers(width):
-    """t_j**m for m < _SERIES, t_j = (w-1-j)/(w-1) and j < w = width, read-only."""
-    t = (width - 1.0 - np.arange(width, dtype=np.float64)) / (width - 1)
-    return _frozen(_power_rows(t, np.empty((_SERIES, width))))
-
-
-# a block sum's z-free arrays, each read-only: index holds the rows' first
-# k and then the columns' j, for _turns, n_row the rows, the last a short
-# one when rest, its weights, is not None; near holds (rows, weights) a
-# block, far (rows, powers of x, d_end**-p) a block, and t_powers and
-# binomial make the column moments
-_BlockPlan = collections.namedtuple("_BlockPlan", "index n_row near t_powers binomial far rest")
-
-
-# a pure function of integers: a long sum read again at another z finds its plan
-@functools.lru_cache(maxsize=4)
-def _block_plan(c, d, p, k_lo, n):
-    """The _BlockPlan of a block sum of the n terms from k_lo."""
-    width = _width(n, p)
-    rows, rest = divmod(n, width)
-    # the rest terms are a short last row
-    k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
-    col = np.arange(width, dtype=np.float64)
-    d_row = c * k_row + d
-    # a whole row's weights, before scale, are d_end**-p * (1 - ratio*t_j)**-p
-    # with d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
-    span = c * (width - 1)
-    d_end = d_row[:rows] + span
-    ratio = span / d_end
-    reach = _reach(p)
-    # from the denominator 2**(1076/p) on every weight rounds to 0.0
-    live = int(np.searchsorted(d_row[:rows], 2.0 ** min(1023, 1076 / p))) if p else rows
-    near = min(live, int(np.count_nonzero(ratio > reach[-1])))
-    per = max(1, _BLOCK // width)  # near rows per block
-    near_blocks = []
-    for r0 in range(0, near, per):
-        r = slice(r0, min(r0 + per, near))
-        # the block's denominators, exact integers
-        g = np.arange(d_row[r0], d_row[r0] + c * (r.stop - r0) * width, c)
-        g **= -p
-        near_blocks.append((r, _frozen(g).reshape(-1, width)))
-    t_powers = binomial = None
-    far_blocks = []
-    if near < live:
-        # far rows: the series of (1 - ratio*t_j)**-p, each block cut after
-        # the fewest terms that pass at its first, largest, ratio
-        t_powers = _t_powers(width)
-        binomial = _frozen(np.array([1.0] + [float(math.comb(p + m - 1, m)) for m in range(1, _SERIES)]))
-        per = _BLOCK // _SERIES  # far rows per block
-        for r0 in range(near, live, per):
-            r = slice(r0, min(r0 + per, live))
-            terms = bisect.bisect_left(reach, ratio[r0]) + 1
-            powers = _power_rows(ratio[r], np.empty((terms, r.stop - r0)))
-            far_blocks.append((r, _frozen(powers), _frozen(d_end[r] ** -p)))
-    # the short last row's weights
-    last = _frozen((d_row[rows] + c * col[:rest]) ** -p) if rest else None
-    index = _frozen(np.concatenate((k_row, col)))
-    return _BlockPlan(index, k_row.size, tuple(near_blocks), t_powers, binomial, tuple(far_blocks), last)
-
-
 def _sum(s, k_lo, k_hi):
     """Sum of the terms of s for k in [k_lo, k_hi), by the kernels of the
     module docstring."""
@@ -407,34 +350,61 @@ def _sum(s, k_lo, k_hi):
         return (unit.imag if s.sin else unit.real) * _weight_sum(c, d, p, k_lo, n) * s.scale
     if n < _TABLE_MIN:
         return float(_terms(s, k_lo, k_hi).sum())
-    plan = _block_plan(c, d, p, k_lo, n)
+    width = _width(n, p)
+    rows, rest = divmod(n, width)
+    # the rest terms are a short last row
+    k_row = np.arange(rows + (rest > 0), dtype=np.float64) * width + k_lo
+    col = np.arange(width, dtype=np.float64)
+    d_row = c * k_row + d
     # rows and columns take half of pref each, so that their phases add up
     # to (k*step + pref_num)/den
-    angle = _turns(plan.index, 2 * step, 2 * den, pref_num)
+    angle = _turns(np.concatenate((k_row, col)), 2 * step, 2 * den, pref_num)
     angle *= TWO_PI
     sin, cos = np.sin(angle), np.cos(angle, out=angle)
-    n_row = plan.n_row
+    n_row = k_row.size
     cols = np.stack((cos[n_row:], sin[n_row:]), axis=1)
     if s.sin:  # sin(A + B) = sin A cos B + cos A sin B
         a, b, combine = sin[:n_row], cos[:n_row], np.add
     else:  # cos(A + B) = cos A cos B - sin A sin B
         a, b, combine = cos[:n_row], sin[:n_row], np.subtract
     parts = np.zeros(n_row)
-    for r, g in plan.near:
-        x = g @ cols
+    # a whole row's weights, before scale, are d_end**-p * (1 - ratio*t_j)**-p
+    # with d_end its last denominator, ratio = span/d_end, t_j = (w-1-j)/(w-1)
+    span = c * (width - 1)
+    d_end = d_row[:rows] + span
+    ratio = span / d_end
+    reach = _reach(p)
+    # from the denominator 2**(1076/p) on every weight rounds to 0.0
+    live = int(np.searchsorted(d_row[:rows], 2.0 ** min(1023, 1076 / p))) if p else rows
+    near = min(live, int(np.count_nonzero(ratio > reach[-1])))
+    per = max(1, _BLOCK // width)  # near rows per block
+    for r0 in range(0, near, per):
+        r = slice(r0, min(r0 + per, near))
+        # the block's denominators, exact integers
+        g = np.arange(d_row[r0], d_row[r0] + c * (r.stop - r0) * width, c)
+        g **= -p
+        x = g.reshape(-1, width) @ cols
         combine(a[r] * x[:, 0], b[r] * x[:, 1], out=parts[r])
-    if plan.far:
-        # the column moments K_m = C(p+m-1, m) * sum_j t_j**m * col_j; row r
-        # sums to d_end**-p * sum_m ratio_r**m * K_m
-        moments = (plan.t_powers @ cols).T
-        moments *= plan.binomial
-        for r, powers, d_end_p in plan.far:
-            xt = moments[:, : len(powers)] @ powers  # X.T
-            xt *= d_end_p
+    if near < live:
+        # far rows: the series of (1 - ratio*t_j)**-p, whose column moments
+        # K_m = C(p+m-1, m) * sum_j t_j**m * col_j are taken once, and each
+        # block cut after the fewest terms that pass at its first, largest,
+        # ratio; row r sums to d_end**-p * sum_m ratio_r**m * K_m
+        t = (width - 1.0 - col) / (width - 1)
+        moments = (_power_rows(t, np.empty((_SERIES, width))) @ cols).T
+        moments *= [1.0] + [float(math.comb(p + m - 1, m)) for m in range(1, _SERIES)]
+        per = _BLOCK // _SERIES  # far rows per block
+        for r0 in range(near, live, per):
+            r = slice(r0, min(r0 + per, live))
+            terms = bisect.bisect_left(reach, ratio[r0]) + 1
+            xt = moments[:, :terms] @ _power_rows(ratio[r], np.empty((terms, r.stop - r0)))  # X.T
+            xt *= d_end[r] ** -p
             combine(a[r] * xt[0], b[r] * xt[1], out=parts[r])
-    if plan.rest is not None:
-        x = plan.rest @ cols[: plan.rest.size]
-        parts[-1] = combine(a[-1] * x[0], b[-1] * x[1])
+    if rest:
+        g = d_row[rows] + c * col[:rest]
+        g **= -p
+        x = g @ cols[:rest]
+        parts[rows] = combine(a[rows] * x[0], b[rows] * x[1])
     return float(parts.sum()) * s.scale
 
 
@@ -489,6 +459,17 @@ def _head_charge(c, p, n):
         width = _width(m, p)
         kernel = width + 1 + _pairwise_depth(-(-m // width)) + (n > _CHUNK)
     return (16 + 0.36 * p + kernel) * _U * sum_g + n * 2.0**-1074
+
+
+def _drift(s, n):
+    """D, a bound on how far reading the n terms of s from k0 at the phase
+    of the first moves their sum, p >= 2: 2 pi delta times
+    sum_{j<n} j*g(k0 + j), bounded in the module docstring, twice over for
+    its own rounding."""
+    c, p = s.c, s.p
+    delta = min(s.step, s.den - s.step) / s.den
+    spread = 1.0 + (math.log(c * n + 1) / c if p == 2 else 1.0 / (c * (p - 2)))
+    return 4.0 * math.pi * delta * s.scale / c * spread
 
 
 # a pure function, called at one tol per family and order in a verify pass
@@ -601,7 +582,8 @@ def _binomial_weights(d):
         # float(c) rounds once and the scaling by 2**-d is exact
         weights[j] = math.ldexp(float(c), -d)
         c = c * (d - j) // (j + 1)
-    return _frozen(weights)
+    weights.flags.writeable = False
+    return weights
 
 
 # d passes of adjacent averaging, s -> (s[1:] + s[:-1]) / 2, are one
@@ -667,8 +649,15 @@ def oracle_eval(f, z, tol, strict=True):
         if report is None:
             # the integral tail of a short head, or near resonance, where
             # partial sums move one way, the sum stopped at the cap with
-            # its honest tail
-            report = OracleReport(_sum(s, s.k0, s.k0 + n), n, bound, "absolute")
+            # its honest tail; a long head whose phase step is within a
+            # charge of a whole turn is read at its first term's phase
+            head = s
+            if n >= _SHORT:
+                drift = _drift(s, n)
+                if 0 < drift <= _head_charge(s.c, s.p, n):
+                    head = s._replace(step=0, pref_num=(s.k0 * s.step + s.pref_num) % s.den)
+                    bound += drift
+            report = OracleReport(_sum(head, s.k0, s.k0 + n), n, bound, "absolute")
     elif s.p == 1:
         # step > 0: _checked_z refuses every p = 1 family where u = 1
         ratio = _ratio(s)

@@ -25,6 +25,17 @@ from englert_sums import SumFamily, eval_family, oracle_eval
 
 NOISE = 1e-20
 
+# the default verify's p = 2 points one ulp off resonance, capped at 10^6
+# terms, whose heads the oracle reads at their first term's phase
+ONE_ULP_POINTS = [
+    (code, 1, z)
+    for codes, z in (
+        (("C", "Sp", "tbC", "tbSp", "Q", "Pp"), 1.5000000000000002),
+        (("tC", "tSp", "tbC", "tbSp", "tQ", "tPp"), 1.0000000000000002),
+    )
+    for code in codes
+]
+
 
 def chi(p, w):
     """Legendre's chi_p(w) in the working precision."""

@@ -37,7 +37,7 @@ from englert_sums.errors import (
     ToleranceNotReachedError,
     UnsupportedOrderError,
 )
-from reference40 import family_reference
+from reference40 import ONE_ULP_POINTS, family_reference
 
 PI = math.pi
 
@@ -705,6 +705,73 @@ def test_non_oscillating_point_hits_the_cap():
     assert err.best is not None
     assert err.best.terms_used == 1_000_000
     assert err.error_estimate == pytest.approx(r.tail_bound)
+
+
+@pytest.mark.parametrize("c,d", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("p", [2, 3, 8])
+def test_drift_bounds_the_40_digit_move_of_a_whole_turn_read(c, d, p):
+    # reading the n terms from k0 at the phase of the first moves their sum
+    # by sum_{j<n} (u**j - 1)*g(k0 + j), pref's unit aside, which _drift
+    # must bound at phase steps 2^-52, 1e-12 and 1e-9 turns past a whole
+    # turn, and as far short of one, where the move is its conjugate
+    k0, checks = 1 - d, (oracle._SHORT, 1000, 10**4)
+    with mpmath.workdps(40):
+        g = [(mpmath.pi * (c * (k0 + j) + d)) ** -p for j in range(checks[-1])]
+        for delta in (2.0**-52, 1e-12, 1e-9):
+            step, den = Fraction(delta).as_integer_ratio()
+            past, short = (oracle._Series(c, d, t, den, 0, p, False, k0, PI**-p) for t in (step, den - step))
+            u = mpmath.expjpi(2 * mpmath.mpf(step) / den)
+            w, move = mpmath.mpc(1), mpmath.mpc(0)
+            for j, weight in enumerate(g, 1):
+                move += (w - 1) * weight
+                w *= u
+                if j in checks:
+                    drift = oracle._drift(past, j)
+                    assert drift == oracle._drift(short, j)
+                    assert abs(move) <= drift, (delta, j, float(abs(move)), drift)
+
+
+@pytest.mark.parametrize("code", ["C", "tbC"])
+def test_near_whole_turn_heads_switch_where_the_drift_meets_the_charge(code, monkeypatch):
+    # a k and a 2k+1 family at p = 2, whose direct route sums 10^6 terms
+    # at 1e-8 near resonance: at a phase step whose drift D is within the
+    # head's charge the head is read at its first term's phase, a sum of
+    # weights, and D joins the bound; a little farther from the whole turn
+    # the block sum takes it.  Both reports hold against the 40-digit series
+    f = fam(code, 1)
+    steps, inner = [], oracle._sum
+    monkeypatch.setattr(oracle, "_sum", lambda s, lo, hi: steps.append(s.step) or inner(s, lo, hi))
+    s = oracle._series(f, z_at_delta(f, 1e-15, -1))
+    _, n, bound = oracle._plan(s.c, 2, 1e-8)
+    charge = oracle._head_charge(s.c, 2, n)
+    # the delta whose D is the charge
+    edge = 1e-15 * charge / oracle._drift(s, n)
+    for factor, read in ((0.8, True), (1.25, False)):
+        z = z_at_delta(f, factor * edge, -1)
+        s = oracle._series(f, z)
+        drift = oracle._drift(s, n)
+        assert (drift <= charge) == read, (factor, drift, charge)
+        steps.clear()
+        r = oracle_eval(f, z, 1e-8, strict=False)
+        assert (r.terms_used, len(steps), steps[0] == 0) == (n, 1, read)
+        assert r.tail_bound == (bound + drift if read else bound)
+        assert abs(r.value - family_reference(f, z)) <= r.tail_bound, (factor, r)
+
+
+def test_one_ulp_default_points_are_read_at_the_whole_turn():
+    # each point's drift is within its head's charge: the head is read at
+    # its first term's phase, its bound the plan's plus D, and stays above
+    # tol.  test_reference's audit holds each against the 40-digit series
+    for code, order, z in ONE_ULP_POINTS:
+        f = fam(code, order)
+        s = oracle._series(f, z)
+        assert 0 < shape_delta(f, z) < 1e-15
+        _, n, bound = oracle._plan(s.c, s.p, 1e-8)
+        drift = oracle._drift(s, n)
+        assert n == oracle._CAP_P2 and drift <= oracle._head_charge(s.c, s.p, n)
+        r = oracle_eval(f, z, 1e-8, strict=False)
+        assert (r.terms_used, r.tail_bound) == (n, bound + drift), (code, z)
+        assert r.tail_bound > 1e-8
 
 
 @pytest.mark.parametrize("order", [309, 310, 400, 1000])

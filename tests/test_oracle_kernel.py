@@ -349,27 +349,18 @@ def assert_block_sum_within_bound(f, zf, k_lo, k_hi):
     assert err <= bound, (f.code, f.order, zf, k_lo, k_hi, err, bound)
 
 
-def fresh_cache(monkeypatch, name, function=None):
-    """oracle's lru_cache name, while the patch holds, an empty one of the
-    same size around function, by default the one it caches."""
+def fresh_cache(monkeypatch, name, size=None):
+    """oracle's lru_cache name, while the patch holds, an empty one around
+    the function it caches, of its size unless size is given."""
     cached = getattr(oracle, name)
-    size = cached.cache_info().maxsize
-    monkeypatch.setattr(oracle, name, functools.lru_cache(size)(function or cached.__wrapped__))
-
-
-def fresh_plan_caches(monkeypatch):
-    """Empty block plan, t power and weight sum caches while the patch
-    holds, so that each block sum's plan and each resonant sum of weights
-    is built, and those built under a patched _BLOCK go with the patch."""
-    fresh_cache(monkeypatch, "_block_plan")
-    fresh_cache(monkeypatch, "_t_powers")
-    fresh_cache(monkeypatch, "_weight_sum")
+    size = size or cached.cache_info().maxsize
+    monkeypatch.setattr(oracle, name, functools.lru_cache(size)(cached.__wrapped__))
 
 
 def recording_cuts(monkeypatch):
     """A list that gets (rows of out, largest base) for each _power_rows
-    call from here on, on empty plan caches: a block sum makes its calls
-    only when it builds its plan."""
+    call from here on: a block sum with far rows makes one for its t
+    powers, then one for each block's powers of x."""
     cuts, power_rows = [], oracle._power_rows
 
     def recording(base, out):
@@ -377,7 +368,6 @@ def recording_cuts(monkeypatch):
         return power_rows(base, out)
 
     monkeypatch.setattr(oracle, "_power_rows", recording)
-    fresh_plan_caches(monkeypatch)
     return cuts
 
 
@@ -413,7 +403,9 @@ def test_block_sum_within_its_bound_at_every_code(code, monkeypatch):
                 (1000, 1147),
             ):
                 with monkeypatch.context() as m:
+                    # sums of weights built under the patched _BLOCK go with it
                     m.setattr(oracle, "_BLOCK", 2 * math.isqrt(hi - lo))
+                    fresh_cache(m, "_weight_sum")
                     cuts = recording_cuts(m)
                     assert_block_sum_within_bound(f, zf, lo, hi)
                     far_block_cuts(f, cuts)
@@ -493,11 +485,10 @@ def test_subnormal_terms_match_40_digit_terms_with_no_warning():
 
 def test_block_sum_allocates_no_array_of_its_terms(monkeypatch):
     # 10**6 terms would take 8 MB as an array.  At z = 0.5, a whole-turn
-    # step, the sum of weights builds pieces of _BLOCK weights; at 0.3 the
-    # block sum's plan, built on the first call, holds its weights and
-    # far-row powers, some 10,000 and 20,000 of them, and each call tables
-    # of about n/w entries
-    fresh_plan_caches(monkeypatch)
+    # step, the sum of weights builds pieces of _BLOCK weights, once; at
+    # 0.3 each block sum builds blocks of at most _BLOCK weights or far-row
+    # powers, and tables of about n/w entries
+    fresh_cache(monkeypatch, "_weight_sum")
     for z in (0.5, 0.3):
         for code, order in (("C", 1), ("S", 3)):
             f = SumFamily.from_code(code, order)
@@ -512,75 +503,21 @@ def test_block_sum_allocates_no_array_of_its_terms(monkeypatch):
                 assert peak < 1_000_000, (code, z, peak)
 
 
-def z_at_step(f, delta):
-    """A z whose phase step is delta turns past a whole turn."""
-    shift = 0.5 if f.alternating else 0.0
-    return (delta - shift) / (2.0 if f.index_kind == "2k+1" and f.modified == "none" else 1.0)
+def fresh_shared_caches(monkeypatch):
+    """Empty caches of two entries each, while the patch holds, for the
+    weight sums, weights and tail differences that calls share."""
+    for name in ("_weight_sum", "_weights", "_differences"):
+        fresh_cache(monkeypatch, name, 2)
 
 
-@pytest.mark.parametrize("code", FAMILY_CODES)
-def test_block_sums_on_cold_and_warm_plans_agree_bit_for_bit(code):
-    # a plan depends on c, d, p and the range alone: a sum that reads the
-    # plan another z built gives the digits of one that builds its own.
-    # At p = 1, 2, 3, 21 and 121 where the code has them; from 4096 terms
-    # to three chunks of 2^20 and 17 more; at z = 0.3, at resonance and
-    # 1e-7 turns off it
-    for order in (0, 1, 10, 60):
-        f = SumFamily.from_code(code, order)
-        if f.power not in (1, 2, 3, 21, 121):
-            continue
-        series = [oracle._series(f, z) for z in (0.3, z_at_step(f, 0.0), z_at_step(f, 1e-7))]
-        assert series[1].step == 0, (code, order)
-        for n in (4096, 50_000, 10**6, 3 * 2**20 + 17):
-            cold = []
-            for s in series:
-                oracle._block_plan.cache_clear()
-                oracle._t_powers.cache_clear()
-                oracle._weight_sum.cache_clear()
-                cold.append(oracle._sum(s, s.k0, s.k0 + n).hex())
-            warm = [oracle._sum(s, s.k0, s.k0 + n).hex() for s in series]
-            assert warm == cold, (code, order, n)
-
-
-def plan_arrays(plan):
-    """Every array a block plan holds."""
-    yield plan.index
-    for _, weights in plan.near:
-        yield weights
-    if plan.far:
-        yield plan.t_powers
-        yield plan.binomial
-    for _, powers, d_end_p in plan.far:
-        yield powers
-        yield d_end_p
-    if plan.rest is not None:
-        yield plan.rest
-
-
-def test_block_plan_arrays_are_read_only(monkeypatch):
-    # threads share the plans, so no caller may write to one: C 1 over
-    # 10^6 + 3 terms from k = 1 has near rows, two blocks of far rows and
-    # a short last row, and S 60 over 20,032 terms near rows alone
-    fresh_plan_caches(monkeypatch)
-    plans = [oracle._block_plan(1, 0, 2, 1, 10**6 + 3), oracle._block_plan(1, 0, 121, 1, 20_032)]
-    assert (len(plans[0].near), len(plans[0].far), plans[0].rest.size) == (1, 2, 67)
-    assert (len(plans[1].near), plans[1].far, plans[1].rest) == (1, (), None)
-    for plan in plans:
-        for a in plan_arrays(plan):
-            for view in (a, a.base) if a.base is not None else (a,):
-                assert not view.flags.writeable
-                with pytest.raises(ValueError):
-                    view.flat[0] = 1.0
-
-
-def test_threads_on_cold_plan_caches_give_the_same_digits(monkeypatch):
-    # four threads, more than the cores, on empty caches of four plans at
-    # most, over seven plans' worth of sums each from its own start, so
-    # that they miss, build and evict the same plans together; a plan is a
-    # pure function and read-only, and every thread reads one thread's
-    # digits
+def test_threads_on_cold_shared_caches_give_the_same_digits(monkeypatch):
+    # four threads, more than the cores, on empty caches of two entries,
+    # over block sums, sums of weights at resonance and reports by parts,
+    # whose heads read weights and whose tails read differences, each from
+    # its own start, so that they miss, build and evict the same entries
+    # together; every thread reads one thread's digits
     work = [
-        (SumFamily.from_code(code, order), z, n)
+        functools.partial(partial_sum, SumFamily.from_code(code, order), z, n)
         for code, order, n in (
             ("C", 1, 10**6),
             ("bC", 1, 10**6),
@@ -589,17 +526,21 @@ def test_threads_on_cold_plan_caches_give_the_same_digits(monkeypatch):
             ("S", 0, 3 * 2**20 + 17),
         )
         for z in (0.3, 0.5)
+    ] + [
+        functools.partial(oracle_eval, SumFamily.from_code(code, order), z, 1e-8)
+        for code, order in (("C", 1), ("bC", 1), ("S", 0), ("Q", 2))
+        for z in (0.3, 0.1)
     ]
-    fresh_plan_caches(monkeypatch)
-    want = list(enumerate(partial_sum(*args).hex() for args in work))
-    fresh_plan_caches(monkeypatch)
+    fresh_shared_caches(monkeypatch)
+    want = list(enumerate(repr(call()) for call in work))
+    fresh_shared_caches(monkeypatch)
     threads, got = 4, {}
     barrier = threading.Barrier(threads)
 
     def run(i):
         barrier.wait(timeout=60)
         turn = list(range(i, len(work))) + list(range(i))
-        got[i] = sorted((j, partial_sum(*work[j]).hex()) for j in turn)
+        got[i] = sorted((j, repr(work[j]())) for j in turn)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -615,23 +556,30 @@ def test_threads_on_cold_plan_caches_give_the_same_digits(monkeypatch):
     assert got == {i: want for i in range(threads)}
 
 
-def test_default_verify_keeps_two_plans_under_1_mb(monkeypatch, capsys):
-    # the 12 capped p = 2 points of the default verify one ulp off
-    # resonance, 10^6 terms of a k or a 2k+1 family, read two plans, built
-    # once each; the 36 at resonance sum their weights alone
-    built, build = [], oracle._block_plan.__wrapped__
+def test_default_verify_makes_no_block_sum(monkeypatch, capsys):
+    # every long head of the default verify is a whole-turn sum or, one
+    # ulp off resonance, read as one, or a pairwise sum of fewer than
+    # _TABLE_MIN terms: no call reaches the block sum.  Its 48 capped
+    # p = 2 points stay capped, their 10^6-term bounds above tol
+    blocks, capped, inner = [], [], oracle._sum
 
-    def recording(*key):
-        built.append(build(*key))
-        return built[-1]
+    def counting(s, k_lo, k_hi):
+        if s.step and oracle._TABLE_MIN <= k_hi - k_lo:
+            blocks.append((s, k_lo, k_hi))
+        return inner(s, k_lo, k_hi)
 
-    fresh_cache(monkeypatch, "_block_plan", recording)
+    def recording(f, z, tol, strict=True):
+        r = oracle_eval(f, z, tol, strict=strict)
+        if r.mode == "absolute" and r.tail_bound > tol:
+            capped.append((f.code, f.order, z, r.terms_used))
+        return r
+
+    monkeypatch.setattr(oracle, "_sum", counting)
+    monkeypatch.setattr(cli, "oracle_eval", recording)
     assert cli.run(["verify"]) == 0
-    capsys.readouterr()
-    info = oracle._block_plan.cache_info()
-    assert (info.hits, info.misses, info.currsize, len(built)) == (10, 2, 2, 2)
-    arrays = {id(a): a for plan in built for a in plan_arrays(plan)}
-    assert sum(a.nbytes for a in arrays.values()) < 1_000_000
+    assert capsys.readouterr().out.endswith("PASS 3507/3507\n")
+    assert blocks == []
+    assert len(capped) == 48 and {n for *_, n in capped} == {1_000_000}
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ calls lerchphi, holds it against the Lerch transcendent.  At orders 0..3
 every family's |eval - ref| stays within its error_bound on a grid and
 +-1e-9, +-1e-6 and 1e-3 from the order-0 lattice points on both sides
 of zero; the audit holds error_bound and the oracle's tail_bound at
-1548 points, every code at ten orders from 0 to 120.
+1560 points, every code at ten orders from 0 to 120 and the twelve
+default verify points one ulp off a p = 2 resonance.
 
 Li_a itself is checked the same way on the unit circle, against
 mpmath's polylog, for orders 1..24 and three high orders up to the cap:
@@ -33,7 +34,7 @@ from englert_sums import (
     singular_points,
 )
 from englert_sums.polylog import _TWO_PI, _TWO_PI_BITS, _zeta_odd
-from reference40 import audit, family_reference, held
+from reference40 import ONE_ULP_POINTS, audit, family_reference, held
 
 
 GRID = (-1.3, 0.15, 2.35)
@@ -109,7 +110,7 @@ def test_every_bound_holds_against_the_reference():
         for order in (0, 1, 2, 3, 8, 9, 13, 30, 60, 120)
         if is_supported(SumFamily.from_code(code, order))
         for z in (0.3, -1.3, *(a + d for d in (1e-9, -1e-6) for a in anchors(code)))
-    ]
+    ] + ONE_ULP_POINTS
     unconverged = audit(points)[2]
     # the averaged p = 0 reports next to a pole, where 1600 terms cannot
     # damp the oscillation: their envelopes are no bound, so the audit
@@ -118,7 +119,7 @@ def test_every_bound_holds_against_the_reference():
         (c, n, z) for c, n, z in points
         if c in ("Sp", "tSp", "tC") and n == 0 and z not in (0.3, -1.3)
     ]
-    assert len(points) == 1548 and len(poles) == 12
+    assert len(points) == 1560 and len(poles) == 12
     assert [u[:3] for u in unconverged] == poles
 
 

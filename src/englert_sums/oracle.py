@@ -132,6 +132,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,8 +166,9 @@ _WINDOW = 1600
 _PARTS = 12
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
+    """A named tuple: it unpacks and has _replace, not dataclasses.replace/asdict/fields."""
+
     value: float
     terms_used: int
     tail_bound: float

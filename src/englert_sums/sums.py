@@ -121,8 +121,9 @@ class SumFamily:
         return 0 if self.index_kind == "2k+1" else 1
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
+    """A named tuple: it unpacks and has _replace, not dataclasses.replace/asdict/fields."""
+
     value: float
     path: str  # polynomial | elementary | polylog
     error_bound: float
@@ -165,9 +166,10 @@ class SingularSet:
         is and whatever the offset and period.  A non-finite z raises
         DomainError.
         """
-        m, q = _finite_z(z).as_integer_ratio()
+        zf = _finite_z(z)
         if self.kind == "none":
             return math.inf
+        m, q = zf.as_integer_ratio()
         a, b = self.offset.as_integer_ratio()
         c, d = self.period.as_integer_ratio()
         # over the common denominator q b d: z - offset, and the period,

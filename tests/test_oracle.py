@@ -10,6 +10,7 @@ sums, which no family value checks.
 
 import collections
 import math
+import pickle
 import subprocess
 import sys
 import threading
@@ -114,6 +115,22 @@ def test_oracle_eval_on_two_threads_gives_the_sequential_reports():
         ("absolute", 1_000_000),
         ("averaged-conditional", 1600),
     ]
+
+
+def test_oracle_report_is_a_named_tuple():
+    r = oracle_eval(fam("S", 3), 0.3, 1e-8)
+    assert r._fields == ("value", "terms_used", "tail_bound", "mode")
+    value, terms_used, tail_bound, mode = r
+    assert r == (value, 5, tail_bound, "absolute")
+    with pytest.raises(AttributeError):
+        r.mode = "averaged-conditional"
+    assert hash(r) == hash(oracle_eval(fam("S", 3), 0.3, 1e-8))
+    for copy in (pickle.loads(pickle.dumps(r)), r._replace(mode=mode)):
+        assert type(copy) is oracle.OracleReport and copy == r
+    assert repr(r) == (
+        f"OracleReport(value={value!r}, terms_used=5, tail_bound={tail_bound!r}, "
+        "mode='absolute')"
+    )
 
 
 def test_absolute_mode_for_fast_series():

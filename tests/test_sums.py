@@ -7,6 +7,7 @@ written down here.
 
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -514,6 +515,22 @@ def test_code_is_resolved_once_and_read_only():
     assert [x.name for x in dataclasses.fields(f)][-1] == "order"
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.code = "S"
+
+
+def test_eval_result_is_a_named_tuple():
+    r = eval_family(SumFamily.from_code("C", 2), F(1, 4))
+    assert r._fields == ("value", "path", "error_bound")
+    value, path, error_bound = r
+    assert r == (-0.0006076388888888889, "polynomial", error_bound)
+    with pytest.raises(AttributeError):
+        r.value = 0.0
+    assert hash(r) == hash(eval_family(SumFamily.from_code("C", 2), 0.25))
+    for copy in (pickle.loads(pickle.dumps(r)), r._replace(path=path)):
+        assert type(copy) is sums.EvalResult and copy == r
+    assert repr(r) == (
+        "EvalResult(value=-0.0006076388888888889, path='polynomial', "
+        f"error_bound={error_bound!r})"
+    )
 
 
 def turns_battery():

@@ -277,9 +277,16 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
     return sign * v, "polylog", raw / s + _EPS * (1.0 + abs(v))
 
 
-def _drift(zf):
-    # first-order input uncertainty of pi*z style arguments
-    return _EPS * (1.0 + abs(zf)) * math.pi
+# _cis_pi(t) reduces t exactly to pi*r about a multiple of pi/2, |r| <= 1/4,
+# and rounds only that product: math.pi is within 1.23e-16 of pi, the product
+# rounds by 2^-54, so it reads t off by (0.25 * 1.23e-16 + 2^-54)/pi < _DZ.
+_DZ = 2.8e-17
+
+
+def _form(v, slope, dz=_DZ):
+    """(v, error_bound): |dv/dz| times the error dz of the z read, and 2 _EPS
+    (1 + |v|) for the rounding of the form and of math's cos, sin and log."""
+    return v, slope * dz + 2.0 * _EPS * (1.0 + abs(v))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +296,13 @@ def _drift(zf):
 def _sp0(zf):
     e = _cis_pi(zf)
     v = -e.imag / (2.0 * e.real)
-    eb = 0.5 * (1.0 + 4.0 * v * v) * _drift(zf) + 2.0 * _EPS * (1.0 + abs(v))
-    return v, eb
+    return _form(v, 0.5 * math.pi * (1.0 + 4.0 * v * v))
 
 
 def _cp0(zf):
     e = _cis_pi(zf)
     v = -math.log(2.0 * abs(e.real)) / math.pi
-    slope = abs(e.imag / e.real)
-    return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
+    return _form(v, abs(e.imag / e.real))
 
 
 def _tc0(zf):
@@ -307,26 +312,21 @@ def _tc0(zf):
 def _tsp0(zf):
     e = _cis_pi(zf)
     v = e.real / (2.0 * e.imag)
-    eb = 0.5 * (1.0 + 4.0 * v * v) * _drift(zf) + 2.0 * _EPS * (1.0 + abs(v))
-    return v, eb
+    return _form(v, 0.5 * math.pi * (1.0 + 4.0 * v * v))
 
 
 def _tcp0(zf):
     e = _cis_pi(zf)
     v = -math.log(2.0 * abs(e.imag)) / math.pi
-    slope = abs(e.real / e.imag)
-    return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
+    return _form(v, abs(e.real / e.imag))
 
 
 def _bs0(zf):
-    # log|tan(pi z + pi/4)| / (2 pi); derivative is 1/cos(2 pi z).  The
-    # quarter is added to z reduced mod 2, where no bit of it is lost, and
-    # the slope reads 2 z reduced mod 2, since 2 z overflows past 8.98e307.
-    u = math.fmod(zf, 2.0) + 0.25
-    e = _cis_pi(u)
+    # log|tan(pi z + pi/4)| / (2 pi), of slope 0.5/|cos sin| at the angle read;
+    # z mod 2 keeps the quarter, but the sum rounds by up to 2^-52 below 2.25
+    e = _cis_pi(math.fmod(zf, 2.0) + 0.25)
     v = (math.log(abs(e.imag)) - math.log(abs(e.real))) / (2.0 * math.pi)
-    slope = abs(1.0 / _cis_pi(2.0 * math.fmod(zf, 1.0)).real)
-    return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
+    return _form(v, 0.5 / abs(e.real * e.imag), _DZ + 2.0**-52)
 
 
 def _bcp0(zf):
@@ -338,11 +338,10 @@ def _tbs0(zf):
 
 
 def _tbcp0(zf):
-    # log|cot(pi z)| / (2 pi); derivative is -1/sin(2 pi z)
+    # log|cot(pi z)| / (2 pi), of slope 1/|sin(2 pi z)| = 0.5/|cos sin|
     e = _cis_pi(zf)
     v = (math.log(abs(e.real)) - math.log(abs(e.imag))) / (2.0 * math.pi)
-    slope = abs(1.0 / _cis_pi(2.0 * zf).imag)
-    return v, slope * _drift(zf) / math.pi + 2.0 * _EPS * (1.0 + abs(v))
+    return _form(v, 0.5 / abs(e.real * e.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +453,11 @@ def _pq_reduction(route, n, zf):
     v1, path1, e1 = _route(first, n, half)
     v2, path2, e2 = _route(second, n, half)
     e = _cis_pi(zf)
-    if sign > 0:
-        w1, w2 = e.imag, e.real
-    else:
-        w1, w2 = e.real, -e.imag
+    w1, w2 = (e.imag, e.real) if sign > 0 else (e.real, -e.imag)
     v = w1 * v1 + w2 * v2
-    eb = (
-        abs(w1) * e1
-        + abs(w2) * e2
-        + _drift(zf) * (abs(v1) + abs(v2))
-        + 2.0 * _EPS * (1.0 + abs(v))
-    )
+    # each w is within pi*_DZ + 2^-53 < _EPS of its cos or sin, w*v rounds by
+    # 2^-53|v|: the 2 _EPS floor alone covers that at n >= 1, where |v_i| <= 1/8
+    eb = abs(w1) * e1 + abs(w2) * e2 + 2.0 * _EPS * (1.0 + abs(v) + abs(v1) + abs(v2))
     path = "polylog" if "polylog" in (path1, path2) else path1
     return v, path, eb
 
@@ -526,7 +519,10 @@ def eval_via_relation(f, z):
     shifts with their twins; modified families always use the sin/cos
     reduction.  Families whose partner has no evaluator (tC at order 0
     needs the unsupported order-0 alternating cosine) raise
-    UnsupportedOrderError.
+    UnsupportedOrderError.  z + shift rounds by up to half an ulp h, which
+    grows with |z|: the bound adds h times the partner's slope, taken as its
+    bound over _DZ (each order-0 form charges its slope times _DZ), and
+    pi*_EPS*(1 + |z|), which covers the gentler slopes of the other parts.
     """
     zf = _checked_z(f, z)
     code, n = f.code, f.order
@@ -540,5 +536,7 @@ def eval_via_relation(f, z):
             f"family {code} order {n} has no relation route: its partner "
             f"{target_code} is unsupported at order {n}"
         )
-    result = eval(target, zf + shift)
-    return EvalResult(result.value, result.path, result.error_bound + _drift(zf))
+    s = zf + shift
+    r = eval(target, s)
+    rounding = r.error_bound / _DZ * 0.5 * math.ulp(s) + _EPS * (1.0 + abs(zf)) * math.pi
+    return EvalResult(r.value, r.path, r.error_bound + rounding)

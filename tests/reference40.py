@@ -18,6 +18,7 @@ needs.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 
@@ -43,10 +44,19 @@ def chi(p, w):
 
 
 def family_reference(f, z):
-    """The sum of f's defining series at z, to 40 digits."""
+    """The sum of f's defining series at z, to 40 digits.
+
+    Every family has period 1 in z, so z is first reduced mod 1 exactly,
+    by math.fmod for a float and in rationals otherwise: past 2^130 the
+    q = 1/2 added at 40 digits would be lost.
+    """
     p = f.power
     with mpmath.workdps(40):
-        zm = mpmath.mpf(z)
+        if isinstance(z, float):
+            zm = mpmath.mpf(math.fmod(z, 1.0))
+        else:
+            r = Fraction(z) % 1
+            zm = mpmath.mpf(r.numerator) / r.denominator
         q = mpmath.mpf(1) / 2 if f.alternating else 0
         if f.index_kind == "k":
             s = mpmath.polylog(p, mpmath.expjpi(2 * (zm + q)))

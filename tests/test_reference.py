@@ -33,6 +33,7 @@ from englert_sums import (
     li_on_circle,
     singular_points,
 )
+from englert_sums.errors import JumpPointError, SingularPointError
 from englert_sums.polylog import _TWO_PI, _TWO_PI_BITS, _zeta_odd
 from reference40 import ONE_ULP_POINTS, audit, family_reference, held
 
@@ -121,6 +122,37 @@ def test_every_bound_holds_against_the_reference():
     ]
     assert len(points) == 1560 and len(poles) == 12
     assert [u[:3] for u in unconverged] == poles
+
+
+def test_the_reference_reads_z_by_its_period():
+    # past 2^130 the q = 1/2 added to z at 40 digits would be lost: Q 1
+    # read 3.2e-2 off at 1e300
+    for code in FAMILY_CODES:
+        f = SumFamily.from_code(code, 1)
+        for z in (1e300, -1e300, 1e100):
+            assert family_reference(f, z) == family_reference(f, 0.0), (code, z)
+        huge = Fraction(4 * 10**300 + 1, 4)
+        assert family_reference(f, huge) == family_reference(f, 0.25), code
+
+
+def test_huge_z_bounds_hold_against_the_reference():
+    # the order-0 forms and the P/Q reductions read z exactly, so their
+    # bounds at huge z are those of small z and must hold there too; on a
+    # code's lattice, where integers and half-integers often sit, the
+    # typed error is what is held
+    for code in FAMILY_CODES:
+        for order in (0, 1, 2, 3, 8) if code in PQ_CODES else (0,):
+            f = SumFamily.from_code(code, order)
+            if not is_supported(f):
+                continue
+            s = singular_points(f)
+            for z in (2.0**52 + 0.5, 1e15 + 0.3, 2.0**60, 1e300, -1e300):
+                if s.contains(z, 1e-12):
+                    with pytest.raises(JumpPointError if s.kind == "jump" else SingularPointError):
+                        eval_family(f, z)
+                    continue
+                r = eval_family(f, z)
+                held(f, z, r.value, r.error_bound, family_reference(f, z))
 
 
 LI_ORDERS = tuple(range(2, 25)) + (41, 100, 241)

@@ -27,6 +27,7 @@ from englert_sums import (
 from englert_sums.errors import (
     CapacityError,
     DomainError,
+    EnglertSumsError,
     JumpPointError,
     SingularPointError,
     UnsupportedOrderError,
@@ -373,9 +374,33 @@ def test_the_gate_reads_no_lattice_above_order_zero(monkeypatch):
 )
 def test_order_zero_forms_read_huge_z_by_its_period(code, big, small):
     # adding 1/4 or 1/2 to such z in floats would round it onto the lattice
-    r = ev(code, 0, big)
-    assert r.value == ev(code, 0, small).value
-    assert math.isfinite(r.error_bound)
+    f = SumFamily.from_code(code, 0)
+    assert outcome(f, big) == outcome(f, small)
+
+
+HUGE_Z = (
+    2.0**52 + 0.5, 1e15 + 0.3, -1e15 - 0.375, 2.0**60, 1e300, -1e300, 8.99e307, -1.7e308
+)
+
+
+def outcome(f, z):
+    """eval_family's value, path and bound in hex, or its typed error's class."""
+    try:
+        r = eval_family(f, z)
+    except EnglertSumsError as e:
+        return type(e)
+    return r.value.hex(), r.path, r.error_bound.hex()
+
+
+@pytest.mark.parametrize("code", FAMILY_CODES)
+def test_every_code_reads_huge_z_by_its_period(code):
+    # every form reads z exactly, mod 4 at most (the modified ones at z/2),
+    # so neither value nor bound grows with |z|, and a huge z on a lattice
+    # raises what its residue does: the audits at small z cover every z
+    for n in (0, 1, 2, 3, 8):
+        f = SumFamily.from_code(code, n)
+        for z in HUGE_Z:
+            assert outcome(f, z) == outcome(f, math.fmod(z, 4.0)), (n, z)
 
 
 def test_higher_orders_clear_the_lattice():
@@ -630,8 +655,7 @@ def test_order_zero_modified_families_hold_their_bound(code):
         r = eval_family(f, z)
         err = abs(r.value - family_reference(f, z))
         assert err <= r.error_bound, (code, z, float(err), r.error_bound)
-        if z not in huge:  # there the drift of z alone sets the bound
-            worst = max(worst, r.error_bound)
+        worst = max(worst, r.error_bound)
     if lattice.kind == "jump":
         # next to the jumps of P and tP one half of the reduction has a log
         # point, damped by its own prefactor; Qp and tQp are log-singular
@@ -654,3 +678,15 @@ def test_p0_bound_weights_each_half_by_its_own_prefactor():
 def test_bs0_reads_huge_z_without_overflow(z):
     r = eval_family(SumFamily.from_code("bS", 0), z)
     assert math.isfinite(r.value) and math.isfinite(r.error_bound)
+
+
+@pytest.mark.parametrize("z", [1.7500001, 1.750000003, 0.7500001, 0.750000001])
+def test_bs0_charges_the_rounding_of_its_quarter_shift(z):
+    # above 3/4 and 7/4, log points of bS, fmod(z, 2) + 1/4 crosses a power
+    # of two and rounds by up to 2^-53 and 2^-52, four and eight times
+    # _cis_pi's own error: there that rounding is most of the error
+    u = math.fmod(z, 2.0) + 0.25
+    assert u - 0.25 != z
+    f = SumFamily.from_code("bS", 0)
+    r = eval_family(f, z)
+    assert abs(r.value - family_reference(f, z)) <= r.error_bound

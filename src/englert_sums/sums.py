@@ -30,11 +30,15 @@ cot(pi z)/2.
 
 Each code has one row in the family table _FAMILIES: its structural
 fields, its route for orders n >= 1, its order-0 form, its order-0
-singular lattice and its eval_via_relation partner.
+singular lattice and its eval_via_relation partner.  A route resolves
+once per (code, order) into a cached reader of z (see _reader), which
+looks up eval_poly and li_on_circle here at each call, so a tracer or a
+test that replaces either name reaches every later call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -226,20 +230,14 @@ _EXACT_EPS = 1e-12
 
 
 def _turn_ints(zf, k):
-    """(num, den): zf + k/4 reduced to [0, 1) as num/den, built in integers
-    from the float's integer ratio."""
+    """(num, den): zf + k/4 reduced to [0, 1) as num/den, from zf's integer ratio."""
     m, q = zf.as_integer_ratio()
     q4 = 4 * q
     return (4 * m + k * q) % q4, q4
 
 
-def _turns(zf, k):
-    """zf + k/4 reduced to [0, 1), one exact Fraction."""
-    return Fraction(*_turn_ints(zf, k))
-
-
-def _part(n, zf, kind, a, b=None, sign=1.0):
-    """(value, path, error_bound) of one k-family part of order n.
+def _part_reader(n, kind, a, b=None, sign=1.0):
+    """The reader zf -> (value, path, error_bound) of one k-family part.
 
     The part is read at z + a/4, or, when b is given, as sign times half
     the difference of its reads at z + a/4 and at z + b/4, each taken
@@ -254,9 +252,14 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
     polylog._clausen_at).
     """
     if kind in ("C", "S"):
-        # the exact value, correctly rounded
-        v = eval_poly(_table_read(kind, n, a, b), zf)
-        return sign * v, "polynomial", _EPS * (1.0 + abs(v))
+        table = _table_read(kind, n, a, b)
+
+        def read(zf):
+            # the exact value, correctly rounded
+            v = sign * eval_poly(table, zf)
+            return v, "polynomial", _EPS * (1.0 + abs(v))
+
+        return read
     if n > MAX_ORDER:
         # the family order's cap, which the polynomial tables check
         # themselves; li_on_circle would name the polylog order, and the
@@ -264,17 +267,20 @@ def _part(n, zf, kind, a, b=None, sign=1.0):
         raise CapacityError(f"order {n} exceeds the supported cap {MAX_ORDER}")
     order = 2 * n if kind == "im" else 2 * n + 1
     s = math.pi**order
-    if b is None:
-        # the part is the Clausen component of Li_order, which the order's
-        # parity selects; the exact polynomial of the other is never built
-        la = li_on_circle(order, UnitCirclePoint(_turns(zf, a)))
-        v = la.clausen / s
-        raw = la.clausen_bound
-    else:
-        num, den = _turn_ints(zf, a)
-        h, raw = _clausen_at(order, num, den, True)
-        v = h / s
-    return sign * v, "polylog", raw / s + _EPS * (1.0 + abs(v))
+
+    def read(zf):
+        if b is None:
+            # the part is the Clausen component of Li_order, which the order's
+            # parity selects; the exact polynomial of the other is never built
+            la = li_on_circle(order, UnitCirclePoint(Fraction(*_turn_ints(zf, a))))
+            h, raw = la.clausen, la.clausen_bound
+        else:
+            num, den = _turn_ints(zf, a)
+            h, raw = _clausen_at(order, num, den, True)
+        v = sign * (h / s)
+        return v, "polylog", raw / s + _EPS * (1.0 + abs(v))
+
+    return read
 
 
 # _cis_pi(t) reduces t exactly to pi*r about a multiple of pi/2, |r| <= 1/4,
@@ -284,13 +290,13 @@ _DZ = 2.8e-17
 
 
 def _form(v, slope, dz=_DZ):
-    """(v, error_bound): |dv/dz| times the error dz of the z read, and 2 _EPS
-    (1 + |v|) for the rounding of the form and of math's cos, sin and log."""
-    return v, slope * dz + 2.0 * _EPS * (1.0 + abs(v))
+    """(v, "elementary", bound): |dv/dz| times the error dz of the z read, and
+    2 _EPS (1 + |v|) for the rounding of the form and of math's cos, sin, log."""
+    return v, "elementary", slope * dz + 2.0 * _EPS * (1.0 + abs(v))
 
 
 # ---------------------------------------------------------------------------
-# order-0 elementary forms: zf -> (value, error_bound)
+# order-0 elementary forms, their families' readers at order 0
 
 
 def _sp0(zf):
@@ -306,7 +312,7 @@ def _cp0(zf):
 
 
 def _tc0(zf):
-    return -0.5, 0.0
+    return -0.5, "elementary", 0.0
 
 
 def _tsp0(zf):
@@ -330,11 +336,11 @@ def _bs0(zf):
 
 
 def _bcp0(zf):
-    return 0.25 * (-1.0) ** math.floor(2.0 * math.fmod(zf, 1.0) + 0.5), 0.0
+    return 0.25 * (-1.0) ** math.floor(2.0 * math.fmod(zf, 1.0) + 0.5), "elementary", 0.0
 
 
 def _tbs0(zf):
-    return 0.25 * (-1.0) ** math.floor(2.0 * zf), 0.0
+    return 0.25 * (-1.0) ** math.floor(2.0 * zf), "elementary", 0.0
 
 
 def _tbcp0(zf):
@@ -350,7 +356,7 @@ def _tbcp0(zf):
 
 class _Family(NamedTuple):
     fields: tuple  # index_kind, alternating, trig, power_parity, modified
-    route: tuple  # order n >= 1, see _route
+    route: tuple  # order n >= 1, see _reader
     # order 0: None (no value), an elementary form, or _SAME; every
     # modified family with an order-0 value takes _SAME, its reduction
     at0: object
@@ -365,9 +371,9 @@ def _lat(kind, offset, period):
     return SingularSet(kind, Fraction(offset), Fraction(period))
 
 
-# Routes: the k families read one part (see _part) at z + q/4, the 2k+1
-# families take half the difference of two reads of one part, and the
-# modified families pair two 2k+1 families at z/2 (see _pq_reduction).
+# Routes: the k families read one part (see _part_reader) at z + q/4, the
+# 2k+1 families take half the difference of two reads of one part, and the
+# modified families pair two 2k+1 families at z/2 (see _reader).
 # Alternating k families and their non-alternating twins trade half
 # shifts in eval_via_relation, the 2k+1 families quarter shifts.
 _FAMILIES = {
@@ -430,36 +436,34 @@ _CODE_BY_FIELDS = {row.fields: code for code, row in _FAMILIES.items()}
 # dispatch
 
 
-def _route(code, n, zf):
-    """(value, path, error_bound) of the family `code` at order n."""
+@functools.cache
+def _reader(code, n):
+    """zf -> (value, path, error_bound) of `code` at order n, built once from
+    what depends on (code, n) alone; a build that raises caches nothing.
+    A modified family pairs two 2k+1 readers at z/2, route = (first, second, sign):
+    P-type, sign < 0:  cos(pi z) * first(z/2) - sin(pi z) * second(z/2)
+    Q-type, sign > 0:  sin(pi z) * first(z/2) + cos(pi z) * second(z/2)
+    """
     row = _FAMILIES[code]
     if n == 0 and row.at0 is not _SAME:
-        v, eb = row.at0(zf)
-        return v, "elementary", eb
-    if row.fields[4] == "PQ":  # modified
-        return _pq_reduction(row.route, n, zf)
-    return _part(n, zf, *row.route)
+        return row.at0
+    if row.fields[4] != "PQ":
+        return _part_reader(n, *row.route)
+    first, second, sign = row.route
+    read1, read2 = _reader(first, n), _reader(second, n)
 
+    def read(zf):
+        v1, path1, e1 = read1(0.5 * zf)
+        v2, path2, e2 = read2(0.5 * zf)
+        e = _cis_pi(zf)
+        w1, w2 = (e.imag, e.real) if sign > 0 else (e.real, -e.imag)
+        v = w1 * v1 + w2 * v2
+        # each w is within pi*_DZ + 2^-53 < _EPS of its cos or sin, w*v rounds by
+        # 2^-53|v|: the 2 _EPS floor alone covers that at n >= 1, where |v_i| <= 1/8
+        eb = abs(w1) * e1 + abs(w2) * e2 + 2.0 * _EPS * (1.0 + abs(v) + abs(v1) + abs(v2))
+        return v, "polylog" if "polylog" in (path1, path2) else path1, eb
 
-def _pq_reduction(route, n, zf):
-    """Modified families as sin/cos prefactor combinations at z/2.
-
-    route = (first, second, sign); sign < 0 is P-type, sign > 0 Q-type:
-    P-type:  cos(pi z) * first(z/2) - sin(pi z) * second(z/2)
-    Q-type:  sin(pi z) * first(z/2) + cos(pi z) * second(z/2)
-    """
-    first, second, sign = route
-    half = 0.5 * zf
-    v1, path1, e1 = _route(first, n, half)
-    v2, path2, e2 = _route(second, n, half)
-    e = _cis_pi(zf)
-    w1, w2 = (e.imag, e.real) if sign > 0 else (e.real, -e.imag)
-    v = w1 * v1 + w2 * v2
-    # each w is within pi*_DZ + 2^-53 < _EPS of its cos or sin, w*v rounds by
-    # 2^-53|v|: the 2 _EPS floor alone covers that at n >= 1, where |v_i| <= 1/8
-    eb = abs(w1) * e1 + abs(w2) * e2 + 2.0 * _EPS * (1.0 + abs(v) + abs(v1) + abs(v2))
-    path = "polylog" if "polylog" in (path1, path2) else path1
-    return v, path, eb
+    return read
 
 
 def _checked_z(f, z):
@@ -480,13 +484,11 @@ def _checked_z(f, z):
             )
         s = row.lattice
         if s.contains(zf, _EXACT_EPS):
-            msg = (
+            error = JumpPointError if s.kind == "jump" else SingularPointError
+            raise error(
                 f"family {f.code} order 0 is singular on the lattice "
                 f"{s.offset} + {s.period}*Z ({s.kind}); got z={zf!r}"
             )
-            if s.kind == "jump":
-                raise JumpPointError(msg)
-            raise SingularPointError(msg)
     return zf
 
 
@@ -503,7 +505,7 @@ def eval(f, z):
     reported value.  An order above MAX_ORDER raises CapacityError.
     """
     zf = _checked_z(f, z)
-    return EvalResult(*_route(f.code, f.order, zf))
+    return tuple.__new__(EvalResult, _reader(f.code, f.order)(zf))
 
 
 # the module intentionally names its entry point `eval`; keep an alias so
@@ -521,15 +523,15 @@ def eval_via_relation(f, z):
     needs the unsupported order-0 alternating cosine) raise
     UnsupportedOrderError.  z + shift rounds by up to half an ulp h, which
     grows with |z|: the bound adds h times the partner's slope, taken as its
-    bound over _DZ (each order-0 form charges its slope times _DZ), and
-    pi*_EPS*(1 + |z|), which covers the gentler slopes of the other parts.
+    bound over _DZ (each order-0 form charges its slope times _DZ), the
+    integral over h of the log slope of an order-1 Im part (Sp, tSp, bC and
+    tbSp), and pi*_EPS*(1 + |z|), which covers the gentler slopes of the rest.
     """
     zf = _checked_z(f, z)
     code, n = f.code, f.order
-    row = _FAMILIES[code]
     if f.modified == "PQ":
-        return EvalResult(*_pq_reduction(row.route, n, zf))
-    target_code, shift = row.partner
+        return eval(f, zf)
+    target_code, shift = _FAMILIES[code].partner
     target = SumFamily.from_code(target_code, n)
     if not is_supported(target):
         raise UnsupportedOrderError(
@@ -538,5 +540,10 @@ def eval_via_relation(f, z):
         )
     s = zf + shift
     r = eval(target, s)
-    rounding = r.error_bound / _DZ * 0.5 * math.ulp(s) + _EPS * (1.0 + abs(zf)) * math.pi
+    u = math.ulp(s)
+    rounding = r.error_bound / _DZ * 0.5 * u + _EPS * (1.0 + abs(zf)) * math.pi
+    if n == 1 and _FAMILIES[target_code].route[0] == "im":
+        # Im Li_2 and Im chi_2 over pi^2 have slope <= (2/pi) log(1/(2 pi d)) at d
+        # from a log point: over h = u/2 at most h (2/pi)(1 + log(1/(2 pi h)))
+        rounding += u / math.pi * (1.0 + max(0.0, -math.log(math.pi * u)))
     return EvalResult(r.value, r.path, r.error_bound + rounding)

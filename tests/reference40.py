@@ -12,9 +12,9 @@ family alternates, else 0:
 Legendre's chi_p(w) = (Li_p(w) - Li_p(-w))/2 sums w^(2k+1)/(2k+1)^p, so
 sum_k u^k/(2k+1)^p is chi_p(w)/w with w^2 = u, even in w; at p = 0,
 Li_0(u) = u/(1 - u) is the Abel value.  Only SumFamily's fields enter.
-1e-9 from a p = 0 pole w's 40 digits keep some 24 of the value, so each
-bound is held with NOISE * pi^-p to spare, which only tC 0's exact 0
-needs.
+At p = 0 the working precision grows by the digits 1 - u cancels next to
+a pole, so the value keeps its 40.  Each bound is held with
+NOISE * pi^-p to spare, which only tC 0's exact 0 needs.
 """
 
 import math
@@ -48,15 +48,20 @@ def family_reference(f, z):
 
     Every family has period 1 in z, so z is first reduced mod 1 exactly,
     by math.fmod for a float and in rationals otherwise: past 2^130 the
-    q = 1/2 added at 40 digits would be lost.
+    q = 1/2 added at 40 digits would be lost.  At p = 0, 1 - u cancels
+    the digits of the distance d of u's turns to an integer, and the
+    working precision grows by them.
     """
     p = f.power
-    with mpmath.workdps(40):
-        if isinstance(z, float):
-            zm = mpmath.mpf(math.fmod(z, 1.0))
-        else:
-            r = Fraction(z) % 1
-            zm = mpmath.mpf(r.numerator) / r.denominator
+    r = Fraction(math.fmod(z, 1.0)) if isinstance(z, float) else Fraction(z) % 1
+    doubled = f.index_kind == "2k+1" and f.modified == "none"
+    # the turns of u, which is w^2 for the 2k+1 and modified families
+    x = (2 * r if doubled else r) + (Fraction(1, 2) if f.alternating else 0)
+    d = abs(x - round(x))
+    # 2^(bits + 1) >= 1/d, and log10(2) < 0.302
+    extra = math.ceil(0.302 * (d.denominator.bit_length() - d.numerator.bit_length() + 1))
+    with mpmath.workdps(40 + (extra if p == 0 and d else 0)):
+        zm = mpmath.mpf(r.numerator) / r.denominator
         q = mpmath.mpf(1) / 2 if f.alternating else 0
         if f.index_kind == "k":
             s = mpmath.polylog(p, mpmath.expjpi(2 * (zm + q)))

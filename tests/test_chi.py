@@ -69,7 +69,7 @@ CHI_TURNS = (
 @pytest.mark.parametrize("a", CHI_COMPONENT_ORDERS)
 def test_chi_component_holds_its_bound_before_the_pi_scaling(a):
     # the series itself, unscaled by pi^-a, at tr = turns rounded once; a
-    # quarter turn is read too, although _part takes odd orders' exact 0
+    # quarter turn is read too, although sums takes odd orders' exact 0
     # there instead
     for t in CHI_TURNS:
         value, bound = _clausen(a, t.numerator / t.denominator, True)

@@ -41,19 +41,23 @@ def _table(kind, n):
     return poly_C(n) if kind == "C" else poly_S(n)
 
 
-def two_read_part(n, zf, kind, a, b=None, sign=1.0):
-    """sums._part with every polynomial part taken as two exact reads."""
+def two_read_part_reader(n, kind, a, b=None, sign=1.0):
+    """sums._part_reader with every polynomial part taken as two exact reads."""
     if kind not in ("C", "S"):
-        return REAL_PART(n, zf, kind, a, b, sign)
+        return REAL_PART_READER(n, kind, a, b, sign)
     p = _table(kind, n)
-    x = horner_reference(p, F(zf) + F(a, 4))
-    if b is not None:
-        x = (x - horner_reference(p, F(zf) + F(b, 4))) / 2
-    v = float(x)
-    return sign * v, "polynomial", sums._EPS * (1.0 + abs(v))
+
+    def read(zf):
+        x = horner_reference(p, F(zf) + F(a, 4))
+        if b is not None:
+            x = (x - horner_reference(p, F(zf) + F(b, 4))) / 2
+        v = float(x)
+        return sign * v, "polynomial", sums._EPS * (1.0 + abs(v))
+
+    return read
 
 
-REAL_PART = sums._part
+REAL_PART_READER = sums._part_reader
 
 
 @pytest.mark.parametrize("code", POLYNOMIAL_CODES)
@@ -74,12 +78,23 @@ def test_pq_routes_equal_their_two_read_values_bit_for_bit(code, monkeypatch):
         (n, z, eval_family(SumFamily.from_code(code, n), z))
         for n in range(1, 9) for z in zs
     ]
-    monkeypatch.setattr(sums, "_part", two_read_part)
-    for n, z, r in got:
-        want = eval_family(SumFamily.from_code(code, n), z)
-        assert (r.value.hex(), r.error_bound.hex(), r.path) == (
-            want.value.hex(), want.error_bound.hex(), want.path
-        ), (code, n, z)
+    # the readers are rebuilt with two exact reads in place of each folded
+    # one, and built anew once the substitute is gone
+    built = []
+    monkeypatch.setattr(
+        sums, "_part_reader", lambda *args: built.append(args[1]) or two_read_part_reader(*args)
+    )
+    sums._reader.cache_clear()
+    try:
+        for n, z, r in got:
+            want = eval_family(SumFamily.from_code(code, n), z)
+            assert (r.value.hex(), r.error_bound.hex(), r.path) == (
+                want.value.hex(), want.error_bound.hex(), want.path
+            ), (code, n, z)
+    finally:
+        monkeypatch.undo()
+        sums._reader.cache_clear()
+    assert len(built) == 16 and {"C", "S"} & set(built), built
 
 
 @pytest.mark.parametrize("kind", ["C", "S"])

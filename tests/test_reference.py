@@ -29,6 +29,7 @@ from englert_sums import (
     SumFamily,
     UnitCirclePoint,
     eval_family,
+    eval_via_relation,
     is_supported,
     li_on_circle,
     singular_points,
@@ -153,6 +154,37 @@ def test_huge_z_bounds_hold_against_the_reference():
                     continue
                 r = eval_family(f, z)
                 held(f, z, r.value, r.error_bound, family_reference(f, z))
+
+
+# the log points (offset, period) of the order-1 Im parts, Im Li_2 or Im chi_2
+ORDER_1_LOG_POINTS = {"Sp": (0.5, 1.0), "tSp": (0.0, 1.0), "bC": (0.25, 0.5), "tbSp": (0.0, 0.5)}
+
+
+@pytest.mark.parametrize("code", sorted(ORDER_1_LOG_POINTS))
+def test_relation_bounds_hold_next_to_the_order_1_log_points(code):
+    # z + shift rounds by up to h = ulp/2, where the slope (2/pi) log(1/(2 pi d))
+    # of these parts at d from a log point has no bound: the relation charges
+    # its integral over h.  Without it Sp 1 at 1.5000000000000002 read 0.0,
+    # 1.29 times its bound off
+    offset, period = ORDER_1_LOG_POINTS[code]
+    f = SumFamily.from_code(code, 1)
+    for k in (-8, -3, 0, 1, 7):
+        a = offset + k * period
+        near = [a + side * 10.0**-e for e in range(10, 20) for side in (1, -1)]
+        for z in near + [math.nextafter(a, math.inf), math.nextafter(a, -math.inf)]:
+            r = eval_via_relation(f, z)
+            held(f, z, r.value, r.error_bound, family_reference(f, z))
+
+
+def test_the_reference_keeps_its_digits_next_to_a_p0_pole():
+    # 1 - u cancels some 11 of the 40 digits 3e-12 from tC 0's lattice, where
+    # the value is -1/2 exactly and the bound 0; the reference read 2e-20 off
+    f = SumFamily.from_code("tC", 0)
+    for z in (3.000000000002708, -4.00000000000309):
+        ref = family_reference(f, z)
+        assert abs(ref + 0.5) < 1e-30, (z, ref)
+        r = eval_family(f, z)
+        held(f, z, r.value, r.error_bound, ref)
 
 
 LI_ORDERS = tuple(range(2, 25)) + (41, 100, 241)

@@ -35,7 +35,7 @@ from englert_sums.errors import (
 from englert_sums import sums
 from englert_sums.cli import _linspace
 from englert_sums.oracle import oracle_eval
-from englert_sums.sums import _turns
+from englert_sums.sums import _turn_ints
 from reference40 import family_reference
 
 PI = math.pi
@@ -567,14 +567,34 @@ def turns_battery():
 
 
 def test_parts_read_the_reduced_turns_of_z_plus_quarters():
-    # _part builds the turns in integers; they must be the very Fraction
+    # the readers build the turns in integers; they must be the very Fraction
     # from_turns reduces with Fraction arithmetic
     for zf in turns_battery():
         for q in range(-2, 3):
-            t = _turns(zf, q)
+            t = F(*_turn_ints(zf, q))
             want = UnitCirclePoint.from_turns(F(zf) + F(q, 4)).turns
             assert type(t) is F and t == want, (zf, q)
             assert (t.numerator, t.denominator) == (want.numerator, want.denominator), (zf, q)
+
+
+def test_cached_readers_look_up_eval_poly_and_li_on_circle_at_call_time(monkeypatch):
+    # a reader is built once per (code, order), but the two names it calls
+    # are read from sums at every call, as a tracer or a test replaces them
+    cases = [("S", "eval_poly"), ("Sp", "li_on_circle"), ("P", "eval_poly")]
+    families = [(SumFamily.from_code(c, n), name) for c, name in cases for n in (1, 4)]
+    for f, _ in families:
+        eval_family(f, 0.3)
+    reached = []
+    for name in ("eval_poly", "li_on_circle"):
+        real = getattr(sums, name)
+        monkeypatch.setattr(
+            sums, name, lambda *args, real=real, name=name: reached.append(name) or real(*args)
+        )
+    for f, name in families:
+        for evaluate in (eval_family, eval_via_relation):
+            reached.clear()
+            evaluate(f, 0.3)
+            assert set(reached) == {name}, (f.code, f.order, evaluate)
 
 
 def test_fraction_argument_matches_float():
